@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .permcore import Perm, compose, identity
+from .permcore import Perm, identity
 
 _RESERVED = {"unit", "elem", "undef", "*", "=", "#"}
 
@@ -187,11 +187,6 @@ def is_homomorphism(m: ChunkMap, target_mult: Callable[[object, object], object]
     return True
 
 
-def perm_images_homomorphism(m: ChunkMap) -> bool:
-    """is_homomorphism specialized to S_n targets."""
-    return is_homomorphism(m, lambda p, q: compose(p, q))
-
-
 def compose_maps(outer: ChunkMap, inner: ChunkMap) -> ChunkMap:
     """(outer o inner), defined when inner's images are elements of outer's source."""
     images = {e: outer.images[inner.images[e]] for e in inner.source.elements}
@@ -271,8 +266,3 @@ def parse_chunk(text: str) -> Chunk:
 def parse_chunk_file(path: str) -> Chunk:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_chunk(fh.read())
-
-
-def write_chunk_file(path: str, c: Chunk) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_chunk(c))

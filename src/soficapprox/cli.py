@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .lazyperm import (GChunk, LazyPerm, Realization, build_gchunk, finitary,
                        identity_lazy, realize, supp_quality)
 from .permcore import Perm, format_perm, parse_perm
 from .profile import (Exhausted, ProfileCertificate, measure, profile_table,
-                      sofic_profile)
+                      replay_records, sofic_profile)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -38,7 +39,6 @@ class RunConfig:
     horizon: int = 10_000
     f_cap: int = 10 ** 6
     workers: int = 1
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_max < 1 or self.horizon < 1 or self.f_cap < 1 or self.workers < 1:
@@ -52,6 +52,8 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -84,16 +86,22 @@ def emit_certificate(path: str, cert: ProfileCertificate, c: Chunk) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_HEADER_KEYS = ("r", "n", "defect", "expansiveness")
+_RECORD_RE = re.compile(r"infeasible (\d+) nodes (\d+)", re.ASCII)
+
+
 def load_certificate(path: str) -> tuple[ProfileCertificate, Chunk]:
     """Parse and re-verify a certificate; tampering fails with the bad quantity.
 
     The witness is re-measured against the embedded chunk and must reproduce
     the claimed defect and expansiveness exactly, and meet the r-thresholds.
+    The infeasibility records must name degrees 1..n-1, once each and in
+    order; their node counts are checked only by ``replay_records``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     header: dict[str, str] = {}
-    witness_lines: list[tuple[str, str]] = []
+    witness_lines: dict[str, str] = {}
     records: list[profile.DegreeRecord] = []
     chunk_lines: list[str] = []
     in_chunk = False
@@ -113,19 +121,40 @@ def load_certificate(path: str) -> tuple[ProfileCertificate, Chunk]:
         if line.startswith("witness "):
             body = line[len("witness "):]
             name, _, perm_text = body.partition(" = ")
-            witness_lines.append((name.strip(), perm_text.strip()))
+            name = name.strip()
+            if name in witness_lines:
+                raise ValueError(f"certificate has two witness lines for {name!r}")
+            witness_lines[name] = perm_text.strip()
         elif line.startswith("infeasible "):
-            parts = line.split()
-            records.append(profile.DegreeRecord(int(parts[1]), int(parts[3])))
+            match = _RECORD_RE.fullmatch(line)
+            if match is None:
+                raise ValueError(f"malformed record {line!r}; expected 'infeasible D nodes N'")
+            records.append(profile.DegreeRecord(int(match[1]), int(match[2])))
         else:
             key, _, value = line.partition(" = ")
-            header[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _HEADER_KEYS:
+                raise ValueError(f"cannot parse certificate line {line!r}")
+            if key in header:
+                raise ValueError(f"certificate has two {key!r} lines")
+            header[key] = value.strip()
+    for key in _HEADER_KEYS:
+        if key not in header:
+            raise ValueError(f"certificate lacks the {key!r} line")
 
     c = parse_chunk("\n".join(chunk_lines))
     r = parse_rational(header["r"])
+    if r < 1:
+        raise ValueError(f"certificate quality r = {format_rational(r)} is below 1")
     n = int(header["n"])
+    if n < 1:
+        raise ValueError(f"certificate degree n = {n} is not positive")
+    degrees = [rec.degree for rec in records]
+    if degrees != list(range(1, n)):
+        raise ValueError(f"infeasibility records name degrees {degrees}; "
+                         f"expected 1..{n - 1}, once each and in order")
     assignment = {}
-    for name, perm_text in witness_lines:
+    for name, perm_text in witness_lines.items():
         if name not in c.elements:
             raise ValueError(f"witness names unknown element {name!r}")
         p = parse_perm(perm_text, degree=n)
@@ -284,9 +313,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="sofic", description=__doc__)
     parser.add_argument("--workers", type=int, default=1, help="parallel search workers")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized property-test subcommands "
-                             "(search order is never randomized)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_chunk = sub.add_parser("chunk", help="chunk file operations")
@@ -346,6 +372,9 @@ def build_parser() -> _Parser:
     cert_sub = p_cert.add_subparsers(dest="cert_command", required=True)
     p_cverify = cert_sub.add_parser("verify", help="re-measure a stored certificate")
     p_cverify.add_argument("file")
+    p_cverify.add_argument("--replay", action="store_true",
+                           help="re-run the search at every recorded degree and "
+                                "compare its node count")
 
     return parser
 
@@ -533,10 +562,14 @@ def _cmd_gadget_stages(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cert_verify(args) -> int:
+def _cmd_cert_verify(args, config: RunConfig) -> int:
     cert, c = load_certificate(args.file)
+    if args.replay:
+        replay_records(c, cert.r, cert.infeasible, workers=config.workers)
     print(f"certificate ok: prof({format_rational(cert.r)}) <= {cert.n} "
           f"for chunk on {len(c.elements)} elements")
+    if args.replay:
+        print("replay ok: every recorded degree exhausts in its recorded node count")
     return EXIT_OK
 
 
@@ -547,7 +580,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles -h (0) and usage errors (1)
         return exc.code if isinstance(exc.code, int) else EXIT_DATA
     try:
-        config = RunConfig(workers=args.workers, seed=args.seed)
+        config = RunConfig(workers=args.workers)
         if args.command == "chunk":
             return _cmd_chunk_validate(args)
         if args.command == "profile":
@@ -567,7 +600,7 @@ def main(argv=None) -> int:
                 return _cmd_gadget_encode(args)
             return _cmd_gadget_stages(args)
         if args.command == "cert":
-            return _cmd_cert_verify(args)
+            return _cmd_cert_verify(args, config)
         raise ValueError(f"unknown command {args.command!r}")
     except ChunkParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

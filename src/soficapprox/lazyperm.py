@@ -69,10 +69,6 @@ def finitary(images: Sequence[int]) -> LazyPerm:
     )
 
 
-def from_perm(p: Perm) -> LazyPerm:
-    return finitary(p.images)
-
-
 def compose_lazy(p: LazyPerm, q: LazyPerm) -> LazyPerm:
     return LazyPerm(
         lambda m: p.forward(q.forward(m)),

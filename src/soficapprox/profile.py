@@ -4,15 +4,31 @@
 E -> S_n whose multiplicative defect is at most 1/r on every defined product
 and whose distinct elements stay at Hamming distance at least 1 - 1/r.  The
 search is exhaustive per degree: it backtracks over assignments in chunk
-element order, prunes on the exact rational thresholds, and restricts the
-first assigned element to canonical cycle-type representatives.  That
-restriction loses nothing because conjugating an entire assignment by a fixed
-permutation preserves distances, products, and the unit, so every feasible
-assignment has a conjugate whose first element is canonical.
+element order and restricts the first assigned element to canonical
+cycle-type representatives.  That restriction loses nothing because
+conjugating an entire assignment by a fixed permutation preserves distances,
+products, and the unit, so every feasible assignment has a conjugate whose
+first element is canonical.
+
+The search works on raw image tuples with integer thresholds.  With r =
+num/den and k the number of points where two images differ, a product passes
+the defect test when ``k*num <= n*den`` and a pair passes the separation test
+when ``k*num >= n*(num - den)``.  Past the first element, a candidate pool is
+a Hamming ball wherever a defined product fixes one: if the new element
+occurs once in a product whose other two members are assigned, bi-invariance
+of the metric turns that product's defect test into "within
+floor(n*den/num) points of one centre permutation", so only that ball, in lex
+order, is enumerated.  Elements without such a product, and radii of n or
+more, range over all of S_n.  ``Perm`` values are built only for the witness.
 
 Degrees proven infeasible are recorded with the number of search nodes that
 exhausted them, so a returned certificate documents minimality, not just
-feasibility.
+feasibility.  A node is one candidate of a call's full pool (the canonical
+representatives at depth 0, all of S_n in lex order after it) up to the one
+that completed a witness, or the whole pool when the call fails.  Every
+permutation outside a ball fails its defect test, so the ball changes which
+candidates are tried but not this count, which each call adds in closed form:
+``n!`` or the witness image's lex rank plus one.
 """
 
 from __future__ import annotations
@@ -20,12 +36,15 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
+from operator import ne
+from typing import Iterable, Iterator
 
 from .chunk import Chunk, validate
 from .permcore import (
     Perm,
     all_cycle_types,
-    all_perms,
     compose,
     cycle_type_representative,
     hamming_distance,
@@ -112,78 +131,160 @@ def measure(c: Chunk, f: dict[str, Perm]) -> MorphismQuality:
     return MorphismQuality(defect, expansiveness)
 
 
-def _search_plan(c: Chunk) -> tuple[tuple[str, ...], list[list[tuple[str, str, str]]], list[list[str]]]:
-    """Assignment order plus, per depth, the product triples and distinct pairs
-    that become fully checkable once that depth is assigned."""
+def _search_plan(c: Chunk) -> tuple[tuple[str, ...], list[list[tuple[int, int, int]]],
+                                    list[tuple[int, int, int, int] | None]]:
+    """Assignment order and, per depth, what that depth makes checkable.
+
+    Elements are numbered 0 for the unit and ``i + 1`` for ``order[i]``; the
+    element at depth ``i`` is number ``i + 1``.  Per depth the plan lists the
+    product triples ``(a, b, ab)`` that become fully checkable there, and the
+    ball triple: the first of them in which the new element occurs exactly
+    once, as ``(role, a, b, ab)`` where ``role`` is the new element's place
+    (0 left factor, 1 right factor, 2 product), or None if there is none.
+    """
     order = tuple(e for e in c.elements if e != c.unit)
-    pos = {e: i for i, e in enumerate(order)}
-    pos[c.unit] = -1
-    triples_at: list[list[tuple[str, str, str]]] = [[] for _ in order]
-    pairs_at: list[list[str]] = [[] for _ in order]
+    number = {e: i + 1 for i, e in enumerate(order)}
+    number[c.unit] = 0
+    triples_at: list[list[tuple[int, int, int]]] = [[] for _ in order]
     for (a, b), ab in c.table.items():
-        last = max(pos[a], pos[b], pos[ab])
-        if last >= 0:
-            triples_at[last].append((a, b, ab))
-    for i, e in enumerate(order):
-        pairs_at[i] = [c.unit] + list(order[:i])
-    return order, triples_at, pairs_at
+        triple = (number[a], number[b], number[ab])
+        if max(triple) > 0:
+            triples_at[max(triple) - 1].append(triple)
+    balls_at = [next(((t.index(new), *t) for t in triples if t.count(new) == 1), None)
+                for new, triples in enumerate(triples_at, start=1)]
+    return order, triples_at, balls_at
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(p.__getitem__, q))
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for x, v in enumerate(p):
+        out[v] = x
+    return tuple(out)
+
+
+def _ball_centre(role: int, fa: tuple[int, ...], fb: tuple[int, ...],
+                 fab: tuple[int, ...]) -> tuple[int, ...]:
+    """The image the unknown factor of ``f(ab) ~ f(a)f(b)`` would need for
+    zero defect; by bi-invariance its defect equals its distance from this."""
+    if role == 2:
+        return _compose(fa, fb)
+    if role == 0:
+        return _compose(fab, _inverse(fb))
+    return _compose(_inverse(fa), fab)
+
+
+def _hamming_ball(centre: tuple[int, ...], radius: int) -> Iterator[tuple[int, ...]]:
+    """Permutations differing from ``centre`` in at most ``radius`` points, in lex order."""
+    n = len(centre)
+    where = _inverse(centre)
+    used = [False] * n
+    images = [0] * n
+
+    def fill(x: int, lost: int) -> Iterator[tuple[int, ...]]:
+        # ``lost`` counts the points below x that differ from the centre, plus
+        # the points from x on whose centre image is already taken.  Every
+        # other point can still agree, so ``lost`` is the least final distance
+        # and the walk never enters a branch without a member.
+        if x == n:
+            yield tuple(images)
+            return
+        taken = used[centre[x]]
+        for v in range(n):
+            if used[v]:
+                continue
+            k = lost + (v != centre[x] and not taken) + (where[v] > x)
+            if k <= radius:
+                used[v] = True
+                images[x] = v
+                yield from fill(x + 1, k)
+                used[v] = False
+
+    return fill(0, 0)
+
+
+def _lex_rank(p: tuple[int, ...]) -> int:
+    """Index of ``p`` in the lex listing of S_n, from its Lehmer code."""
+    n = len(p)
+    rank = 0
+    for i, v in enumerate(p):
+        rank = rank * (n - i) + sum(1 for w in p[i + 1:] if w < v)
+    return rank
 
 
 def _backtrack(c: Chunk, r: Fraction, n: int,
-               first_candidates: list[Perm] | None = None) -> tuple[dict[str, Perm] | None, int]:
-    """Exhaustive search at one degree.  Returns (witness or None, nodes tried)."""
-    eps = 1 / r
-    need_exp = 1 - eps
-    order, triples_at, pairs_at = _search_plan(c)
-    assigned: dict[str, Perm] = {c.unit: identity(n)}
-    nodes = 0
+               first_candidates: list[tuple[int, ...]] | None = None
+               ) -> tuple[dict[str, Perm] | None, int]:
+    """Exhaustive search at one degree.  Returns (witness or None, nodes).
 
+    ``first_candidates`` are image tuples for the first non-unit element; the
+    default is the cycle-type representatives.  Each call adds to the node
+    count the length of its full pool when it fails, and the witness image's
+    place in that pool when it succeeds.  Past depth 0 the full pool is S_n
+    in lex order, so that is ``n!`` or the lex rank plus one, whatever part
+    of the pool the call actually tries.
+    """
+    order, triples_at, balls_at = _search_plan(c)
+    ident = tuple(range(n))
     if not order:
         # Single-element chunk: the unit assignment is the whole witness.
-        return dict(assigned), 1
+        return {c.unit: Perm(ident)}, 1
 
-    candidates0 = first_candidates
-    if candidates0 is None:
-        candidates0 = [cycle_type_representative(t, n) for t in all_cycle_types(n)]
-    rest = all_perms(n)
+    num, den = r.numerator, r.denominator
+    radius = n * den // num  # defect passes iff k*num <= n*den
+    min_sep = -(-n * (num - den) // num)  # separation passes iff k*num >= n*(num - den)
+    full = factorial(n)
+    first = first_candidates
+    if first is None:
+        first = [cycle_type_representative(t, n).images for t in all_cycle_types(n)]
+    f: list[tuple[int, ...]] = [ident] * (len(order) + 1)
+    nodes = 0
 
-    def extend(depth: int) -> dict[str, Perm] | None:
+    def pool(new: int) -> Iterable[tuple[int, ...]]:
+        if new == 1:
+            return first
+        ball = balls_at[new - 1]
+        if ball is None or radius >= n:
+            return permutations(ident)
+        role, a, b, ab = ball
+        return _hamming_ball(_ball_centre(role, f[a], f[b], f[ab]), radius)
+
+    def extend(new: int) -> bool:
+        # Every permutation outside the ball fails the ball triple's defect
+        # check, so skipping them changes no outcome, only the work done.
         nonlocal nodes
-        e = order[depth]
-        pool = candidates0 if depth == 0 else rest
-        for cand in pool:
-            nodes += 1
-            ok = True
-            for other in pairs_at[depth]:
-                if hamming_distance(assigned[other], cand) < need_exp:
-                    ok = False
-                    break
-            if ok:
-                assigned[e] = cand
-                for a, b, ab in triples_at[depth]:
-                    if hamming_distance(assigned[ab], compose(assigned[a], assigned[b])) > eps:
-                        ok = False
-                        break
-                if ok:
-                    if depth + 1 == len(order):
-                        return dict(assigned)
-                    found = extend(depth + 1)
-                    if found is not None:
-                        return found
-                del assigned[e]
-        return None
+        earlier = f[:new]
+        triples = triples_at[new - 1]
+        for cand in pool(new):
+            if all(sum(map(ne, g, cand)) >= min_sep for g in earlier):
+                f[new] = cand
+                if all(sum(map(ne, f[ab], _compose(f[a], f[b]))) <= radius
+                       for a, b, ab in triples):
+                    if new == len(order) or extend(new + 1):
+                        nodes += (first.index(cand) if new == 1 else _lex_rank(cand)) + 1
+                        return True
+        nodes += len(first) if new == 1 else full
+        return False
 
-    return extend(0), nodes
+    if not extend(1):
+        return None, nodes
+    witness = {c.unit: Perm(ident)}
+    witness.update((e, Perm(f[i + 1])) for i, e in enumerate(order))
+    return witness, nodes
 
 
-def _search_one_candidate(args: tuple[Chunk, Fraction, int, Perm]) -> tuple[dict[str, Perm] | None, int]:
+def _search_one_candidate(args: tuple[Chunk, Fraction, int, tuple[int, ...]]
+                          ) -> tuple[dict[str, Perm] | None, int]:
     c, r, n, cand = args
     return _backtrack(c, r, n, first_candidates=[cand])
 
 
 def _search_degree(c: Chunk, r: Fraction, n: int, workers: int) -> tuple[dict[str, Perm] | None, int]:
     order = [e for e in c.elements if e != c.unit]
-    cands = [cycle_type_representative(t, n) for t in all_cycle_types(n)]
+    cands = [cycle_type_representative(t, n).images for t in all_cycle_types(n)]
     if workers <= 1 or not order or len(cands) <= 1:
         return _backtrack(c, r, n)
     # Split the canonical first-element candidates across workers.  Results are
@@ -225,6 +326,19 @@ def sofic_profile(c: Chunk, r, n_max: int, *, workers: int = 1,
             return ProfileCertificate(r, n, witness, quality, tuple(records))
         records.append(DegreeRecord(n, nodes))
     return Exhausted(n_max, tuple(records))
+
+
+def replay_records(c: Chunk, r, records, *, workers: int = 1) -> None:
+    """Re-run the search at each recorded degree.  Raises ValueError unless
+    the degree is infeasible and exhausts in exactly the recorded nodes."""
+    r = Fraction(r)
+    for rec in records:
+        witness, nodes = _search_degree(c, r, rec.degree, workers)
+        if witness is not None:
+            raise ValueError(f"degree {rec.degree} is feasible, but is recorded as infeasible")
+        if nodes != rec.nodes:
+            raise ValueError(f"degree {rec.degree} exhausts in {nodes} nodes, "
+                             f"but is recorded with {rec.nodes}")
 
 
 def profile_table(c: Chunk, rs, n_max: int, *, workers: int = 1,

@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the library's search and measurement
 paths: feasibility is decided by plain enumeration over all assignments, with
-thresholds written out directly.
+thresholds written out directly.  ``reference_backtrack`` keeps the library's
+original per-degree search, which tried every candidate and compared
+``Fraction`` distances, as the reference for witnesses and node counts.
 """
 
 import itertools
 from fractions import Fraction
 
-from soficapprox.permcore import all_perms, compose, hamming_distance, identity
+from soficapprox.permcore import (all_cycle_types, all_perms, compose,
+                                  cycle_type_representative, hamming_distance, identity)
 
 
 def brute_force_feasible(c, r, n):
@@ -38,3 +41,44 @@ def brute_force_least_n(c, r, n_max):
         if brute_force_feasible(c, r, n):
             return n
     return None
+
+
+def reference_backtrack(c, r, n):
+    """The per-degree search as first written: every candidate drawn from the
+    full pool and checked with ``Fraction`` distances.  Returns (witness or
+    None, nodes), where nodes counts every candidate tried."""
+    eps = 1 / Fraction(r)
+    order = [e for e in c.elements if e != c.unit]
+    pos = {e: i for i, e in enumerate(order)}
+    pos[c.unit] = -1
+    triples_at = [[] for _ in order]
+    for (a, b), ab in c.table.items():
+        last = max(pos[a], pos[b], pos[ab])
+        if last >= 0:
+            triples_at[last].append((a, b, ab))
+    assigned = {c.unit: identity(n)}
+    if not order:
+        return dict(assigned), 1
+    first = [cycle_type_representative(t, n) for t in all_cycle_types(n)]
+    nodes = 0
+
+    def extend(depth):
+        nonlocal nodes
+        e = order[depth]
+        for cand in first if depth == 0 else all_perms(n):
+            nodes += 1
+            if any(hamming_distance(assigned[o], cand) < 1 - eps
+                   for o in [c.unit] + order[:depth]):
+                continue
+            assigned[e] = cand
+            if all(hamming_distance(assigned[ab], compose(assigned[a], assigned[b])) <= eps
+                   for a, b, ab in triples_at[depth]):
+                if depth + 1 == len(order):
+                    return dict(assigned)
+                found = extend(depth + 1)
+                if found is not None:
+                    return found
+            del assigned[e]
+        return None
+
+    return extend(0), nodes

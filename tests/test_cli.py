@@ -264,6 +264,104 @@ class TestCertificatePersistence:
         from fractions import Fraction
         assert parse_rational("3/2") == Fraction(3, 2)
         assert parse_rational("4") == Fraction(4)
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1/0")
+
+
+@pytest.fixture
+def cert_path(z3, tmp_path):
+    path = tmp_path / "z3.cert"
+    emit_certificate(str(path), sofic_profile(z3, 2, 5), z3)
+    return path
+
+
+class TestCertificateParseErrors:
+    """Hostile certificate edits: exit 1 with one line on stderr, no traceback."""
+
+    def verify_edited(self, capsys, path, old, new, *flags):
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, "cert", "verify", *flags, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_missing_header_key(self, capsys, cert_path):
+        err = self.verify_edited(capsys, cert_path, "defect = 0/1\n", "")
+        assert "lacks the 'defect' line" in err
+
+    def test_malformed_record(self, capsys, cert_path):
+        err = self.verify_edited(capsys, cert_path, "infeasible 2 nodes 4", "infeasible 2")
+        assert "malformed record" in err
+
+    def test_duplicate_witness(self, capsys, cert_path):
+        err = self.verify_edited(capsys, cert_path, "witness h = [1 2 0]\n",
+                                 "witness h = [1 2 0]\nwitness h = [2 0 1]\n")
+        assert "two witness lines for 'h'" in err
+
+    @pytest.mark.parametrize("old,new", [
+        ("infeasible 1 nodes 1\n", ""),  # dropped record
+        ("infeasible 2 nodes 4\n", "infeasible 2 nodes 4\ninfeasible 7 nodes 4\n"),
+        ("infeasible 2 nodes 4\n", "infeasible 2 nodes 4\ninfeasible 2 nodes 4\n"),
+        ("infeasible 1 nodes 1\ninfeasible 2 nodes 4\n",
+         "infeasible 2 nodes 4\ninfeasible 1 nodes 1\n"),
+    ], ids=["dropped", "beyond-n", "repeated", "out-of-order"])
+    def test_records_must_be_degrees_below_n(self, capsys, cert_path, old, new):
+        err = self.verify_edited(capsys, cert_path, old, new)
+        assert "expected 1..2, once each and in order" in err
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("r = 2/1", "r = 0/1", "r = 0/1 is below 1"),
+        ("n = 3\n", "n = 0\n", "n = 0 is not positive"),
+        ("n = 3\n", "n = 3\nn = 4\n", "two 'n' lines"),
+        ("n = 3\n", "n = 3\nmood = calm\n", "cannot parse certificate line"),
+    ], ids=["r-below-one", "n-zero", "duplicate-header", "unknown-line"])
+    def test_bad_header(self, capsys, cert_path, old, new, message):
+        assert message in self.verify_edited(capsys, cert_path, old, new)
+
+
+class TestCertificateReplay:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_replay_accepts_genuine_records(self, capsys, cert_path, workers):
+        code, plain, _ = run(capsys, "cert", "verify", str(cert_path))
+        code2, out, _ = run(capsys, "--workers", workers, "cert", "verify", "--replay",
+                            str(cert_path))
+        assert code == code2 == 0
+        assert out == plain + "replay ok: every recorded degree exhausts in its recorded node count\n"
+
+    def test_plain_verify_does_not_check_node_counts(self, capsys, cert_path):
+        cert_path.write_text(cert_path.read_text().replace("infeasible 1 nodes 1",
+                                                           "infeasible 1 nodes 999"))
+        code, _, _ = run(capsys, "cert", "verify", str(cert_path))
+        assert code == 0
+
+    def test_replay_rejects_edited_node_count(self, capsys, cert_path):
+        cert_path.write_text(cert_path.read_text().replace("infeasible 1 nodes 1",
+                                                           "infeasible 1 nodes 999"))
+        code, out, err = run(capsys, "cert", "verify", "--replay", str(cert_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: degree 1 exhausts in 1 nodes, but is recorded with 999\n"
+
+    def test_replay_rejects_feasible_degree(self, capsys, z3, tmp_path):
+        # A genuine r = 2 witness at degree 4, claiming degree 3 infeasible.
+        cert = sofic_profile(z3, 2, 5)
+        path = tmp_path / "z3.cert"
+        emit_certificate(str(path), cert, z3)
+        text = path.read_text()
+        for e, p in cert.assignment.items():
+            wide = "[" + " ".join(map(str, p.images + (3,))) + "]"
+            text = text.replace(f"witness {e} = [{' '.join(map(str, p.images))}]",
+                                f"witness {e} = {wide}")
+        text = text.replace("n = 3", "n = 4").replace(
+            "expansiveness = 1/1", "expansiveness = 3/4").replace(
+            "infeasible 2 nodes 4\n", "infeasible 2 nodes 4\ninfeasible 3 nodes 5\n")
+        path.write_text(text)
+        code, _, err = run(capsys, "cert", "verify", "--replay", str(path))
+        assert code == 1
+        assert err == "error: degree 3 is feasible, but is recorded as infeasible\n"
 
 
 class TestGChunkSpecFormat:

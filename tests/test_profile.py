@@ -1,13 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
+from math import factorial
+from operator import ne
 
 import pytest
 
 from soficapprox.chunk import Chunk, induced_chunk
-from soficapprox.permcore import Perm, compose, identity, inverse, transposition
+from soficapprox.permcore import Perm, all_perms, compose, identity, inverse, transposition
 from soficapprox.profile import (
     Exhausted,
     ProfileCertificate,
+    _hamming_ball,
+    _lex_rank,
+    _search_degree,
+    _search_plan,
     decide_product,
     measure,
     profile_table,
@@ -15,7 +22,7 @@ from soficapprox.profile import (
 )
 
 
-from oracles import brute_force_feasible, brute_force_least_n
+from oracles import brute_force_feasible, brute_force_least_n, reference_backtrack
 
 
 class TestMeasure:
@@ -277,3 +284,75 @@ class TestRandomizedOracleEquivalence:
                     witness, _ = _backtrack(c, Fraction(r), n)
                     assert (witness is not None) == brute_force_feasible(c, r, n), \
                         (c, r, n)
+
+
+def cyclic_chunk(m, elems=None):
+    elems = range(m) if elems is None else elems
+    return induced_chunk([str(x) for x in elems], "0",
+                         lambda a, b: str((int(a) + int(b)) % m))
+
+
+def symmetric3_chunk(images):
+    names = {p: "".join(map(str, p.images)) for p in all_perms(3)}
+    back = {v: k for k, v in names.items()}
+    return induced_chunk(list(images), "012", lambda a, b: names[compose(back[a], back[b])])
+
+
+def column_major(c):
+    """The same chunk with its table listed column by column, which changes
+    the first product that fixes each element."""
+    pos = {e: i for i, e in enumerate(c.elements)}
+    items = sorted(c.table.items(), key=lambda kv: (pos[kv[0][1]], pos[kv[0][0]]))
+    return Chunk(c.elements, c.unit, dict(items))
+
+
+REFERENCE_CASES = [
+    ("Z5", cyclic_chunk(5), 5, 5),
+    ("Z6", cyclic_chunk(6), 6, 6),
+    ("Z5-reordered", cyclic_chunk(5, [0, 3, 2, 1, 4]), 5, 5),
+    ("Z5@7/2", cyclic_chunk(5), Fraction(7, 2), 5),
+    ("Z5{0,1,2,4}-columns", column_major(cyclic_chunk(5, [0, 1, 2, 4])), 5, 5),
+    ("Z9{0,1,6,7,8}", cyclic_chunk(9, [0, 1, 6, 7, 8]), 3, 5),
+    ("S3", symmetric3_chunk(["012", "021", "102", "120", "201", "210"]), 2, 6),
+    ("S3-reordered", symmetric3_chunk(["012", "201", "021", "102", "120", "210"]), 3, 5),
+    ("S3-columns", column_major(symmetric3_chunk(["012", "120", "021", "102", "201", "210"])),
+     3, 5),
+]
+
+
+class TestReferenceSearch:
+    """The integer, ball-driven search against the full-pool ``Fraction``
+    search it replaced: same witness and same node count at every degree."""
+
+    @pytest.mark.parametrize("fixture", ["trivial", "z2", "z3", "open2", "z4trace", "klein"])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_fixture_chunks(self, fixture, r, request):
+        c = request.getfixturevalue(fixture)
+        for n in range(1, 6):
+            assert _search_degree(c, Fraction(r), n, 1) == reference_backtrack(c, r, n), n
+
+    @pytest.mark.parametrize("name,c,r,n_max", REFERENCE_CASES, ids=[k[0] for k in REFERENCE_CASES])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_group_chunks(self, name, c, r, n_max, workers):
+        for n in range(1, n_max + 1):
+            assert _search_degree(c, Fraction(r), n, workers) == reference_backtrack(c, r, n), n
+
+    def test_cases_cover_every_ball_role(self):
+        roles = {ball[0] for _, c, _, _ in REFERENCE_CASES
+                 for ball in _search_plan(c)[2] if ball is not None}
+        assert roles == {0, 1, 2}  # new element as left factor, right factor, product
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ball_is_filtered_symmetric_group(self, n):
+        everything = list(itertools.permutations(range(n)))
+        centres = everything if n <= 4 else random.Random(n).sample(everything, 4)
+        for centre in centres:
+            for radius in range(n + 1):
+                expected = [p for p in everything if sum(map(ne, p, centre)) <= radius]
+                assert list(_hamming_ball(centre, radius)) == expected, (centre, radius)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lex_rank_is_listing_index(self, n):
+        listing = all_perms(n)
+        assert [_lex_rank(p.images) for p in listing] == [listing.index(p) for p in listing]
+        assert len(listing) == factorial(n)
