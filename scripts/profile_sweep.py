@@ -9,17 +9,10 @@ Example:
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from soficapprox.chunk import parse_chunk_file
+from soficapprox.cli import parse_rational
 from soficapprox.profile import Exhausted, profile_table
-
-
-def parse_rational(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
 
 
 def main(argv=None):
@@ -30,7 +23,10 @@ def main(argv=None):
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
 
-    rs = [parse_rational(tok) for tok in args.rs.split(",")]
+    try:
+        rs = [parse_rational(tok) for tok in args.rs.split(",")]
+    except ValueError as exc:
+        ap.error(f"--rs: {exc}")
     header = "chunk".ljust(28) + "".join(f"r={r}".rjust(10) for r in rs) + "    time"
     print(header)
     print("-" * len(header))

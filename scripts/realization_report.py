@@ -2,8 +2,8 @@
 """Build the block-direct-sum realization of a chunk and report every stage.
 
 For each stage the report shows the certificate degree, the chosen
-multiplicity, the running total degree, the measured block-sum quality, and
-the two block-end slowness quantities against their 1/n threshold.  The
+multiplicity, the running total degree, the block-sum quality, and the two
+block-end slowness quantities against their 1/n threshold.  The
 growth bound's own block checks conclude the report.
 
 Example:
@@ -26,7 +26,6 @@ def main(argv=None):
     ap.add_argument("chunk")
     ap.add_argument("--depth", type=int, default=6)
     ap.add_argument("--n-max", type=int, default=8)
-    ap.add_argument("--f-cap", type=int, default=10 ** 6)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--emit", default=None)
     args = ap.parse_args(argv)
@@ -43,7 +42,7 @@ def main(argv=None):
               f"defect {format_rational(result.quality.defect)}, "
               f"expansiveness {format_rational(result.quality.expansiveness)}")
 
-    real = realize(c, certs, f_cap=args.f_cap)
+    real = realize(c, certs)
     print()
     print("stage   m   f  degree     defect  expansiveness   slow_lhs      g_gap  threshold")
     for st in real.stages:

@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gadgets, profile
@@ -31,20 +30,8 @@ EXIT_DATA = 1
 EXIT_EXHAUSTED = 2
 
 
-@dataclass
-class RunConfig:
-    """Parsed flags plus the resource caps shared by all subcommands."""
-
-    n_max: int = 8
-    horizon: int = 10_000
-    f_cap: int = 10 ** 6
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_max < 1 or self.horizon < 1 or self.f_cap < 1 or self.workers < 1:
-            raise ValueError("resource caps must be positive")
-
-
+DEFAULT_N_MAX = 8
+DEFAULT_HORIZON = 10_000
 ELEMENT_CAP_WARNING = 4
 
 
@@ -215,13 +202,10 @@ def load_realization(path: str) -> Realization:
     c = parse_chunk(payload["chunk"])
     certs = []
     for idx, stage_sigma in enumerate(payload["sigma"]):
-        r = Fraction(idx + 2)
         assignment = {e: Perm(tuple(images)) for e, images in stage_sigma.items()}
-        quality = measure(c, assignment)
-        if not quality.meets(r):
-            raise ValueError(f"stage r = {idx + 2} assignment fails its thresholds")
-        certs.append(ProfileCertificate(r, payload["m"][idx], assignment, quality, ()))
-    real = realize(c, certs)
+        certs.append(ProfileCertificate(Fraction(idx + 2), payload["m"][idx], assignment,
+                                        measure(c, assignment), ()))
+    real = realize(c, certs)  # checks every stage against its thresholds
     if list(real.f) != payload["f"] or list(real.layout) != payload["layout"]:
         raise ValueError("stored multiplicities or layout differ from the recomputed ones")
     if real.g.spec() != payload["g"]:
@@ -351,7 +335,6 @@ def build_parser() -> _Parser:
     p_realize = sub.add_parser("realize", help="block-direct-sum realization")
     p_realize.add_argument("--chunk", required=True)
     p_realize.add_argument("--depth", type=int, required=True)
-    p_realize.add_argument("--f-cap", type=int, default=10 ** 6)
     p_realize.add_argument("--n-max", type=int, default=None)
     p_realize.add_argument("--emit", type=str, default=None)
 
@@ -395,17 +378,17 @@ def _cmd_chunk_validate(args) -> int:
     return EXIT_DATA
 
 
-def _cmd_profile(args, config: RunConfig) -> int:
+def _cmd_profile(args) -> int:
     c = _load_chunk(args.chunk)
     if len(c.elements) > ELEMENT_CAP_WARNING:
         print(f"warning: chunk has {len(c.elements)} elements; the exhaustive "
               f"search grows steeply beyond {ELEMENT_CAP_WARNING}", file=sys.stderr)
-    n_max = args.n_max if args.n_max is not None else config.n_max
+    n_max = args.n_max if args.n_max is not None else DEFAULT_N_MAX
     if args.all_r:
         if args.emit_witness or args.emit_cert:
             raise ValueError("--emit-witness/--emit-cert need a single --r")
         rs = [parse_rational(tok) for tok in args.all_r.split(",")]
-        results = profile_table(c, rs, n_max, workers=config.workers)
+        results = profile_table(c, rs, n_max, workers=args.workers)
         code = EXIT_OK
         for r, res in zip(rs, results):
             if isinstance(res, Exhausted):
@@ -416,7 +399,7 @@ def _cmd_profile(args, config: RunConfig) -> int:
         return code
     if args.r is None:
         raise ValueError("need --r or --all-r")
-    result = sofic_profile(c, args.r, n_max, workers=config.workers)
+    result = sofic_profile(c, args.r, n_max, workers=args.workers)
     if isinstance(result, Exhausted):
         print(f"exhausted at n_max = {result.n_max}")
         return EXIT_EXHAUSTED
@@ -482,8 +465,8 @@ def _cmd_growth_cmp(args) -> int:
     return EXIT_EXHAUSTED
 
 
-def _cmd_supp(args, config: RunConfig) -> int:
-    horizon = args.horizon if args.horizon is not None else max(config.horizon // 10, 2 * args.n)
+def _cmd_supp(args) -> int:
+    horizon = args.horizon if args.horizon is not None else max(DEFAULT_HORIZON // 10, 2 * args.n)
     gc = parse_gchunk_file(args.gchunk, horizon)
     report = supp_quality(gc, args.n, args.r)
     print(f"n = {report.n}")
@@ -506,19 +489,19 @@ def _yn(value) -> str:
     return "true" if value else "false"
 
 
-def _cmd_realize(args, config: RunConfig) -> int:
+def _cmd_realize(args) -> int:
     c = _load_chunk(args.chunk)
     if args.depth < 2:
         raise ValueError("depth must be at least 2")
-    n_max = args.n_max if args.n_max is not None else config.n_max
+    n_max = args.n_max if args.n_max is not None else DEFAULT_N_MAX
     certs = []
     for r in range(2, args.depth + 1):
-        result = sofic_profile(c, r, n_max, workers=config.workers)
+        result = sofic_profile(c, r, n_max, workers=args.workers)
         if isinstance(result, Exhausted):
             print(f"profile search exhausted at r = {r}, n_max = {result.n_max}")
             return EXIT_EXHAUSTED
         certs.append(result)
-    real = realize(c, certs, f_cap=args.f_cap)
+    real = realize(c, certs)
     for st in real.stages:
         print(f"n = {st.n} m = {st.m_n} f = {st.f_n} degree = {st.degree} "
               f"defect = {format_rational(st.defect)} "
@@ -562,10 +545,10 @@ def _cmd_gadget_stages(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cert_verify(args, config: RunConfig) -> int:
+def _cmd_cert_verify(args) -> int:
     cert, c = load_certificate(args.file)
     if args.replay:
-        replay_records(c, cert.r, cert.infeasible, workers=config.workers)
+        replay_records(c, cert.r, cert.infeasible, workers=args.workers)
     print(f"certificate ok: prof({format_rational(cert.r)}) <= {cert.n} "
           f"for chunk on {len(c.elements)} elements")
     if args.replay:
@@ -580,19 +563,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles -h (0) and usage errors (1)
         return exc.code if isinstance(exc.code, int) else EXIT_DATA
     try:
-        config = RunConfig(workers=args.workers)
+        if args.workers < 1:
+            raise ValueError("--workers must be positive")
         if args.command == "chunk":
             return _cmd_chunk_validate(args)
         if args.command == "profile":
-            return _cmd_profile(args, config)
+            return _cmd_profile(args)
         if args.command == "growth":
             if args.growth_command == "prof":
                 return _cmd_growth_prof(args)
             return _cmd_growth_cmp(args)
         if args.command == "supp":
-            return _cmd_supp(args, config)
+            return _cmd_supp(args)
         if args.command == "realize":
-            return _cmd_realize(args, config)
+            return _cmd_realize(args)
         if args.command == "gadget":
             if args.gadget_command == "example":
                 return _cmd_gadget_example(args)
@@ -600,11 +584,8 @@ def main(argv=None) -> int:
                 return _cmd_gadget_encode(args)
             return _cmd_gadget_stages(args)
         if args.command == "cert":
-            return _cmd_cert_verify(args, config)
+            return _cmd_cert_verify(args)
         raise ValueError(f"unknown command {args.command!r}")
-    except ChunkParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 INF = math.inf  # top element; comparisons against ints are exact
@@ -226,7 +227,12 @@ def power(g: GrowthFn, k: int) -> Power:
 
 # -- spec strings -------------------------------------------------------------
 
+MAX_NESTING = 64  # compose/power levels a spec may nest; deeper specs are rejected
+
+
 def parse_growth(text: str) -> GrowthFn:
+    if max(accumulate({"(": 1, ")": -1}.get(ch, 0) for ch in text), default=0) > MAX_NESTING:
+        raise ValueError(f"growth spec nests compose/power deeper than {MAX_NESTING} levels")
     text = text.strip()
     if text == "infinity":
         return Infinity()

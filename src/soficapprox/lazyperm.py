@@ -11,7 +11,10 @@ partial injection to a permutation by the greedy rule: unmatched domain
 points, in increasing order, go to unmatched range points in increasing
 order.  ``realize`` assembles the block-direct-sum family out of profile
 certificates, choosing each multiplicity minimally so that every stage meets
-its quality thresholds and both block-end slowness inequalities.
+its quality thresholds and both block-end slowness inequalities.  A block
+sum's distances are weighted per-stage disagreement counts, so each least
+multiplicity is a maximum of integer ceilings (stated on ``realize``), and
+no block sum is built or measured.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 from .chunk import Chunk, validate
 from .growth import (BlockStep, Exhausted, GrowthFn, growth_profile,
                      max_m_with_value_at_most)
-from .permcore import Perm, block_sum, identity, inverse
+from .permcore import Perm, block_sum, compose, disagreements, identity, inverse
 from .profile import MorphismQuality, ProfileCertificate, measure
 
 
@@ -255,8 +259,7 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             p, q = sigma[elems[i]], sigma[elems[j]]
-            agree = sum(1 for x in range(n) if p.images[x] == q.images[x])
-            if gc.bound(n - agree) < n:
+            if gc.bound(disagreements(p, q)) < n:
                 hypothesis = False
     gap_small = (m_star is not None and Fraction(n - m_star, n) <= 1 / (2 * r))
     threshold = 1 - 1 / (2 * r)
@@ -307,6 +310,16 @@ def property_holds_mask(gc: GChunk, r, n_range: Sequence[int]) -> list[bool]:
 
 
 # -- block-direct-sum realization ----------------------------------------------
+
+def _stage_counts(c: Chunk, s: Mapping[str, Perm]) -> tuple[list[int], list[int]]:
+    """Disagreement counts of one stage: per defined product (s[ab] against
+    s[a]s[b], in table order) and per distinct pair (in element order).  On a
+    block sum that repeats stage i f_i times, each count is the f_i-weighted
+    sum of the per-stage counts."""
+    elems = c.elements
+    return ([disagreements(s[ab], compose(s[a], s[b])) for (a, b), ab in c.table.items()],
+            [disagreements(s[x], s[y]) for i, x in enumerate(elems) for y in elems[i + 1:]])
+
 
 @dataclass(frozen=True)
 class StageReport:
@@ -440,27 +453,36 @@ class Realization:
         return build_gchunk(self.realized_chunk(), carriers, self.g, horizon)
 
     def displacement(self, n: int, e1: str, e2: str) -> Fraction:
-        """Block-sum distance predicted from per-stage fixed-point counts."""
-        num = 0
-        den = 0
-        for i in range(2, n + 1):
-            p = self.sigma[i - 2][e1]
-            q = self.sigma[i - 2][e2]
-            agree = sum(1 for x in range(p.degree) if p.images[x] == q.images[x])
-            num += self.f[i - 2] * (self.m[i - 2] - agree)
-            den += self.f[i - 2] * self.m[i - 2]
-        return Fraction(num, den)
+        """Block-sum distance predicted from per-stage disagreement counts."""
+        if not 2 <= n <= self.depth:
+            raise ValueError(f"stage {n} outside 2..{self.depth}")
+        num = sum(f_i * disagreements(s[e1], s[e2])
+                  for f_i, s in zip(self.f[:n - 1], self.sigma))
+        return Fraction(num, self.layout[n - 2])
 
 
 def realize(c: Chunk, certs: Sequence[ProfileCertificate], *,
-            f_cap: int = 10 ** 6, require_valid: bool = True) -> Realization:
+            require_valid: bool = True) -> Realization:
     """Assemble the realization from certificates at r = 2, 3, ..., depth.
 
     Each multiplicity f(n) is the least positive integer making the stage-n
     block sum a (1 - 1/(n-1))-expansive 1/(n-1)-morphism while keeping both
-    block-end slowness quantities (the stage-sum ratio and the realized g's
-    1 - j/g(j) at the block end) below 1/n.  Every constraint improves as
-    f(n) grows, so a least value exists; f_cap guards runaway inputs.
+    block-end slowness quantities below 1/n.  A block sum's distances are
+    weighted counts (see ``_stage_counts``), so with D the degree and K_p,
+    A_q the weighted disagreement counts of product p and pair q through
+    stage n-1, and m = m_n, k_p, a_q the stage-n certificate's counts, every
+    constraint is linear in f and f(n) is the largest of 1 and
+
+    - ceil(((n-1)K_p - D) / (m - (n-1)k_p)) over products (defect),
+    - ceil(((n-2)D - (n-1)A_q) / ((n-1)a_q - (n-2)m)) over pairs
+      (expansiveness),
+    - floor(((n-1)S + 1 - D) / m) + 1 with S = m_2 + ... + m_n (g_gap).
+
+    Both denominators are positive because the stage-n certificate meets
+    r = n, which is checked on its counts: n k_p <= m gives
+    (n-1)k_p < m, and n a_q >= (n-1)m gives (n-1)a_q > (n-2)m.  The
+    stage-sum ratio slow_lhs never exceeds g_gap, since x/(degree-1+x) does
+    not decrease in x, so its inequality follows.
     """
     if require_valid:
         report = validate(c)
@@ -468,64 +490,50 @@ def realize(c: Chunk, certs: Sequence[ProfileCertificate], *,
             raise ValueError("chunk fails validation: " + "; ".join(report.all_violations()))
     if not certs:
         raise ValueError("need at least the r = 2 certificate")
+    counts = []
     for idx, cert in enumerate(certs):
         want = idx + 2
         if cert.r != want:
             raise ValueError(f"certificate {idx} has r = {cert.r}, expected {want}")
-        if not cert.quality.meets(Fraction(want)):
-            raise ValueError(f"certificate at r = {want} does not meet its thresholds")
         if set(cert.assignment) != set(c.elements):
             raise ValueError(f"certificate at r = {want} covers different elements")
+        if ({p.degree for p in cert.assignment.values()} != {cert.n}
+                or cert.assignment[c.unit] != identity(cert.n)):
+            raise ValueError(f"certificate at r = {want} is not a map into S_{cert.n} "
+                             "sending the unit to the identity")
+        k, a = _stage_counts(c, cert.assignment)
+        if any(want * k_p > cert.n for k_p in k) or any(
+                want * a_q < (want - 1) * cert.n for a_q in a):
+            raise ValueError(f"certificate at r = {want} does not meet its thresholds")
+        counts.append((k, a))
 
     m_list = [cert.n for cert in certs]
-    sigma = [dict(cert.assignment) for cert in certs]
-    f_list: list[int] = []
-    layout: list[int] = []
     stages: list[StageReport] = []
-
-    for idx, cert in enumerate(certs):
-        n = idx + 2
-        prev_degree = layout[-1] if layout else 0
-        sum_m_prev = sum(m_list[:idx])
-        sum_m_total = sum_m_prev + m_list[idx]
-        eps = Fraction(1, n - 1)
-        chosen = None
-        for f_n in range(1, f_cap + 1):
-            degree = prev_degree + f_n * m_list[idx]
-            assignment = {
-                e: block_sum([(sigma[i][e], f_list[i]) for i in range(idx)]
-                             + [(sigma[idx][e], f_n)])
-                for e in c.elements
-            }
-            quality = measure(c, assignment)
-            slow_den = degree - 1 + sum_m_prev
-            slow_lhs = Fraction(sum_m_prev, slow_den) if slow_den else Fraction(0)
-            g_gap = Fraction(sum_m_total, degree - 1 + sum_m_total)
-            if (quality.defect <= eps
-                    and (quality.expansiveness is None or quality.expansiveness >= 1 - eps)
-                    and slow_lhs < Fraction(1, n)
-                    and g_gap < Fraction(1, n)):
-                chosen = (f_n, degree, quality, slow_lhs, g_gap)
-                break
-        if chosen is None:
-            raise ValueError(
-                f"no multiplicity up to {f_cap} satisfies the stage-{n} quality "
-                f"thresholds and the slowness inequalities")
-        f_n, degree, quality, slow_lhs, g_gap = chosen
-        f_list.append(f_n)
-        layout.append(degree)
+    k_run = [0] * len(c.table)
+    a_run = [0] * len(counts[0][1])
+    degree = sum_m = 0
+    for n, m, (k, a) in zip(range(2, len(certs) + 2), m_list, counts):
+        sum_m_prev, sum_m = sum_m, sum_m + m
+        # ceil(x / y) is -((-x) // y) for y > 0
+        f_n = max([1, ((n - 1) * sum_m + 1 - degree) // m + 1]
+                  + [-((degree - (n - 1) * K) // (m - (n - 1) * k_p))
+                     for K, k_p in zip(k_run, k)]
+                  + [-(((n - 1) * A - (n - 2) * degree) // ((n - 1) * a_q - (n - 2) * m))
+                     for A, a_q in zip(a_run, a)])
+        k_run = [K + f_n * k_p for K, k_p in zip(k_run, k)]
+        a_run = [A + f_n * a_q for A, a_q in zip(a_run, a)]
+        degree += f_n * m
+        slow_den = degree - 1 + sum_m_prev
         stages.append(StageReport(
-            n=n, m_n=m_list[idx], f_n=f_n, degree=degree,
-            defect=quality.defect, expansiveness=quality.expansiveness,
-            slow_lhs=slow_lhs, g_gap=g_gap, slow_threshold=Fraction(1, n)))
+            n=n, m_n=m, f_n=f_n, degree=degree,
+            defect=Fraction(max(k_run, default=0), degree),
+            expansiveness=Fraction(min(a_run), degree) if a_run else None,
+            slow_lhs=Fraction(sum_m_prev, slow_den) if slow_den else Fraction(0),
+            g_gap=Fraction(sum_m, degree - 1 + sum_m),
+            slow_threshold=Fraction(1, n)))
 
-    offsets = []
-    acc = 0
-    for m_i in m_list:
-        acc += m_i
-        offsets.append(acc)
-    g = BlockStep(tuple(layout), tuple(offsets))
-
+    layout = tuple(st.degree for st in stages)
     return Realization(
-        chunk=c, m=tuple(m_list), f=tuple(f_list), layout=tuple(layout),
-        sigma=tuple(sigma), g=g, stages=tuple(stages))
+        chunk=c, m=tuple(m_list), f=tuple(st.f_n for st in stages), layout=layout,
+        sigma=tuple(dict(cert.assignment) for cert in certs),
+        g=BlockStep(layout, tuple(accumulate(m_list))), stages=tuple(stages))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _tuple_permutations
+from operator import ne
 from typing import Iterable, Sequence
 
 
@@ -114,6 +115,11 @@ def cycle_type(p: Perm) -> CycleType:
     return CycleType(tuple(len(c) for c in cycles_of(p)))
 
 
+def disagreements(p: Perm, q: Perm) -> int:
+    """Number of points where p and q differ; p and q have the same degree."""
+    return sum(map(ne, p.images, q.images))
+
+
 def hamming_distance(p: Perm, q: Perm) -> Fraction:
     """d(p, q) = 1 - |Fix(p^-1 q)| / n, i.e. the fraction of points where p, q differ."""
     if p.degree != q.degree:
@@ -121,8 +127,7 @@ def hamming_distance(p: Perm, q: Perm) -> Fraction:
     n = p.degree
     if n == 0:
         return Fraction(0)
-    agree = sum(1 for x in range(n) if p.images[x] == q.images[x])
-    return Fraction(n - agree, n)
+    return Fraction(disagreements(p, q), n)
 
 
 def block_sum(parts: Sequence[tuple[Perm, int]]) -> Perm:

@@ -5,13 +5,18 @@ paths: feasibility is decided by plain enumeration over all assignments, with
 thresholds written out directly.  ``reference_backtrack`` keeps the library's
 original per-degree search, which tried every candidate and compared
 ``Fraction`` distances, as the reference for witnesses and node counts.
+``reference_realize`` keeps the original trial-and-measure choice of
+realization multiplicities, which builds every trial block sum and measures
+it with ``measure``, as the reference for the closed form.
 """
 
 import itertools
 from fractions import Fraction
 
-from soficapprox.permcore import (all_cycle_types, all_perms, compose,
+from soficapprox.lazyperm import StageReport
+from soficapprox.permcore import (all_cycle_types, all_perms, block_sum, compose,
                                   cycle_type_representative, hamming_distance, identity)
+from soficapprox.profile import measure
 
 
 def brute_force_feasible(c, r, n):
@@ -82,3 +87,38 @@ def reference_backtrack(c, r, n):
         return None
 
     return extend(0), nodes
+
+
+def reference_realize(c, certs):
+    """The realization multiplicities as first computed: for each stage, try
+    f = 1, 2, ... and build and measure the full block sum until the quality
+    thresholds and both block-end slowness inequalities hold.  Returns
+    (f list, stage reports)."""
+    f_list, stages = [], []
+    degree = sum_m = 0
+    for idx, cert in enumerate(certs):
+        n = idx + 2
+        sum_m_prev, sum_m = sum_m, sum_m + cert.n
+        eps = Fraction(1, n - 1)
+        for f_n in itertools.count(1):
+            assignment = {
+                e: block_sum([(certs[i].assignment[e], f_list[i]) for i in range(idx)]
+                             + [(cert.assignment[e], f_n)])
+                for e in c.elements
+            }
+            quality = measure(c, assignment)
+            total = degree + f_n * cert.n
+            slow_den = total - 1 + sum_m_prev
+            slow_lhs = Fraction(sum_m_prev, slow_den) if slow_den else Fraction(0)
+            g_gap = Fraction(sum_m, total - 1 + sum_m)
+            if (quality.defect <= eps
+                    and (quality.expansiveness is None or quality.expansiveness >= 1 - eps)
+                    and slow_lhs < Fraction(1, n) and g_gap < Fraction(1, n)):
+                break
+        f_list.append(f_n)
+        degree = total
+        stages.append(StageReport(
+            n=n, m_n=cert.n, f_n=f_n, degree=degree,
+            defect=quality.defect, expansiveness=quality.expansiveness,
+            slow_lhs=slow_lhs, g_gap=g_gap, slow_threshold=Fraction(1, n)))
+    return f_list, stages

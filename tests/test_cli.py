@@ -102,6 +102,13 @@ class TestProfileCommand:
                          "--chunk", data_path("z3.chunk"), "--r", "2/1")
         assert out1 == out2
 
+    def test_zero_workers_rejected(self, capsys):
+        code, out, err = run(capsys, "--workers", "0", "profile",
+                             "--chunk", data_path("z3.chunk"), "--r", "2/1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --workers must be positive\n"
+
 
 class TestGrowthCommand:
     def test_prof_successor(self, capsys):
@@ -143,6 +150,22 @@ class TestGrowthCommand:
         code, _, err = run(capsys, "growth", "prof", "--g", "quadratic:2", "--r", "2/1")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("outer, inner", [("power(", ",2)"), ("compose(", ",affine:1)")])
+    def test_deep_nesting_rejected(self, capsys, tmp_path, outer, inner):
+        spec = outer * 1200 + "affine:1" + inner * 1200
+        expected = "error: growth spec nests compose/power deeper than 64 levels\n"
+        code, _, err = run(capsys, "growth", "prof", "--g", spec, "--r", "2/1")
+        assert (code, err) == (1, expected)
+        gchunk = tmp_path / "deep.gchunk"
+        gchunk.write_text(f"chunk {data_path('z2.chunk')}\nbound = {spec}\n")
+        code, _, err = run(capsys, "supp", "--gchunk", str(gchunk), "--n", "4", "--r", "2/1")
+        assert (code, err) == (1, expected)
+
+    def test_nesting_at_the_limit_accepted(self, capsys):
+        spec = "compose(" * 64 + "affine:1" + ",affine:1)" * 64
+        code, out, _ = run(capsys, "growth", "prof", "--g", spec, "--r", "2/1")
+        assert (code, out) == (0, "131\n")
 
 
 class TestSuppCommand:
@@ -188,6 +211,16 @@ class TestRealizeCommand:
         payload["f"][0] += 1
         emitted.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
+            load_realization(str(emitted))
+
+    def test_realization_stage_below_thresholds_rejected(self, capsys, tmp_path):
+        emitted = tmp_path / "real.json"
+        run(capsys, "realize", "--chunk", data_path("z2.chunk"),
+            "--depth", "3", "--emit", str(emitted))
+        payload = json.loads(emitted.read_text())
+        payload["sigma"][1]["a"] = payload["sigma"][1]["1"]
+        emitted.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="r = 3 does not meet its thresholds"):
             load_realization(str(emitted))
 
 

@@ -1,15 +1,21 @@
+import itertools
+import os
+from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
-from soficapprox.chunk import Chunk, parse_chunk
+from soficapprox.chunk import Chunk, induced_chunk, parse_chunk, parse_chunk_file
 from soficapprox.gadgets import three_cycle, three_cycle_chunk, three_cycle_squared
-from soficapprox.growth import Affine, compose as compose_growth, growth_profile, is_slow
+from soficapprox.growth import (Affine, BlockStep, compose as compose_growth, growth_profile,
+                               is_slow)
 from soficapprox.lazyperm import (
     AuditViolation,
     BoundWitness,
     GChunkError,
     LazyPerm,
+    StageReport,
     audit,
     build_gchunk,
     compose_lazy,
@@ -23,7 +29,10 @@ from soficapprox.lazyperm import (
     supp_quality,
 )
 from soficapprox.permcore import Perm, hamming_distance, identity
-from soficapprox.profile import measure, sofic_profile
+from soficapprox.profile import ProfileCertificate, measure, sofic_profile
+
+from conftest import DATA, data_path
+from oracles import reference_realize
 
 
 def pair_swap() -> LazyPerm:
@@ -330,3 +339,79 @@ class TestRealizedChunk:
         gc = real.gchunk()
         for stage_n, degree in zip(range(2, real.depth + 1), real.layout):
             assert supp_morphism(gc, degree) == real.block_sum_assignment(stage_n)
+
+
+class TestClosedFormMultiplicities:
+    """``realize`` against the trial-and-measure loop of ``reference_realize``,
+    which builds every trial block sum and measures it."""
+
+    def check(self, chunk, certs):
+        real = realize(chunk, certs)
+        f, stages = reference_realize(chunk, certs)
+        assert list(real.f) == f
+        assert list(real.layout) == [st.degree for st in stages]
+        offsets = tuple(accumulate(cert.n for cert in certs))
+        assert real.g.spec() == BlockStep(real.layout, offsets).spec()
+        for got, want in zip(real.stages, stages, strict=True):
+            for field in fields(StageReport):
+                assert getattr(got, field.name) == getattr(want, field.name), \
+                    (got.n, field.name)
+        return real
+
+    def searched(self, chunk, depth):
+        return [sofic_profile(chunk, r, 8) for r in range(2, depth + 1)]
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name in os.listdir(DATA) if name.endswith(".chunk")))
+    def test_fixture_chunks(self, name):
+        chunk = parse_chunk_file(data_path(name))
+        real = self.check(chunk, self.searched(chunk, 6))
+        if name == "z4trace.chunk":
+            assert real.stages[0].defect > 0
+
+    def g_gap_only(self, real, n):
+        """Least f(n) meeting the g_gap inequality alone."""
+        prev_degree = real.layout[n - 3]
+        total_m = sum(real.m[:n - 1])
+        return next(f for f in itertools.count(1)
+                    if Fraction(total_m, prev_degree + f * real.m[n - 2] - 1 + total_m)
+                    < Fraction(1, n))
+
+    def test_expansiveness_ceiling_binds(self):
+        # {0,3,5,6} in Z9: at stage 6 the g_gap inequality alone allows f = 7,
+        # but the expansiveness ceiling needs f = 9
+        elems = [f"g{i}" for i in (0, 3, 5, 6)]
+        chunk = induced_chunk(elems, "g0", lambda a, b: f"g{(int(a[1:]) + int(b[1:])) % 9}")
+        real = self.check(chunk, self.searched(chunk, 6))
+        assert (self.g_gap_only(real, 6), real.f[-1]) == (7, 9)
+
+    def test_defect_ceiling_binds(self, z2):
+        # a -> one 3-cycle plus transpositions (and a fixed point when 3r is
+        # even) at degree 3r: a*a misses the unit on 3 points, defect exactly
+        # 1/r at every stage, and from stage 5 on the defect ceiling binds
+        def cert(r):
+            n = 3 * r
+            images = [1, 2, 0] + ([3] if n % 2 == 0 else [])
+            for x in range(len(images), n, 2):
+                images += [x + 1, x]
+            assignment = {"1": identity(n), "a": Perm(tuple(images))}
+            quality = measure(z2, assignment)
+            assert quality.defect == Fraction(1, r)
+            return ProfileCertificate(Fraction(r), n, assignment, quality, ())
+
+        real = self.check(z2, [cert(r) for r in range(2, 8)])
+        assert (self.g_gap_only(real, 6), real.f[4]) == (7, 16)
+
+    def test_thresholds_checked_on_the_assignment(self, z4trace):
+        cert2, cert3 = (sofic_profile(z4trace, r, 8) for r in (2, 3))
+        # the r = 2 witness has defect 1/2, above 1/3; the claimed quality
+        # still says r = 3 is met, so only the assignment's counts reject it
+        forged = replace(cert3, n=cert2.n, assignment=cert2.assignment)
+        assert forged.quality.meets(Fraction(3))
+        with pytest.raises(ValueError, match="r = 3 does not meet its thresholds"):
+            realize(z4trace, [cert2, forged])
+
+    def test_certificate_degree_must_match_its_images(self, z3):
+        cert2, cert3 = (sofic_profile(z3, r, 8) for r in (2, 3))
+        with pytest.raises(ValueError, match="r = 3 is not a map into S_4"):
+            realize(z3, [cert2, replace(cert3, n=cert3.n + 1)])

@@ -12,6 +12,7 @@ from soficapprox.permcore import (
     compose,
     cycle_type,
     cycle_type_representative,
+    disagreements,
     fixed_point_count,
     format_perm,
     hamming_distance,
@@ -78,6 +79,7 @@ class TestHamming:
 
     def test_transposition_vs_identity(self):
         assert hamming_distance(transposition(4, 0, 1), identity(4)) == Fraction(1, 2)
+        assert disagreements(transposition(4, 0, 1), identity(4)) == 2
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
