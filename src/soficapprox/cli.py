@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import gadgets, profile
 from .chunk import Chunk, ChunkParseError, format_chunk, parse_chunk, validate
-from .growth import Exhausted as GrowthExhausted
 from .growth import GrowthFn, growth_profile, is_slow, ll, lt_eventually, parse_growth, sim
 from .lazyperm import (GChunk, LazyPerm, Realization, build_gchunk, finitary,
                        identity_lazy, realize, supp_quality)
@@ -197,18 +196,25 @@ def load_realization(path: str) -> Realization:
     """Rebuild a realization from its emitted file, re-verifying every stage."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != "realization-v1":
+    if not isinstance(payload, dict) or payload.get("format") != "realization-v1":
         raise ValueError(f"unrecognized realization file {path!r}")
-    c = parse_chunk(payload["chunk"])
+    chunk_text, m, sigma = payload.get("chunk"), payload.get("m"), payload.get("sigma")
+    if not (isinstance(chunk_text, str) and isinstance(m, list) and isinstance(sigma, list)
+            and len(m) == len(sigma) and all(type(m_i) is int for m_i in m)
+            and all(isinstance(s, dict) and all(isinstance(images, list) for images in s.values())
+                    for s in sigma)):
+        raise ValueError(f"realization file {path!r} needs a chunk text, and integer degrees "
+                         "'m' and image lists 'sigma' for the same stages")
+    c = parse_chunk(chunk_text)
     certs = []
-    for idx, stage_sigma in enumerate(payload["sigma"]):
+    for idx, (m_i, stage_sigma) in enumerate(zip(m, sigma)):
         assignment = {e: Perm(tuple(images)) for e, images in stage_sigma.items()}
-        certs.append(ProfileCertificate(Fraction(idx + 2), payload["m"][idx], assignment,
+        certs.append(ProfileCertificate(Fraction(idx + 2), m_i, assignment,
                                         measure(c, assignment), ()))
     real = realize(c, certs)  # checks every stage against its thresholds
-    if list(real.f) != payload["f"] or list(real.layout) != payload["layout"]:
+    if list(real.f) != payload.get("f") or list(real.layout) != payload.get("layout"):
         raise ValueError("stored multiplicities or layout differ from the recomputed ones")
-    if real.g.spec() != payload["g"]:
+    if real.g.spec() != payload.get("g"):
         raise ValueError("stored growth bound differs from the recomputed one")
     return real
 
@@ -422,7 +428,7 @@ def _cmd_profile(args) -> int:
 def _cmd_growth_prof(args) -> int:
     g = parse_growth(args.g)
     result = growth_profile(g, args.r, args.n_max)
-    if isinstance(result, GrowthExhausted):
+    if isinstance(result, Exhausted):
         print(f"exhausted at n_max = {result.n_max}")
         if result.note:
             print(f"note: {result.note}")

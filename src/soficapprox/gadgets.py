@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .chunk import Chunk
 from .growth import Affine
-from .lazyperm import GChunk, LazyPerm, build_gchunk, identity_lazy
+from .lazyperm import GChunk, LazyPerm, _greedy_completion, build_gchunk, identity_lazy
 
 
 # -- the three-cycle chunk ------------------------------------------------------
@@ -63,39 +63,21 @@ class ExampleReport:
     holds: bool  # deviation <= 5
 
 
-def _example_sigma_h(n: int) -> list[int]:
+def _example_sigma_h(n: int) -> tuple[int, ...]:
     """Prefix restriction of h, greedily completed on the trailing partial block."""
-    images: list[int | None] = [None] * n
-    used = [False] * n
-    for m in range(n):
-        v = _h_forward(m)
-        if v < n:
-            images[m] = v
-            used[v] = True
-    free = iter([v for v in range(n) if not used[v]])
-    return [img if img is not None else next(free) for img in images]
+    return _greedy_completion(_h_forward, n, "h")
 
 
-def _example_sigma_h2(n: int, c: int = 31) -> list[int]:
+def _example_sigma_h2(n: int, c: int = 31) -> tuple[int, ...]:
     """The modified square: h^2 where g(l) <= n, identity where g(l-2) > n.
 
     With g(l) = l + c the two zones are l <= n - c and l >= n - c + 3; the two
     transition points in between are filled by the greedy completion rule.
+    h^2 agrees with the inverse of h.
     """
-    images: list[int | None] = [None] * n
-    used = [False] * n
-    for m in range(n):
-        if m <= n - c:
-            v = _h_backward(m)   # h^2 agrees with the inverse of h
-            images[m] = v
-            used[v] = True
-        elif m - 2 > n - c:
-            if used[m]:
-                raise ValueError(f"zone collision at {m} (n = {n} too small)")
-            images[m] = m
-            used[m] = True
-    free = iter([v for v in range(n) if not used[v]])
-    return [img if img is not None else next(free) for img in images]
+    return _greedy_completion(
+        lambda m: _h_backward(m) if m <= n - c else m if m - 2 > n - c else None,
+        n, "the modified square of h")
 
 
 def example_check(n: int) -> ExampleReport:

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -188,7 +189,15 @@ class Power(GrowthFn):
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"power must be a positive integer, got {self.k!r}")
 
+    @cached_property
+    def _form(self) -> EventualAffine | None:
+        return linearize(self)
+
     def _eval(self, n: int):
+        # Iterating every level would cost k^depth base calls for nested powers.
+        form = self._form
+        if form is not None and n >= form.n_from:
+            return form.a * n + form.c
         v = n
         for _ in range(self.k):
             v = self.base(v)
@@ -529,9 +538,15 @@ def is_slow(g: GrowthFn, horizon: int = DEFAULT_HORIZON) -> SlownessVerdict:
 
 @dataclass(frozen=True)
 class Exhausted:
-    """The profile's defining set is empty up to n_max."""
+    """No profile value up to n_max.
+
+    A sofic-profile search attaches the ``DegreeRecord`` of every degree it
+    proved infeasible; a growth profile may attach a note on why its defining
+    set is empty.
+    """
 
     n_max: int
+    records: tuple = ()
     note: str = ""
 
 

@@ -9,12 +9,16 @@ witness it returns.
 ``supp_morphism`` restricts carriers to a finite prefix and completes the
 partial injection to a permutation by the greedy rule: unmatched domain
 points, in increasing order, go to unmatched range points in increasing
-order.  ``realize`` assembles the block-direct-sum family out of profile
-certificates, choosing each multiplicity minimally so that every stage meets
-its quality thresholds and both block-end slowness inequalities.  A block
-sum's distances are weighted per-stage disagreement counts, so each least
-multiplicity is a maximum of integer ceilings (stated on ``realize``), and
-no block sum is built or measured.
+order.  The gadgets' modified restrictions use the same rule.
+``supp_quality`` and the ``property_profile`` scans read the defect,
+expansiveness and separation hypothesis of each restriction from one
+``profile.disagreement_counts`` call.  ``realize`` assembles the
+block-direct-sum family out of profile certificates, choosing each
+multiplicity minimally so that every stage meets its quality thresholds and
+both block-end slowness inequalities.  A block sum's disagreement counts are
+the multiplicity-weighted sums of the per-stage counts, so each least
+multiplicity is a maximum of integer ceilings (stated on ``realize``), and no
+block sum is built or measured.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from typing import Callable, Mapping, Sequence
 from .chunk import Chunk, validate
 from .growth import (BlockStep, Exhausted, GrowthFn, growth_profile,
                      max_m_with_value_at_most)
-from .permcore import Perm, block_sum, compose, disagreements, identity, inverse
-from .profile import MorphismQuality, ProfileCertificate, measure
+from .permcore import Perm, block_sum, disagreements, identity, inverse
+from .profile import MorphismQuality, ProfileCertificate, disagreement_counts
 
 
 class GChunkError(ValueError):
@@ -197,6 +201,24 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
     return GChunk(chunk, carriers, bound, horizon, witnesses)
 
 
+def _greedy_completion(rule: Callable[[int], int | None], n: int, what: str) -> tuple[int, ...]:
+    """Images of a permutation of 0..n-1 that sends m to rule(m) wherever that
+    is a point below n; the other points, in increasing order, go to the
+    unused images in increasing order.  ``what`` names the rule in the error
+    raised when two points would share an image."""
+    images: list[int | None] = [None] * n
+    used = [False] * n
+    for m in range(n):
+        v = rule(m)
+        if v is not None and v < n:
+            if used[v]:
+                raise ValueError(f"{what} not injective below {n}")
+            images[m] = v
+            used[v] = True
+    free = iter([v for v in range(n) if not used[v]])
+    return tuple(img if img is not None else next(free) for img in images)
+
+
 def supp_morphism(gc: GChunk, n: int) -> dict[str, Perm]:
     """Degree-n restriction of every carrier, greedily completed to bijections.
 
@@ -206,25 +228,9 @@ def supp_morphism(gc: GChunk, n: int) -> dict[str, Perm]:
     """
     if n < 1:
         raise ValueError("degree must be positive")
-    out: dict[str, Perm] = {}
-    for e in gc.chunk.elements:
-        if e == gc.chunk.unit:
-            out[e] = identity(n)
-            continue
-        rho = gc.carriers[e].forward
-        images: list[int | None] = [None] * n
-        used = [False] * n
-        for m in range(n):
-            v = rho(m)
-            if v < n:
-                if used[v]:
-                    raise ValueError(f"carrier of {e!r} not injective below {n}")
-                images[m] = v
-                used[v] = True
-        free = iter([v for v in range(n) if not used[v]])
-        filled = tuple(img if img is not None else next(free) for img in images)
-        out[e] = Perm(filled)
-    return out
+    return {e: identity(n) if e == gc.chunk.unit
+            else Perm(_greedy_completion(gc.carriers[e].forward, n, f"carrier of {e!r}"))
+            for e in gc.chunk.elements}
 
 
 @dataclass(frozen=True)
@@ -243,10 +249,17 @@ class SuppReport:
     expansiveness_ok: bool
 
 
-def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
+def _quality_parameter(r) -> Fraction:
     r = Fraction(r)
-    sigma = supp_morphism(gc, n)
-    quality = measure(gc.chunk, sigma)
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    return r
+
+
+def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
+    r = _quality_parameter(r)
+    counts = disagreement_counts(gc.chunk, supp_morphism(gc, n))
+    quality = MorphismQuality.from_counts(*counts)
     m_star = max_m_with_value_at_most(gc.bound, n)
     defect_bound = None
     bound_holds = None
@@ -254,13 +267,7 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
         defect_bound = Fraction(2 * (n - m_star), n)
         bound_holds = quality.defect <= defect_bound
 
-    hypothesis = True
-    elems = gc.chunk.elements
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            p, q = sigma[elems[i]], sigma[elems[j]]
-            if gc.bound(disagreements(p, q)) < n:
-                hypothesis = False
+    hypothesis = all(gc.bound(a_q) >= n for a_q in counts[2])
     gap_small = (m_star is not None and Fraction(n - m_star, n) <= 1 / (2 * r))
     threshold = 1 - 1 / (2 * r)
     exp_ok = quality.expansiveness is None or quality.expansiveness >= threshold
@@ -275,8 +282,8 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
 
 
 def supp_defect_holds(gc: GChunk, n: int, r: Fraction) -> bool:
-    sigma = supp_morphism(gc, n)
-    return measure(gc.chunk, sigma).defect <= 1 / r
+    """Whether the degree-n supp morphism has defect at most 1/r."""
+    return r * max(disagreement_counts(gc.chunk, supp_morphism(gc, n))[1], default=0) <= n
 
 
 def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:
@@ -287,7 +294,7 @@ def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:
     defect need not be monotone in n; use ``property_holds_mask`` to inspect
     the full scan.
     """
-    r = Fraction(r)
+    r = _quality_parameter(r)
     found = None
     for n in range(1, n_max + 1):
         if supp_defect_holds(gc, n, r):
@@ -305,21 +312,11 @@ def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:
 
 
 def property_holds_mask(gc: GChunk, r, n_range: Sequence[int]) -> list[bool]:
-    r = Fraction(r)
+    r = _quality_parameter(r)
     return [supp_defect_holds(gc, n, r) for n in n_range]
 
 
 # -- block-direct-sum realization ----------------------------------------------
-
-def _stage_counts(c: Chunk, s: Mapping[str, Perm]) -> tuple[list[int], list[int]]:
-    """Disagreement counts of one stage: per defined product (s[ab] against
-    s[a]s[b], in table order) and per distinct pair (in element order).  On a
-    block sum that repeats stage i f_i times, each count is the f_i-weighted
-    sum of the per-stage counts."""
-    elems = c.elements
-    return ([disagreements(s[ab], compose(s[a], s[b])) for (a, b), ab in c.table.items()],
-            [disagreements(s[x], s[y]) for i, x in enumerate(elems) for y in elems[i + 1:]])
-
 
 @dataclass(frozen=True)
 class StageReport:
@@ -467,11 +464,12 @@ def realize(c: Chunk, certs: Sequence[ProfileCertificate], *,
 
     Each multiplicity f(n) is the least positive integer making the stage-n
     block sum a (1 - 1/(n-1))-expansive 1/(n-1)-morphism while keeping both
-    block-end slowness quantities below 1/n.  A block sum's distances are
-    weighted counts (see ``_stage_counts``), so with D the degree and K_p,
-    A_q the weighted disagreement counts of product p and pair q through
-    stage n-1, and m = m_n, k_p, a_q the stage-n certificate's counts, every
-    constraint is linear in f and f(n) is the largest of 1 and
+    block-end slowness quantities below 1/n.  A block sum's disagreement
+    counts are the f-weighted sums of the per-stage ``disagreement_counts``,
+    so with D the degree and K_p, A_q the weighted counts of product p and
+    pair q through stage n-1, and m = m_n, k_p, a_q the stage-n
+    certificate's counts, every constraint is linear in f and f(n) is the
+    largest of 1 and
 
     - ceil(((n-1)K_p - D) / (m - (n-1)k_p)) over products (defect),
     - ceil(((n-2)D - (n-1)A_q) / ((n-1)a_q - (n-2)m)) over pairs
@@ -497,11 +495,14 @@ def realize(c: Chunk, certs: Sequence[ProfileCertificate], *,
             raise ValueError(f"certificate {idx} has r = {cert.r}, expected {want}")
         if set(cert.assignment) != set(c.elements):
             raise ValueError(f"certificate at r = {want} covers different elements")
-        if ({p.degree for p in cert.assignment.values()} != {cert.n}
-                or cert.assignment[c.unit] != identity(cert.n)):
+        try:
+            degree, k, a = disagreement_counts(c, cert.assignment)
+        except ValueError as exc:
             raise ValueError(f"certificate at r = {want} is not a map into S_{cert.n} "
-                             "sending the unit to the identity")
-        k, a = _stage_counts(c, cert.assignment)
+                             f"sending the unit to the identity: {exc}") from None
+        if degree != cert.n:
+            raise ValueError(f"certificate at r = {want} is not a map into S_{cert.n}: "
+                             f"its images have degree {degree}")
         if any(want * k_p > cert.n for k_p in k) or any(
                 want * a_q < (want - 1) * cert.n for a_q in a):
             raise ValueError(f"certificate at r = {want} does not meet its thresholds")

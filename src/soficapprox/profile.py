@@ -1,5 +1,11 @@
 """Morphism quality measurement and certified sofic-profile search.
 
+Every quality figure of an assignment comes from ``disagreement_counts``: per
+defined product, the number of points where f(ab) and f(a)f(b) differ, and per
+distinct pair of elements, the number where their images differ.  ``measure``
+takes the max and min of these over the degree; ``lazyperm`` weighs the same
+counts across the stages of a block sum and reads its supp scans from them.
+
 ``sofic_profile`` finds the least degree n admitting a unit-preserving map
 E -> S_n whose multiplicative defect is at most 1/r on every defined product
 and whose distinct elements stay at Hamming distance at least 1 - 1/r.  The
@@ -39,17 +45,11 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 from operator import ne
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .chunk import Chunk, validate
-from .permcore import (
-    Perm,
-    all_cycle_types,
-    compose,
-    cycle_type_representative,
-    hamming_distance,
-    identity,
-)
+from .growth import Exhausted
+from .permcore import Perm, all_cycle_types, compose, cycle_type_representative, hamming_distance
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,13 @@ class MorphismQuality:
 
     defect: Fraction
     expansiveness: Fraction | None
+
+    @classmethod
+    def from_counts(cls, n: int, products: list[int], pairs: list[int]) -> MorphismQuality:
+        """Quality from ``disagreement_counts``; at degree 0 every distance is 0."""
+        n = n or 1
+        return cls(Fraction(max(products, default=0), n),
+                   Fraction(min(pairs), n) if pairs else None)
 
     def meets(self, r: Fraction) -> bool:
         eps = 1 / r
@@ -93,42 +100,36 @@ class ProfileCertificate:
         return self.r == 1
 
 
-@dataclass(frozen=True)
-class Exhausted:
-    """No feasible degree up to n_max; per-degree search records attached."""
+def disagreement_counts(c: Chunk, f: Mapping[str, Perm]) -> tuple[int, list[int], list[int]]:
+    """Degree n of the assignment and its disagreement counts.
 
-    n_max: int
-    records: tuple[DegreeRecord, ...] = ()
-
-
-def measure(c: Chunk, f: dict[str, Perm]) -> MorphismQuality:
-    """Exact defect (max over defined products) and expansiveness (min over pairs)."""
+    The first list has, per defined product in table order, the number of
+    points where f(ab) and f(a)f(b) differ; the second, per distinct pair in
+    element order, the number where the two images differ.  Defect and
+    expansiveness are the max and min of these counts over n.  Raises
+    ValueError unless the assignment is total, all images have one degree,
+    and the unit maps to the identity.
+    """
     missing = [e for e in c.elements if e not in f]
     if missing:
         raise ValueError(f"assignment not total, missing {missing}")
-    degrees = {f[e].degree for e in c.elements}
+    img = {e: f[e].images for e in c.elements}
+    degrees = {len(p) for p in img.values()}
     if len(degrees) > 1:
         raise ValueError(f"images of mixed degrees {sorted(degrees)}")
     n = degrees.pop()
-    if f[c.unit] != identity(n):
+    if img[c.unit] != tuple(range(n)):
         raise ValueError("unit must map to the identity permutation")
+    elems = c.elements
+    return (n,
+            [sum(map(ne, img[ab], map(img[a].__getitem__, img[b])))
+             for (a, b), ab in c.table.items()],
+            [sum(map(ne, img[x], img[y])) for i, x in enumerate(elems) for y in elems[i + 1:]])
 
-    defect = Fraction(0)
-    for (a, b), ab in c.table.items():
-        d = hamming_distance(f[ab], compose(f[a], f[b]))
-        if d > defect:
-            defect = d
 
-    expansiveness: Fraction | None = None
-    if len(c.elements) > 1:
-        expansiveness = Fraction(1)
-        elems = c.elements
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                d = hamming_distance(f[elems[i]], f[elems[j]])
-                if d < expansiveness:
-                    expansiveness = d
-    return MorphismQuality(defect, expansiveness)
+def measure(c: Chunk, f: Mapping[str, Perm]) -> MorphismQuality:
+    """Exact defect (max over defined products) and expansiveness (min over pairs)."""
+    return MorphismQuality.from_counts(*disagreement_counts(c, f))
 
 
 def _search_plan(c: Chunk) -> tuple[tuple[str, ...], list[list[tuple[int, int, int]]],

@@ -7,16 +7,24 @@ original per-degree search, which tried every candidate and compared
 ``Fraction`` distances, as the reference for witnesses and node counts.
 ``reference_realize`` keeps the original trial-and-measure choice of
 realization multiplicities, which builds every trial block sum and measures
-it with ``measure``, as the reference for the closed form.
+it with ``reference_measure``, as the reference for the closed form.
+``reference_measure`` and ``reference_supp_quality`` keep the original
+quality figures, which composed validated permutations and compared
+``Fraction`` distances pair by pair, as the reference for the shared
+disagreement counts; ``reference_example_check`` keeps the gadget's own
+greedy completions, and ``reference_growth_eval`` evaluates a growth spec by
+iterating every power, without the closed form.
 """
 
 import itertools
 from fractions import Fraction
 
-from soficapprox.lazyperm import StageReport
+from soficapprox.growth import INF, Compose, GrowthFn, Power, max_m_with_value_at_most
+from soficapprox.lazyperm import StageReport, SuppReport, supp_morphism
 from soficapprox.permcore import (all_cycle_types, all_perms, block_sum, compose,
-                                  cycle_type_representative, hamming_distance, identity)
-from soficapprox.profile import measure
+                                  cycle_type_representative, disagreements, hamming_distance,
+                                  identity)
+from soficapprox.profile import MorphismQuality
 
 
 def brute_force_feasible(c, r, n):
@@ -106,7 +114,7 @@ def reference_realize(c, certs):
                              + [(cert.assignment[e], f_n)])
                 for e in c.elements
             }
-            quality = measure(c, assignment)
+            quality = reference_measure(c, assignment)
             total = degree + f_n * cert.n
             slow_den = total - 1 + sum_m_prev
             slow_lhs = Fraction(sum_m_prev, slow_den) if slow_den else Fraction(0)
@@ -122,3 +130,97 @@ def reference_realize(c, certs):
             defect=quality.defect, expansiveness=quality.expansiveness,
             slow_lhs=slow_lhs, g_gap=g_gap, slow_threshold=Fraction(1, n)))
     return f_list, stages
+
+
+def reference_measure(c, f):
+    """Defect and expansiveness as first measured: one composed ``Perm`` per
+    defined product and one ``Fraction`` distance per product and pair."""
+    missing = [e for e in c.elements if e not in f]
+    if missing:
+        raise ValueError(f"assignment not total, missing {missing}")
+    degrees = {f[e].degree for e in c.elements}
+    if len(degrees) > 1:
+        raise ValueError(f"images of mixed degrees {sorted(degrees)}")
+    n = degrees.pop()
+    if f[c.unit] != identity(n):
+        raise ValueError("unit must map to the identity permutation")
+    defect = Fraction(0)
+    for (a, b), ab in c.table.items():
+        defect = max(defect, hamming_distance(f[ab], compose(f[a], f[b])))
+    expansiveness = None
+    if len(c.elements) > 1:
+        expansiveness = min(hamming_distance(f[x], f[y])
+                            for x, y in itertools.combinations(c.elements, 2))
+    return MorphismQuality(defect, expansiveness)
+
+
+def reference_supp_quality(gc, n, r):
+    """The supp report as first computed: ``reference_measure`` of the supp
+    morphism, and the separation hypothesis from a second loop over pairs."""
+    r = Fraction(r)
+    sigma = supp_morphism(gc, n)
+    quality = reference_measure(gc.chunk, sigma)
+    m_star = max_m_with_value_at_most(gc.bound, n)
+    defect_bound = bound_holds = None
+    if m_star is not None:
+        defect_bound = Fraction(2 * (n - m_star), n)
+        bound_holds = quality.defect <= defect_bound
+    hypothesis = all(gc.bound(disagreements(sigma[x], sigma[y])) >= n
+                     for x, y in itertools.combinations(gc.chunk.elements, 2))
+    gap_small = m_star is not None and Fraction(n - m_star, n) <= 1 / (2 * r)
+    threshold = 1 - 1 / (2 * r)
+    return SuppReport(
+        n=n, r=r, m_star=m_star, quality=quality,
+        defect_bound=defect_bound, defect_bound_holds=bound_holds,
+        separation_hypothesis=hypothesis,
+        conclusion_expected=hypothesis and gap_small,
+        expansiveness_threshold=threshold,
+        expansiveness_ok=quality.expansiveness is None or quality.expansiveness >= threshold)
+
+
+def _greedy_fill(images, used):
+    free = iter([v for v in range(len(images)) if not used[v]])
+    return [img if img is not None else next(free) for img in images]
+
+
+def reference_example_check(n, c=31):
+    """(m*, fix count) of the three-cycle example with the restrictions of h
+    and of the modified square built point by point, as first written."""
+    def h_forward(m):
+        q, rem = divmod(m, 3)
+        return 3 * q + (rem + 1) % 3
+
+    def h_backward(m):
+        q, rem = divmod(m, 3)
+        return 3 * q + (rem - 1) % 3
+
+    images, used = [None] * n, [False] * n
+    for m in range(n):
+        if h_forward(m) < n:
+            images[m] = h_forward(m)
+            used[images[m]] = True
+    sh = _greedy_fill(images, used)
+    images, used = [None] * n, [False] * n
+    for m in range(n):
+        if m <= n - c:
+            images[m] = h_backward(m)
+        elif m - 2 > n - c:
+            images[m] = m
+        if images[m] is not None:
+            used[images[m]] = True
+    sh2 = _greedy_fill(images, used)
+    return n - c, sum(1 for x in range(n) if sh[sh[x]] == sh2[x])
+
+
+def reference_growth_eval(g: GrowthFn, n):
+    """g(n) with every power applied by iteration and every composition
+    evaluated inside out; leaf kinds evaluate directly."""
+    if n == INF:
+        return INF
+    if isinstance(g, Power):
+        for _ in range(g.k):
+            n = reference_growth_eval(g.base, n)
+        return n
+    if isinstance(g, Compose):
+        return reference_growth_eval(g.outer, reference_growth_eval(g.inner, n))
+    return g(n)

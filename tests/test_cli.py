@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -162,6 +163,13 @@ class TestGrowthCommand:
         code, _, err = run(capsys, "supp", "--gchunk", str(gchunk), "--n", "4", "--r", "2/1")
         assert (code, err) == (1, expected)
 
+    def test_nested_powers_finish_at_once(self, capsys):
+        spec = "power(" * 30 + "affine:1" + ",2)" * 30
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "growth", "prof", "--g", spec, "--r", "2/1")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "exhausted at n_max = 10000\n")
+
     def test_nesting_at_the_limit_accepted(self, capsys):
         spec = "compose(" * 64 + "affine:1" + ",affine:1)" * 64
         code, out, _ = run(capsys, "growth", "prof", "--g", spec, "--r", "2/1")
@@ -175,6 +183,14 @@ class TestSuppCommand:
         assert code == 0
         assert "m_star = 68" in out
         assert "defect_bound_holds = true" in out
+
+
+    @pytest.mark.parametrize("r", ["0", "-1", "1/2"])
+    def test_r_below_one_rejected(self, capsys, r):
+        code, out, err = run(capsys, "supp", "--gchunk", data_path("three.gchunk"),
+                             "--n", "99", f"--r={r}", "--horizon", "300")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: r must be at least 1") and err.count("\n") == 1
 
 
 class TestRealizeCommand:
@@ -222,6 +238,27 @@ class TestRealizeCommand:
         emitted.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="r = 3 does not meet its thresholds"):
             load_realization(str(emitted))
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda payload: {**payload, "m": "xx"}, "needs a chunk text"),
+        (lambda payload: {**payload, "sigma": 5}, "needs a chunk text"),
+        (lambda payload: [payload], "unrecognized realization file"),
+    ], ids=["m-text", "sigma-number", "top-level-list"])
+    def test_hostile_realization_file_one_line(self, capsys, tmp_path, edit, message):
+        emitted = tmp_path / "real.json"
+        run(capsys, "realize", "--chunk", data_path("z3.chunk"),
+            "--depth", "4", "--emit", str(emitted))
+        payload = json.loads(emitted.read_text())
+        emitted.write_text(json.dumps(edit(payload)))
+        spec_file = tmp_path / "hostile.gchunk"
+        spec_file.write_text(f"chunk {data_path('z3.chunk')}\n"
+                             f"carrier h = blocksum:{emitted}\n"
+                             f"bound = {payload['g']}\n")
+        code, out, err = run(capsys, "supp", "--gchunk", str(spec_file), "--n", "10",
+                             "--r", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 class TestGadgetCommands:

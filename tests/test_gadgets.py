@@ -20,6 +20,8 @@ from soficapprox.growth import Affine
 from soficapprox.lazyperm import BoundWitness, audit, compose_lazy, finitary
 from soficapprox.permcore import all_perms, compose, identity, transposition
 
+from oracles import reference_example_check
+
 
 class TestThreeCycle:
     def test_cubes_to_identity(self):
@@ -53,6 +55,13 @@ class TestExample:
     def test_deviation_small_across_residues(self, n):
         report = example_check(n)
         assert report.deviation <= 5
+
+
+    def test_matches_pointwise_completions(self):
+        for n in range(33, 201):
+            report = example_check(n)
+            assert (report.m_star, report.fix_count) == reference_example_check(n), n
+            assert report.deviation == abs(report.m_star - report.fix_count)
 
 
 class TestDelta:

@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soficapprox import profile
 from soficapprox.growth import (
     INF,
     Affine,
@@ -26,6 +28,8 @@ from soficapprox.growth import (
     power,
     sim,
 )
+
+from oracles import reference_growth_eval
 
 simple_growths = st.one_of(
     st.integers(1, 40).map(Affine),
@@ -255,6 +259,10 @@ class TestGrowthProfile:
             assert isinstance(out, Exhausted)
             assert out.note
 
+    def test_one_exhausted_type(self):
+        assert profile.Exhausted is Exhausted
+        assert Exhausted(5) == Exhausted(5, records=(), note="")
+
     def test_linear_impossible(self):
         out = growth_profile(Linear(2), 3, 500)
         assert isinstance(out, Exhausted)
@@ -309,6 +317,27 @@ class TestComparePf:
         u = {Fraction(2): 100}
         v = {Fraction(2): 1}
         assert not compare_pf(u, v, 1, 1, 0, [2])
+
+
+class TestPowerClosedForm:
+    @given(st.one_of(growths, st.builds(Power, growths, st.integers(1, 4))),
+           st.integers(0, 80))
+    @settings(max_examples=150)
+    def test_closed_form_equals_iteration(self, g, n):
+        assert g(n) == reference_growth_eval(g, n)
+
+    def test_power_of_infinity_falls_back_to_iteration(self):
+        g = power(compose(Affine(1), Infinity()), 3)
+        assert linearize(g) is None
+        assert g(4) == INF
+
+    def test_thirty_nested_powers_evaluate_at_once(self):
+        g = Affine(1)
+        for _ in range(30):
+            g = power(g, 2)
+        start = time.perf_counter()
+        assert [g(n) for n in range(1000)] == [n + 2 ** 30 for n in range(1000)]
+        assert time.perf_counter() - start < 1
 
 
 class TestLinearize:

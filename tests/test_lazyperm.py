@@ -32,7 +32,7 @@ from soficapprox.permcore import Perm, hamming_distance, identity
 from soficapprox.profile import ProfileCertificate, measure, sofic_profile
 
 from conftest import DATA, data_path
-from oracles import reference_realize
+from oracles import reference_measure, reference_realize, reference_supp_quality
 
 
 def pair_swap() -> LazyPerm:
@@ -180,6 +180,29 @@ class TestSuppQuality:
                 assert report.expansiveness_ok
 
 
+    def test_three_cycle_matches_reference(self):
+        # the shared counts against reference_measure of the supp morphism
+        # and a separate loop over pairs for the separation hypothesis
+        gc = three_cycle_chunk(horizon=400)
+        for n in range(1, 121):
+            for r in (1, 2, Fraction(7, 2)):
+                assert supp_quality(gc, n, r) == reference_supp_quality(gc, n, r), (n, r)
+
+    def test_pair_swap_matches_reference(self):
+        gc = z2_pair_swap_gchunk()
+        for n in range(1, 60):
+            assert supp_quality(gc, n, 3) == reference_supp_quality(gc, n, 3), n
+
+
+@pytest.mark.parametrize("r", [0, -1, Fraction(1, 2)])
+def test_supp_scans_reject_r_below_one(r):
+    gc = three_cycle_chunk(horizon=100)
+    for scan in (lambda: supp_quality(gc, 40, r), lambda: property_profile(gc, r, 40),
+                 lambda: property_holds_mask(gc, r, range(1, 10))):
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            scan()
+
+
 class TestPropertyProfile:
     def test_identity_only_chunk(self):
         c = Chunk(("1",), "1", {("1", "1"): "1"})
@@ -199,6 +222,13 @@ class TestPropertyProfile:
         mask = property_holds_mask(gc, 2, range(1, 4))
         assert mask[0] is True     # degree 1 is degenerate
         assert mask[1] is False    # degree 2 pushes the square to distance 1
+
+    def test_mask_matches_reference(self):
+        gc = three_cycle_chunk(horizon=300)
+        for r in (1, 2, 3, Fraction(5, 2)):
+            want = [reference_measure(gc.chunk, supp_morphism(gc, n)).defect <= 1 / r
+                    for n in range(1, 121)]
+            assert property_holds_mask(gc, r, range(1, 121)) == want, r
 
     def test_pair_swap_scan(self):
         gc = z2_pair_swap_gchunk()

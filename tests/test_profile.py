@@ -7,7 +7,8 @@ from operator import ne
 import pytest
 
 from soficapprox.chunk import Chunk, induced_chunk
-from soficapprox.permcore import Perm, all_perms, compose, identity, inverse, transposition
+from soficapprox.permcore import (Perm, all_perms, compose, hamming_distance, identity, inverse,
+                                  transposition)
 from soficapprox.profile import (
     Exhausted,
     ProfileCertificate,
@@ -16,13 +17,15 @@ from soficapprox.profile import (
     _search_degree,
     _search_plan,
     decide_product,
+    disagreement_counts,
     measure,
     profile_table,
     sofic_profile,
 )
 
 
-from oracles import brute_force_feasible, brute_force_least_n, reference_backtrack
+from oracles import (brute_force_feasible, brute_force_least_n, reference_backtrack,
+                     reference_measure)
 
 
 class TestMeasure:
@@ -56,6 +59,65 @@ class TestMeasure:
     def test_degree_mismatch_rejected(self, z2):
         with pytest.raises(ValueError):
             measure(z2, {"1": identity(2), "a": transposition(3, 0, 1)})
+
+
+def random_assignment(rng, c, n):
+    images = {e: Perm(tuple(rng.sample(range(n), n))) for e in c.elements}
+    images[c.unit] = identity(n)
+    return images
+
+
+def random_partial_chunk(rng, size):
+    """Elements e0..e{size-1} with unit e0 and a random partial table; measure
+    reads any table, valid or not."""
+    elems = tuple(f"e{i}" for i in range(size))
+    table = {(a, b): rng.choice(elems) for a in elems for b in elems if rng.random() < 0.5}
+    return Chunk(elems, "e0", table)
+
+
+class TestMeasureAgainstReference:
+    """``measure`` over the shared counts against ``reference_measure``, which
+    composes ``Perm`` values and compares ``Fraction`` distances."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_assignments(self, seed, z2, z3, klein, open2, z4trace, trivial):
+        rng = random.Random(seed)
+        chunks = [z2, z3, klein, open2, z4trace, trivial]
+        chunks += [random_partial_chunk(rng, size) for size in (1, 2, 3, 4, 5)]
+        for c in chunks:
+            for n in range(0, 8):
+                f = random_assignment(rng, c, n)
+                assert measure(c, f) == reference_measure(c, f), (c, f)
+
+    def test_degree_zero(self, z3, trivial):
+        for c in (z3, trivial):
+            f = {e: Perm(()) for e in c.elements}
+            assert measure(c, f) == reference_measure(c, f)
+        assert measure(z3, {e: Perm(()) for e in z3.elements}).expansiveness == 0
+
+    def test_single_element_chunk(self, trivial):
+        for n in range(1, 6):
+            f = {"1": identity(n)}
+            assert measure(trivial, f) == reference_measure(trivial, f)
+            assert measure(trivial, f).expansiveness is None
+
+    @pytest.mark.parametrize("f, message", [
+        ({"1": identity(3), "h": Perm((1, 2, 0))}, "not total"),
+        ({"1": identity(3), "h": Perm((1, 0)), "h2": identity(3)}, "mixed degrees"),
+        ({"1": Perm((1, 0, 2)), "h": Perm((1, 2, 0)), "h2": Perm((2, 0, 1))}, "identity"),
+    ])
+    def test_errors_match(self, z3, f, message):
+        for fn in (measure, reference_measure, disagreement_counts):
+            with pytest.raises(ValueError, match=message):
+                fn(z3, f)
+
+    def test_counts_in_table_and_element_order(self, z3):
+        f = {"1": identity(3), "h": Perm((1, 2, 0)), "h2": Perm((1, 2, 0))}
+        n, products, pairs = disagreement_counts(z3, f)
+        assert n == 3
+        assert products == [3 * hamming_distance(f[ab], compose(f[a], f[b]))
+                            for (a, b), ab in z3.table.items()]
+        assert pairs == [3, 3, 0]  # (1, h), (1, h2), (h, h2)
 
 
 class TestSoficProfile:
