@@ -264,14 +264,16 @@ def parse_gchunk_file(path: str, horizon: int) -> GChunk:
     if bound is None:
         raise ValueError(f"{path}: no bound statement")
     carriers: dict[str, LazyPerm] = {}
+    loaded: dict[str, Realization] = {}  # realization files by resolved path
     for lineno, name, spec in carrier_specs:
         if name not in chunk_obj.elements:
             raise ChunkParseError(lineno, f"carrier for unknown element {name!r}")
-        carriers[name] = _parse_carrier(spec, base, name, lineno)
+        carriers[name] = _parse_carrier(spec, base, name, lineno, loaded)
     return build_gchunk(chunk_obj, carriers, bound, horizon)
 
 
-def _parse_carrier(spec: str, base: str, element: str, lineno: int) -> LazyPerm:
+def _parse_carrier(spec: str, base: str, element: str, lineno: int,
+                   loaded: dict[str, Realization]) -> LazyPerm:
     if spec.startswith("gadget:"):
         name = spec[len("gadget:"):]
         if name not in _GADGET_CARRIERS:
@@ -286,8 +288,10 @@ def _parse_carrier(spec: str, base: str, element: str, lineno: int) -> LazyPerm:
     if spec.startswith("blocksum:"):
         rel = spec[len("blocksum:"):]
         target = rel if os.path.isabs(rel) else os.path.join(base, rel)
-        real = load_realization(target)
-        return real.carrier(element)
+        key = os.path.realpath(target)
+        if key not in loaded:
+            loaded[key] = load_realization(target)
+        return loaded[key].carrier(element)
     raise ChunkParseError(lineno, f"cannot parse carrier spec {spec!r}")
 
 

@@ -10,11 +10,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .chunk import Chunk
 from .growth import Affine
-from .lazyperm import GChunk, LazyPerm, _greedy_completion, build_gchunk, identity_lazy
+from .lazyperm import GChunk, LazyPerm, build_gchunk, identity_lazy
+
+
+def _greedy_completion(rule: Callable[[int], int | None], n: int, what: str) -> tuple[int, ...]:
+    """Images of a permutation of 0..n-1 that sends m to rule(m) wherever that
+    is a point below n; the other points, in increasing order, go to the
+    unused images in increasing order.  ``what`` names the rule in the error
+    raised when two points would share an image."""
+    images: list[int | None] = [None] * n
+    used = [False] * n
+    for m in range(n):
+        v = rule(m)
+        if v is not None and v < n:
+            if used[v]:
+                raise ValueError(f"{what} not injective below {n}")
+            images[m] = v
+            used[v] = True
+    free = iter([v for v in range(n) if not used[v]])
+    return tuple(img if img is not None else next(free) for img in images)
 
 
 # -- the three-cycle chunk ------------------------------------------------------

@@ -190,20 +190,27 @@ class Power(GrowthFn):
             raise ValueError(f"power must be a positive integer, got {self.k!r}")
 
     @cached_property
+    def _base_form(self) -> EventualAffine | None:
+        return linearize(self.base)
+
+    @cached_property
     def _form(self) -> EventualAffine | None:
         return linearize(self)
 
     def _eval(self, n: int):
-        # Iterating every level would cost k^depth base calls for nested powers.
-        form = self._form
-        if form is not None and n >= form.n_from:
-            return form.a * n + form.c
-        v = n
-        for _ in range(self.k):
+        # Iterate only until the value clears the base's threshold, where the
+        # remaining steps are affine; iterating all k steps would cost k base
+        # calls, and k^depth for nested powers.
+        base, v, steps = self._base_form, n, self.k
+        while steps and (base is None or v < base.n_from):
             v = self.base(v)
+            steps -= 1
             if v == INF:
                 return INF
-        return v
+        if not steps:
+            return v
+        form = self._form if steps == self.k else _power_form(base, steps)
+        return form.a * v + form.c
 
     def spec(self) -> str:
         return f"power({self.base.spec()},{self.k})"
@@ -237,6 +244,7 @@ def power(g: GrowthFn, k: int) -> Power:
 # -- spec strings -------------------------------------------------------------
 
 MAX_NESTING = 64  # compose/power levels a spec may nest; deeper specs are rejected
+MAX_SLOPE_BITS = 4096  # powers whose eventual slope reaches 2^this are rejected
 
 
 def parse_growth(text: str) -> GrowthFn:
@@ -265,7 +273,15 @@ def parse_growth(text: str) -> GrowthFn:
         return Compose(parse_growth(left), parse_growth(right))
     if text.startswith("power(") and text.endswith(")"):
         left, right = _split_top_comma(text[len("power("):-1])
-        return Power(parse_growth(left), int(right))
+        base, k = parse_growth(left), int(right)
+        form = linearize(base)
+        # a^k is computed only once its bit length is known to stay below 2 * MAX_SLOPE_BITS
+        if form is not None and form.a > 1 and (
+                (form.a.bit_length() - 1) * k >= MAX_SLOPE_BITS
+                or form.a ** k >= 1 << MAX_SLOPE_BITS):
+            raise ValueError(f"power of a slope-{form.a} spec to exponent {k} has a slope "
+                             f"of 2^{MAX_SLOPE_BITS} or more")
+        return Power(base, k)
     raise ValueError(f"cannot parse growth spec {text!r}")
 
 
@@ -321,14 +337,18 @@ def linearize(g: GrowthFn) -> EventualAffine | None:
                               max(fi.n_from, fo.n_from))
     if isinstance(g, Power):
         form = linearize(g.base)
-        if form is None:
-            return None
-        acc = form
-        for _ in range(g.k - 1):
-            acc = EventualAffine(form.a * acc.a, form.a * acc.c + form.c,
-                                 max(acc.n_from, form.n_from))
-        return acc
+        return None if form is None else _power_form(form, g.k)
     return None
+
+
+def _power_form(form: EventualAffine, k: int) -> EventualAffine:
+    """The k-fold composition of n -> a*n + c: n + k*c for a = 1, else
+    a^k*n + c*(a^k - 1)/(a - 1); it holds from the same threshold, because
+    every step maps a point at or above the threshold above it."""
+    if form.a == 1:
+        return EventualAffine(1, k * form.c, form.n_from)
+    a_k = form.a ** k
+    return EventualAffine(a_k, form.c * (a_k - 1) // (form.a - 1), form.n_from)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,17 @@ witness it returns.
 ``supp_morphism`` restricts carriers to a finite prefix and completes the
 partial injection to a permutation by the greedy rule: unmatched domain
 points, in increasing order, go to unmatched range points in increasing
-order.  The gadgets' modified restrictions use the same rule.
-``supp_quality`` and the ``property_profile`` scans read the defect,
-expansiveness and separation hypothesis of each restriction from one
-``profile.disagreement_counts`` call.  ``realize`` assembles the
+order.  The gadgets' modified restrictions use the same rule.  The degree-n
+restriction of a carrier therefore equals the carrier except at its free
+points, the m < n it sends to n or beyond, so a g-chunk keeps its carriers'
+values on a prefix once (the values its audit computed) in
+``RestrictionTables``, and every degree reads them.  ``supp_quality`` and
+the ``property_profile`` scans read the defect, expansiveness and separation
+hypothesis of each restriction from its disagreement counts (as
+``profile.disagreement_counts`` defines them): the carriers' own count
+below n, found by bisection in a sorted list of the points where they
+disagree, plus a correction at the few points a restriction moves off its
+carrier.  ``realize`` assembles the
 block-direct-sum family out of profile certificates, choosing each
 multiplicity minimally so that every stage meets its quality thresholds and
 both block-end slowness inequalities.  A block sum's disagreement counts are
@@ -23,16 +30,18 @@ block sum is built or measured.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Mapping, Sequence
+from itertools import accumulate, compress, islice
+from operator import ne
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validate
 from .growth import (BlockStep, Exhausted, GrowthFn, growth_profile,
                      max_m_with_value_at_most)
-from .permcore import Perm, block_sum, disagreements, identity, inverse
+from .permcore import Perm, block_sum, disagreements, inverse
 from .profile import MorphismQuality, ProfileCertificate, disagreement_counts
 
 
@@ -122,9 +131,14 @@ def audit(p: LazyPerm, g: GrowthFn, horizon: int,
     The bound is two-sided (forward and backward).  Violations are data; the
     first one found is returned.
     """
+    return _audit(p, [p.forward(m) for m in range(horizon + 1)], g, horizon, symbolic)
+
+
+def _audit(p: LazyPerm, fwd: Sequence[int], g: GrowthFn, horizon: int,
+           symbolic: str | None = None) -> BoundWitness | AuditViolation:
+    """``audit`` given the forward values ``fwd`` on 0..horizon."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    fwd = [p.forward(m) for m in range(horizon + 1)]
     seen: dict[int, int] = {}
     for m, v in enumerate(fwd):
         if v in seen:
@@ -153,6 +167,128 @@ def audit(p: LazyPerm, g: GrowthFn, horizon: int,
     return BoundWitness(g, horizon, symbolic)
 
 
+class _CarrierTable(NamedTuple):
+    vals: Sequence[int]       # forward values, at least ``size`` of them
+    pre: Sequence[int]        # least preimage of each value below size, else size
+    vals_max: Sequence[int]   # running maxima of vals
+    pre_max: Sequence[int]    # running maxima of pre
+    collision: int            # least n with two points below n sharing an image below n
+
+
+class RestrictionTables:
+    """What the degree-n supp restrictions of one g-chunk read, for n <= ``size``.
+
+    The degree-n restriction of a carrier rho equals rho except at its free
+    points D_n = {m < n : rho(m) >= n}, which go, in increasing order, to
+    R_n = {v < n : no m < n has rho(m) = v} in increasing order.  Per carrier
+    the tables hold its forward values on a prefix, the least preimage of
+    each value below ``size`` (``size`` where there is none), running maxima
+    of both, so that D_n and R_n lie in a window found by bisection, and the
+    first degree at which two points visibly share an image.  Per defined
+    product and per distinct pair they hold the sorted points below ``size``
+    where the carriers themselves disagree.  The unit is the identity.  A
+    degree beyond ``size`` rebuilds everything over max(n, 2 size) points,
+    extending the values by the carriers' forward maps.
+    """
+
+    def __init__(self, chunk: Chunk, carriers: Mapping[str, LazyPerm],
+                 values: dict[str, list[int]] | None = None):
+        self.chunk = chunk
+        self.carriers = carriers
+        self.values = {} if values is None else values
+        self.pairs = [(x, y) for i, x in enumerate(chunk.elements)
+                      for y in chunk.elements[i + 1:]]
+        self.size = 0
+
+    def _grow(self, n: int) -> None:
+        if n <= self.size:
+            return
+        size = max(n, 2 * self.size)
+        ident = range(size)
+        tables = self.tables = {}
+        for e in self.chunk.elements:
+            if e == self.chunk.unit:
+                tables[e] = _CarrierTable(ident, ident, ident, ident, size + 1)
+                continue
+            vals = self.values.setdefault(e, [])
+            vals.extend(map(self.carriers[e].forward, range(len(vals), size)))
+            pre = array("q", [size]) * size
+            collision = size + 1
+            for m, v in enumerate(islice(vals, size)):
+                if v < size:
+                    if pre[v] == size:
+                        pre[v] = m
+                    else:  # the first repeat of v is its second preimage
+                        collision = min(collision, max(m, v) + 1)
+            tables[e] = _CarrierTable(vals, pre, list(accumulate(islice(vals, size), max)),
+                                      array("q", accumulate(pre, max)), collision)
+        # A point whose b-image lies beyond the tables counts as a disagreement
+        # here and in ``counts`` alike; it is a free point of b at every degree.
+        self.product_points = [
+            array("q", (m for m in ident if (v := tables[b].vals[m]) >= size
+                        or tables[ab].vals[m] != tables[a].vals[v]))
+            for (a, b), ab in self.chunk.table.items()]
+        self.pair_points = [array("q", compress(ident, map(ne, tables[x].vals, tables[y].vals)))
+                            for x, y in self.pairs]
+        self.size = size
+
+    def _free(self, n: int) -> dict[str, dict[int, int]]:
+        """Per element, its free points at degree n mapped to their images."""
+        if n < 1:
+            raise ValueError("degree must be positive")
+        self._grow(n)
+        free = {}
+        for e in self.chunk.elements:
+            t = self.tables[e]
+            if t.collision <= n:
+                raise ValueError(f"carrier of {e!r} not injective below {n}")
+            free[e] = dict(zip(
+                [m for m in range(bisect_left(t.vals_max, n, 0, n), n) if t.vals[m] >= n],
+                [v for v in range(bisect_left(t.pre_max, n, 0, n), n) if t.pre[v] >= n]))
+        return free
+
+    def images(self, n: int) -> dict[str, list[int]]:
+        """Image lists of the degree-n restrictions."""
+        out = {}
+        for e, free in self._free(n).items():
+            out[e] = images = list(islice(self.tables[e].vals, n))
+            for m, v in free.items():
+                images[m] = v
+        return out
+
+    def counts(self, n: int) -> tuple[int, list[int], list[int]]:
+        """``profile.disagreement_counts`` of the degree-n restrictions.
+
+        Each count is the carriers' count below n plus a correction at the
+        points some restriction moves off its carrier: the free points of
+        both members of a pair, and for a product (a, b, ab) the free points
+        of b and ab and the b-preimages of the free points of a.
+        """
+        free = self._free(n)
+        t, size = self.tables, self.size
+        products = []
+        for ((a, b), ab), points in zip(self.chunk.table.items(), self.product_points):
+            va, vb, vab = t[a].vals, t[b].vals, t[ab].vals
+            fa, fb, fab, pre_b = free[a], free[b], free[ab], t[b].pre
+            unsettled = fb.keys() | fab.keys()
+            unsettled.update(m for d in fa if (m := pre_b[d]) < n)
+            k = bisect_left(points, n)
+            for m in unsettled:
+                v = vb[m]
+                w = fb.get(m, v)
+                k += ((fab.get(m, vab[m]) != fa.get(w, va[w]))
+                      - (v >= size or vab[m] != va[v]))
+            products.append(k)
+        pairs = []
+        for (x, y), points in zip(self.pairs, self.pair_points):
+            vx, vy, fx, fy = t[x].vals, t[y].vals, free[x], free[y]
+            k = bisect_left(points, n)
+            for m in fx.keys() | fy.keys():
+                k += (fx.get(m, vx[m]) != fy.get(m, vy[m])) - (vx[m] != vy[m])
+            pairs.append(k)
+        return n, products, pairs
+
+
 @dataclass(frozen=True)
 class GChunk:
     """A chunk whose elements are carried by lazy permutations bounded by g."""
@@ -162,6 +298,7 @@ class GChunk:
     bound: GrowthFn
     horizon: int
     witnesses: dict[str, BoundWitness]
+    restrictions: RestrictionTables = field(repr=False, compare=False)
 
 
 def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn,
@@ -170,7 +307,9 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
 
     The unit's carrier defaults to the identity and must evaluate as such on
     the horizon.  Where the table defines a*b = c, the carriers of a and b
-    must compose to the carrier of c pointwise on the audited prefix.
+    must compose to the carrier of c pointwise on the audited prefix.  Each
+    carrier is evaluated once on the horizon; the audit, the table check and
+    the g-chunk's restriction tables read those values.
     """
     carriers = dict(carriers)
     carriers.setdefault(chunk.unit, identity_lazy())
@@ -178,45 +317,40 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
     if missing:
         raise GChunkError(f"no carrier for elements {missing}")
 
-    unit_carrier = carriers[chunk.unit]
-    for m in range(horizon + 1):
-        if unit_carrier.forward(m) != m:
-            raise GChunkError(f"unit carrier moves {m}")
+    points = range(horizon + 1)
+    unit_forward = carriers[chunk.unit].forward
+    moved = next((m for m in points if unit_forward(m) != m), None)
+    if moved is not None:
+        raise GChunkError(f"unit carrier moves {moved}")
+    values: dict[str, Sequence[int]] = {chunk.unit: points}  # the unit's, as just checked
 
     witnesses = {}
     for e in chunk.elements:
-        outcome = audit(carriers[e], bound, horizon)
+        if e not in values:
+            values[e] = list(map(carriers[e].forward, points))
+        outcome = _audit(carriers[e], values[e], bound, horizon)
         if isinstance(outcome, AuditViolation):
             raise GChunkError(f"carrier of {e!r}: {outcome}")
         witnesses[e] = outcome
 
     if check_table:
         for (a, b), c in chunk.table.items():
-            fa, fb, fc = carriers[a].forward, carriers[b].forward, carriers[c].forward
-            for m in range(horizon + 1):
-                if fa(fb(m)) != fc(m):
-                    raise GChunkError(
-                        f"table says {a} * {b} = {c} but carriers disagree at {m}")
+            va, vb, vc, fa = values[a], values[b], values[c], carriers[a].forward
+            bad = next((m for m in points
+                        if (va[v] if 0 <= (v := vb[m]) <= horizon else fa(v)) != vc[m]), None)
+            if bad is not None:
+                raise GChunkError(f"table says {a} * {b} = {c} but carriers disagree at {bad}")
 
-    return GChunk(chunk, carriers, bound, horizon, witnesses)
+    del values[chunk.unit]  # the tables take the unit to the identity at every degree
+    return GChunk(chunk, carriers, bound, horizon, witnesses,
+                  RestrictionTables(chunk, carriers, values))
 
 
-def _greedy_completion(rule: Callable[[int], int | None], n: int, what: str) -> tuple[int, ...]:
-    """Images of a permutation of 0..n-1 that sends m to rule(m) wherever that
-    is a point below n; the other points, in increasing order, go to the
-    unused images in increasing order.  ``what`` names the rule in the error
-    raised when two points would share an image."""
-    images: list[int | None] = [None] * n
-    used = [False] * n
-    for m in range(n):
-        v = rule(m)
-        if v is not None and v < n:
-            if used[v]:
-                raise ValueError(f"{what} not injective below {n}")
-            images[m] = v
-            used[v] = True
-    free = iter([v for v in range(n) if not used[v]])
-    return tuple(img if img is not None else next(free) for img in images)
+def _restrictions(gc: GChunk) -> RestrictionTables:
+    """The g-chunk's tables; an object with only ``chunk`` and ``carriers``
+    gets tables of its own for one call."""
+    tables = getattr(gc, "restrictions", None)
+    return tables if tables is not None else RestrictionTables(gc.chunk, gc.carriers)
 
 
 def supp_morphism(gc: GChunk, n: int) -> dict[str, Perm]:
@@ -226,11 +360,7 @@ def supp_morphism(gc: GChunk, n: int) -> dict[str, Perm]:
     domain points are matched to leftover range points in increasing order.
     The unit goes to the identity.
     """
-    if n < 1:
-        raise ValueError("degree must be positive")
-    return {e: identity(n) if e == gc.chunk.unit
-            else Perm(_greedy_completion(gc.carriers[e].forward, n, f"carrier of {e!r}"))
-            for e in gc.chunk.elements}
+    return {e: Perm(tuple(images)) for e, images in _restrictions(gc).images(n).items()}
 
 
 @dataclass(frozen=True)
@@ -258,7 +388,7 @@ def _quality_parameter(r) -> Fraction:
 
 def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
     r = _quality_parameter(r)
-    counts = disagreement_counts(gc.chunk, supp_morphism(gc, n))
+    counts = _restrictions(gc).counts(n)
     quality = MorphismQuality.from_counts(*counts)
     m_star = max_m_with_value_at_most(gc.bound, n)
     defect_bound = None
@@ -283,7 +413,7 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
 
 def supp_defect_holds(gc: GChunk, n: int, r: Fraction) -> bool:
     """Whether the degree-n supp morphism has defect at most 1/r."""
-    return r * max(disagreement_counts(gc.chunk, supp_morphism(gc, n))[1], default=0) <= n
+    return r * max(_restrictions(gc).counts(n)[1], default=0) <= n
 
 
 def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:

@@ -11,17 +11,19 @@ it with ``reference_measure``, as the reference for the closed form.
 ``reference_measure`` and ``reference_supp_quality`` keep the original
 quality figures, which composed validated permutations and compared
 ``Fraction`` distances pair by pair, as the reference for the shared
-disagreement counts; ``reference_example_check`` keeps the gadget's own
-greedy completions, and ``reference_growth_eval`` evaluates a growth spec by
-iterating every power, without the closed form.
+disagreement counts.  ``reference_supp_morphism`` keeps the point-by-point
+greedy completion of every carrier at every degree, as the reference for the
+restriction tables a g-chunk keeps.  ``reference_example_check`` keeps the
+gadget's own greedy completions, and ``reference_growth_eval`` evaluates a
+growth spec by iterating every power, without the closed form.
 """
 
 import itertools
 from fractions import Fraction
 
 from soficapprox.growth import INF, Compose, GrowthFn, Power, max_m_with_value_at_most
-from soficapprox.lazyperm import StageReport, SuppReport, supp_morphism
-from soficapprox.permcore import (all_cycle_types, all_perms, block_sum, compose,
+from soficapprox.lazyperm import StageReport, SuppReport
+from soficapprox.permcore import (Perm, all_cycle_types, all_perms, block_sum, compose,
                                   cycle_type_representative, disagreements, hamming_distance,
                                   identity)
 from soficapprox.profile import MorphismQuality
@@ -154,11 +156,35 @@ def reference_measure(c, f):
     return MorphismQuality(defect, expansiveness)
 
 
+def reference_supp_morphism(gc, n):
+    """The degree-n supp restrictions as first built: every carrier evaluated
+    on 0..n-1, the pairs with both sides below n kept, and the leftover points
+    matched in increasing order, one point at a time."""
+    if n < 1:
+        raise ValueError("degree must be positive")
+    sigma = {}
+    for e in gc.chunk.elements:
+        if e == gc.chunk.unit:
+            sigma[e] = identity(n)
+            continue
+        images, used = [None] * n, [False] * n
+        for m in range(n):
+            v = gc.carriers[e].forward(m)
+            if v < n:
+                if used[v]:
+                    raise ValueError(f"carrier of {e!r} not injective below {n}")
+                images[m] = v
+                used[v] = True
+        sigma[e] = Perm(tuple(_greedy_fill(images, used)))
+    return sigma
+
+
 def reference_supp_quality(gc, n, r):
-    """The supp report as first computed: ``reference_measure`` of the supp
-    morphism, and the separation hypothesis from a second loop over pairs."""
+    """The supp report as first computed: ``reference_measure`` of
+    ``reference_supp_morphism``, and the separation hypothesis from a second
+    loop over pairs."""
     r = Fraction(r)
-    sigma = supp_morphism(gc, n)
+    sigma = reference_supp_morphism(gc, n)
     quality = reference_measure(gc.chunk, sigma)
     m_star = max_m_with_value_at_most(gc.bound, n)
     defect_bound = bound_holds = None

@@ -1,8 +1,13 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soficapprox import cli
 from soficapprox.cli import (
     emit_certificate,
     load_certificate,
@@ -170,6 +175,35 @@ class TestGrowthCommand:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "exhausted at n_max = 10000\n")
 
+    def test_huge_slope_one_power_finishes_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "growth", "prof", "--g", "power(affine:1,100000000)",
+                           "--r", "2", "--n-max", "10")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "exhausted at n_max = 10\n")
+
+    def test_huge_slope_power_rejected_in_one_line(self, capsys):
+        code, out, err = run(capsys, "growth", "prof", "--g", "power(linear:2,100000000)",
+                             "--r", "2", "--n-max", "10")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: power of a slope-2 spec") and err.count("\n") == 1
+
+    @given(st.sampled_from(["affine:3", "linear:2", "blockstep:5,2;9,4", "table:2,4,5+2",
+                            "compose(affine:1,linear:3)"]),
+           st.integers(2, 6), st.sampled_from(["1", "2", "5/2", "7"]), st.integers(1, 200))
+    @settings(max_examples=60, deadline=None)
+    def test_power_prints_as_its_iterated_form(self, base, k, r, n_max):
+        iterated = base
+        for _ in range(k - 1):
+            iterated = f"compose({base},{iterated})"
+        outputs = []
+        for spec in (f"power({base},{k})", iterated):
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(["growth", "prof", "--g", spec, "--r", r, "--n-max", str(n_max)])
+            outputs.append((code, out.getvalue()))
+        assert outputs[0] == outputs[1]
+
     def test_nesting_at_the_limit_accepted(self, capsys):
         spec = "compose(" * 64 + "affine:1" + ",affine:1)" * 64
         code, out, _ = run(capsys, "growth", "prof", "--g", spec, "--r", "2/1")
@@ -184,6 +218,18 @@ class TestSuppCommand:
         assert "m_star = 68" in out
         assert "defect_bound_holds = true" in out
 
+
+    def test_reports_pinned(self, capsys):
+        # three.supp holds the reports as printed before the restriction tables
+        got = []
+        for n in (5, 40, 99, 150, 300):
+            for r in ("2", "3/2", "7"):
+                code, out, _ = run(capsys, "supp", "--gchunk", data_path("three.gchunk"),
+                                   "--n", str(n), "--r", r)
+                assert code == 0
+                got.append(f"== sofic supp --n {n} --r {r}\n{out}")
+        with open(data_path("three.supp"), encoding="utf-8") as fh:
+            assert "".join(got) == fh.read()
 
     @pytest.mark.parametrize("r", ["0", "-1", "1/2"])
     def test_r_below_one_rejected(self, capsys, r):
@@ -218,6 +264,45 @@ class TestRealizeCommand:
         gc = parse_gchunk_file(str(spec_file), horizon=200)
         real = load_realization(str(emitted))
         assert supp_morphism(gc, real.layout[-1]) == real.block_sum_assignment(real.depth)
+
+    def test_blocksum_file_loaded_once_per_gchunk(self, capsys, tmp_path, monkeypatch):
+        emitted = tmp_path / "klein.json"
+        code, _, _ = run(capsys, "realize", "--chunk", data_path("klein.chunk"),
+                         "--depth", "4", "--emit", str(emitted))
+        assert code == 0
+        bound = json.loads(emitted.read_text())["g"]
+        degree = json.loads(emitted.read_text())["layout"][-1]
+        copies = []
+        for e in "abc":  # one file per carrier: three loads without any sharing
+            copy = tmp_path / f"klein_{e}.json"
+            copy.write_text(emitted.read_text())
+            copies.append(copy)
+        shared = tmp_path / "shared.gchunk"
+        shared.write_text(f"chunk {data_path('klein.chunk')}\n"
+                          + "".join(f"carrier {e} = blocksum:klein.json\n" for e in "abc")
+                          + f"bound = {bound}\n")
+        separate = tmp_path / "separate.gchunk"
+        separate.write_text(f"chunk {data_path('klein.chunk')}\n"
+                            + "".join(f"carrier {e} = blocksum:{copy.name}\n"
+                                      for e, copy in zip("abc", copies))
+                            + f"bound = {bound}\n")
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_realization(path)
+
+        monkeypatch.setattr(cli, "load_realization", counting_load)
+        reports = []
+        for spec in (shared, separate):
+            loads.clear()
+            code, out, _ = run(capsys, "supp", "--gchunk", str(spec), "--n", str(degree),
+                               "--r", "2")
+            assert code == 0
+            reports.append((len(loads), out))
+        assert [count for count, _ in reports] == [1, 3]
+        assert reports[0][1] == reports[1][1]
+        assert reports[0][1].startswith(f"n = {degree}\n")
 
     def test_tampered_realization_rejected(self, capsys, tmp_path):
         emitted = tmp_path / "real.json"

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from soficapprox import profile
 from soficapprox.growth import (
     INF,
+    MAX_SLOPE_BITS,
     Affine,
     BlockStep,
     Compose,
+    EventualAffine,
     Exhausted,
     Infinity,
     Linear,
@@ -338,6 +340,39 @@ class TestPowerClosedForm:
         start = time.perf_counter()
         assert [g(n) for n in range(1000)] == [n + 2 ** 30 for n in range(1000)]
         assert time.perf_counter() - start < 1
+
+
+    @given(growths, st.integers(1, 6))
+    @settings(max_examples=80)
+    def test_power_form_equals_composed_form(self, g, k):
+        composed = g
+        for _ in range(k - 1):
+            composed = compose(g, composed)
+        assert linearize(power(g, k)) == linearize(composed)
+
+    def test_huge_exponent_evaluates_at_once(self):
+        g = parse_growth("power(affine:1,100000000)")
+        start = time.perf_counter()
+        assert linearize(g) == EventualAffine(1, 100_000_000, 0)
+        assert [g(n) for n in range(100)] == [n + 100_000_000 for n in range(100)]
+        # below the base's threshold, iteration stops once the value clears it
+        h = power(BlockStep((50, 5000), (1, 3)), 10**9)
+        assert h(0) == reference_growth_eval(power(BlockStep((50, 5000), (1, 3)), 5000), 0) \
+            + 3 * (10**9 - 5000)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("spec, ok", [
+        ("power(linear:2,4095)", True), ("power(linear:2,4096)", False),
+        ("power(linear:3,2584)", True), ("power(linear:3,2585)", False),
+        ("power(linear:2,100000000)", False), ("power(power(linear:2,64),63)", True),
+        ("power(power(linear:2,64),64)", False), ("power(affine:7,100000000)", True),
+    ])
+    def test_slope_cap_at_parse_time(self, spec, ok):
+        if ok:
+            assert linearize(parse_growth(spec)).a < 2 ** MAX_SLOPE_BITS
+        else:
+            with pytest.raises(ValueError, match=f"slope of 2\\^{MAX_SLOPE_BITS} or more"):
+                parse_growth(spec)
 
 
 class TestLinearize:

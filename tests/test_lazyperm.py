@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -32,7 +33,8 @@ from soficapprox.permcore import Perm, hamming_distance, identity
 from soficapprox.profile import ProfileCertificate, measure, sofic_profile
 
 from conftest import DATA, data_path
-from oracles import reference_measure, reference_realize, reference_supp_quality
+from oracles import (reference_measure, reference_realize, reference_supp_morphism,
+                     reference_supp_quality)
 
 
 def pair_swap() -> LazyPerm:
@@ -226,7 +228,7 @@ class TestPropertyProfile:
     def test_mask_matches_reference(self):
         gc = three_cycle_chunk(horizon=300)
         for r in (1, 2, 3, Fraction(5, 2)):
-            want = [reference_measure(gc.chunk, supp_morphism(gc, n)).defect <= 1 / r
+            want = [reference_measure(gc.chunk, reference_supp_morphism(gc, n)).defect <= 1 / r
                     for n in range(1, 121)]
             assert property_holds_mask(gc, r, range(1, 121)) == want, r
 
@@ -235,6 +237,114 @@ class TestPropertyProfile:
         assert property_profile(gc, 2, 50) == 1
         # the swap's restrictions square to the identity at every degree
         assert all(property_holds_mask(gc, 2, range(1, 30)))
+
+
+def bounded_gchunk(seed, horizon, loose=False):
+    """Random carrier r shuffling consecutive blocks of at most c + 1 points,
+    its inverse, and the products they define, bounded by n + c.  ``loose``
+    adds r * r = s and s * s = r, which the carriers need not satisfy."""
+    rng = random.Random(seed)
+    c = rng.randint(1, 12)
+    span, images = rng.randint(2 * c + 2, 90), []
+    while len(images) < span:
+        block = list(range(len(images), len(images) + rng.randint(1, c + 1)))
+        rng.shuffle(block)
+        images.extend(block)
+    inverse = [images.index(v) for v in range(len(images))]
+    table = {("1", "1"): "1", ("1", "r"): "r", ("r", "1"): "r", ("1", "s"): "s",
+             ("s", "1"): "s", ("r", "s"): "1", ("s", "r"): "1"}
+    if inverse == images:
+        table[("r", "r")] = "1"
+    if loose:
+        table.update({("r", "r"): "s", ("s", "s"): "r"})
+    return build_gchunk(Chunk(("1", "r", "s"), "1", table),
+                        {"r": finitary(images), "s": finitary(inverse)}, Affine(c), horizon,
+                        check_table=not loose)
+
+
+def far_swap_gchunk(horizon):
+    """The swap 0 <-> 500 next to a three-cycle of blocks, with no products
+    between them; the swap's free points span the whole prefix below 500."""
+    c = parse_chunk("unit 1\nelem t\nelem h\n1 * 1 = 1\n1 * t = t\nt * 1 = t\n"
+                    "t * t = 1\n1 * h = h\nh * 1 = h\n")
+    swap = finitary([500] + list(range(1, 500)) + [0])
+    return build_gchunk(c, {"t": swap, "h": three_cycle()}, Affine(500), horizon)
+
+
+def query_orders(degrees, seed=0):
+    shuffled = list(degrees)
+    random.Random(seed).shuffle(shuffled)
+    repeated = [n for pair in zip(shuffled, shuffled[::-1]) for n in pair]
+    return {"ascending": list(degrees), "descending": list(degrees)[::-1],
+            "shuffled": shuffled, "repeated": repeated}
+
+
+class TestRestrictionTables:
+    """Every query on one g-chunk, in any order, equals the point-by-point
+    greedy completion; each order runs on a g-chunk of its own."""
+
+    CASES = ([(f"bounded-{seed}", lambda seed=seed: bounded_gchunk(seed, 40, seed >= 3),
+               range(1, 130)) for seed in range(5)]
+             + [("far-swap", lambda: far_swap_gchunk(60),
+                 list(range(1, 40)) + list(range(490, 520)))])
+
+    @pytest.mark.parametrize("name,make,degrees", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
+    def test_queries_match_reference_in_any_order(self, name, make, degrees, order):
+        gc = make()
+        assert max(degrees) > gc.horizon  # the tables outgrow the audited prefix
+        ref = make()
+        for n in query_orders(degrees)[order]:
+            r = Fraction(2 + n % 5, 2)
+            assert supp_quality(gc, n, r) == reference_supp_quality(ref, n, r), n
+            assert supp_morphism(gc, n) == reference_supp_morphism(ref, n), n
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
+    def test_mask_matches_reference_in_any_order(self, order):
+        for make in (lambda: bounded_gchunk(7, 30), lambda: far_swap_gchunk(30)):
+            gc = make()
+            degrees = query_orders(range(1, 120), seed=3)[order]
+            for r in (2, Fraction(7, 2)):
+                want = [reference_measure(gc.chunk, reference_supp_morphism(gc, n)).defect
+                        <= 1 / r for n in degrees]
+                assert property_holds_mask(gc, r, degrees) == want
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
+    def test_non_injective_carrier_same_error_in_any_order(self, order):
+        # injective on the audited prefix; 15 and 20 share the image 12 beyond it,
+        # which first shows at degree 21
+        def forward(m):
+            return {12: 30, 15: 12, 20: 12, 30: 15}.get(m, m)
+
+        c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\n")
+        gc = build_gchunk(c, {"a": LazyPerm(forward, lambda m: m, "collides")}, Affine(20), 10)
+        for n in query_orders(range(1, 45), seed=5)[order]:
+            try:
+                want = reference_supp_morphism(gc, n)
+            except ValueError as exc:
+                assert n >= 21 and str(exc) == f"carrier of 'a' not injective below {n}"
+                for query in (lambda: supp_morphism(gc, n), lambda: supp_quality(gc, n, 2),
+                              lambda: property_holds_mask(gc, 2, [n])):
+                    with pytest.raises(ValueError) as info:
+                        query()
+                    assert str(info.value) == str(exc)
+            else:
+                assert n < 21 and supp_morphism(gc, n) == want
+
+    def test_audit_values_seed_the_tables(self):
+        calls = []
+
+        def forward(m):
+            calls.append(m)
+            return m + 1 if m % 2 == 0 else m - 1
+
+        c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
+        gc = build_gchunk(c, {"a": LazyPerm(forward, forward, "pairswap")}, Affine(1), 99)
+        audited = len(calls)
+        supp_quality(gc, 100, 2)
+        assert len(calls) == audited  # degree 100 needs only the values 0..99
+        supp_quality(gc, 101, 2)
+        assert sorted(calls[audited:]) == list(range(100, 200))  # doubled once
 
 
 class TestRealize:
