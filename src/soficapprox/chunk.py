@@ -61,6 +61,11 @@ class Chunk:
     def product(self, a: str, b: str) -> str | None:
         return self.table.get((a, b))
 
+    def is_unit_product(self, a: str, b: str, ab: str) -> bool:
+        """True for e * b = b and a * e = a, which every unit-preserving map
+        into a permutation group satisfies exactly."""
+        return (a == self.unit and b == ab) or (b == self.unit and a == ab)
+
     def __repr__(self) -> str:
         return f"Chunk({list(self.elements)}, unit={self.unit!r}, {len(self.table)} products)"
 

@@ -31,7 +31,6 @@ EXIT_EXHAUSTED = 2
 
 DEFAULT_N_MAX = 8
 DEFAULT_HORIZON = 10_000
-ELEMENT_CAP_WARNING = 4
 
 
 def parse_rational(text: str) -> Fraction:
@@ -209,8 +208,7 @@ def load_realization(path: str) -> Realization:
     certs = []
     for idx, (m_i, stage_sigma) in enumerate(zip(m, sigma)):
         assignment = {e: Perm(tuple(images)) for e, images in stage_sigma.items()}
-        certs.append(ProfileCertificate(Fraction(idx + 2), m_i, assignment,
-                                        measure(c, assignment), ()))
+        certs.append(ProfileCertificate(Fraction(idx + 2), m_i, assignment, None, ()))
     real = realize(c, certs)  # checks every stage against its thresholds
     if list(real.f) != payload.get("f") or list(real.layout) != payload.get("layout"):
         raise ValueError("stored multiplicities or layout differ from the recomputed ones")
@@ -390,9 +388,6 @@ def _cmd_chunk_validate(args) -> int:
 
 def _cmd_profile(args) -> int:
     c = _load_chunk(args.chunk)
-    if len(c.elements) > ELEMENT_CAP_WARNING:
-        print(f"warning: chunk has {len(c.elements)} elements; the exhaustive "
-              f"search grows steeply beyond {ELEMENT_CAP_WARNING}", file=sys.stderr)
     n_max = args.n_max if args.n_max is not None else DEFAULT_N_MAX
     if args.all_r:
         if args.emit_witness or args.emit_cert:

@@ -185,10 +185,11 @@ class RestrictionTables:
     each value below ``size`` (``size`` where there is none), running maxima
     of both, so that D_n and R_n lie in a window found by bisection, and the
     first degree at which two points visibly share an image.  Per defined
-    product and per distinct pair they hold the sorted points below ``size``
-    where the carriers themselves disagree.  The unit is the identity.  A
-    degree beyond ``size`` rebuilds everything over max(n, 2 size) points,
-    extending the values by the carriers' forward maps.
+    product other than a unit product, and per distinct pair, they hold the
+    sorted points below ``size`` where the carriers themselves disagree.
+    The unit is the identity.  A degree beyond ``size`` rebuilds everything
+    over max(n, 2 size) points, extending the values by the carriers'
+    forward maps.
     """
 
     def __init__(self, chunk: Chunk, carriers: Mapping[str, LazyPerm],
@@ -224,9 +225,12 @@ class RestrictionTables:
                                       array("q", accumulate(pre, max)), collision)
         # A point whose b-image lies beyond the tables counts as a disagreement
         # here and in ``counts`` alike; it is a free point of b at every degree.
+        # The unit products (e, b, b) and (a, e, a) get None: the unit's
+        # restriction is the identity, so they agree everywhere at every degree.
         self.product_points = [
-            array("q", (m for m in ident if (v := tables[b].vals[m]) >= size
-                        or tables[ab].vals[m] != tables[a].vals[v]))
+            None if self.chunk.is_unit_product(a, b, ab)
+            else array("q", (m for m in ident if (v := tables[b].vals[m]) >= size
+                             or tables[ab].vals[m] != tables[a].vals[v]))
             for (a, b), ab in self.chunk.table.items()]
         self.pair_points = [array("q", compress(ident, map(ne, tables[x].vals, tables[y].vals)))
                             for x, y in self.pairs]
@@ -262,12 +266,16 @@ class RestrictionTables:
         Each count is the carriers' count below n plus a correction at the
         points some restriction moves off its carrier: the free points of
         both members of a pair, and for a product (a, b, ab) the free points
-        of b and ab and the b-preimages of the free points of a.
+        of b and ab and the b-preimages of the free points of a.  A unit
+        product counts 0.
         """
         free = self._free(n)
         t, size = self.tables, self.size
         products = []
         for ((a, b), ab), points in zip(self.chunk.table.items(), self.product_points):
+            if points is None:
+                products.append(0)
+                continue
             va, vb, vab = t[a].vals, t[b].vals, t[ab].vals
             fa, fb, fab, pre_b = free[a], free[b], free[ab], t[b].pre
             unsettled = fb.keys() | fab.keys()

@@ -19,22 +19,33 @@ first element is canonical.
 The search works on raw image tuples with integer thresholds.  With r =
 num/den and k the number of points where two images differ, a product passes
 the defect test when ``k*num <= n*den`` and a pair passes the separation test
-when ``k*num >= n*(num - den)``.  Past the first element, a candidate pool is
-a Hamming ball wherever a defined product fixes one: if the new element
-occurs once in a product whose other two members are assigned, bi-invariance
-of the metric turns that product's defect test into "within
-floor(n*den/num) points of one centre permutation", so only that ball, in lex
-order, is enumerated.  Elements without such a product, and radii of n or
-more, range over all of S_n.  ``Perm`` values are built only for the witness.
+when ``k*num >= n*(num - den)``.  Each depth draws its candidates, in lex
+order, from one of three pools, and every candidate drawn is still checked:
+
+- the first element takes the cycle-type representatives;
+- an element that occurs once in a product whose other two members are
+  assigned (a ball triple) takes a Hamming ball: bi-invariance of the metric
+  turns that product's defect test into "within floor(n*den/num) points of
+  one centre permutation".  A ball of radius 0 or 1 is its centre alone;
+- any other element takes an S_n bitset: per point x and value v, one integer
+  has bit i set iff the lex rank-i permutation maps x to v.  Counting set
+  bits across such integers, a whole word of candidates at a time, gives the
+  candidates that pass the separation test against every earlier image and
+  the defect test of every product the depth makes checkable.  Above the
+  degree where these integers outgrow ``_MASK_TABLE_BYTES`` (n >= 11), the
+  element ranges over all of S_n one candidate at a time.
+
+``Perm`` values are built only for the witness.
 
 Degrees proven infeasible are recorded with the number of search nodes that
 exhausted them, so a returned certificate documents minimality, not just
 feasibility.  A node is one candidate of a call's full pool (the canonical
 representatives at depth 0, all of S_n in lex order after it) up to the one
-that completed a witness, or the whole pool when the call fails.  Every
-permutation outside a ball fails its defect test, so the ball changes which
-candidates are tried but not this count, which each call adds in closed form:
-``n!`` or the witness image's lex rank plus one.
+that completed a witness, or the whole pool when the call fails.  A ball or
+a bitset leaves out only permutations that fail a check, so it changes which
+candidates are tried but not which one completes a witness, nor this count,
+which each call adds in closed form: ``n!`` or the witness image's lex rank
+plus one.
 """
 
 from __future__ import annotations
@@ -42,7 +53,8 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import compress, permutations
 from math import factorial
 from operator import ne
 from typing import Iterable, Iterator, Mapping
@@ -87,10 +99,14 @@ class DegreeRecord:
 
 @dataclass(frozen=True)
 class ProfileCertificate:
+    """A least-degree witness with its measured quality and the degrees below
+    it proven infeasible.  ``quality`` is None on the stages rebuilt from a
+    realization file, because ``realize`` counts each stage itself."""
+
     r: Fraction
     n: int
     assignment: dict[str, Perm]
-    quality: MorphismQuality
+    quality: MorphismQuality | None
     infeasible: tuple[DegreeRecord, ...]
 
     @property
@@ -138,16 +154,19 @@ def _search_plan(c: Chunk) -> tuple[tuple[str, ...], list[list[tuple[int, int, i
 
     Elements are numbered 0 for the unit and ``i + 1`` for ``order[i]``; the
     element at depth ``i`` is number ``i + 1``.  Per depth the plan lists the
-    product triples ``(a, b, ab)`` that become fully checkable there, and the
-    ball triple: the first of them in which the new element occurs exactly
-    once, as ``(role, a, b, ab)`` where ``role`` is the new element's place
-    (0 left factor, 1 right factor, 2 product), or None if there is none.
+    product triples ``(a, b, ab)`` that become fully checkable there, other
+    than the unit products (e, b, b) and (a, e, a), and the ball triple: the
+    first of them in which the new element occurs exactly once, as
+    ``(role, a, b, ab)`` where ``role`` is the new element's place (0 left
+    factor, 1 right factor, 2 product), or None if there is none.
     """
     order = tuple(e for e in c.elements if e != c.unit)
     number = {e: i + 1 for i, e in enumerate(order)}
     number[c.unit] = 0
     triples_at: list[list[tuple[int, int, int]]] = [[] for _ in order]
     for (a, b), ab in c.table.items():
+        if c.is_unit_product(a, b, ab):
+            continue  # holds for every assignment
         triple = (number[a], number[b], number[ab])
         if max(triple) > 0:
             triples_at[max(triple) - 1].append(triple)
@@ -178,8 +197,10 @@ def _ball_centre(role: int, fa: tuple[int, ...], fb: tuple[int, ...],
     return _compose(_inverse(fa), fab)
 
 
-def _hamming_ball(centre: tuple[int, ...], radius: int) -> Iterator[tuple[int, ...]]:
+def _hamming_ball(centre: tuple[int, ...], radius: int) -> Iterable[tuple[int, ...]]:
     """Permutations differing from ``centre`` in at most ``radius`` points, in lex order."""
+    if radius <= 1:
+        return [centre]  # no two permutations differ in exactly one point
     n = len(centre)
     where = _inverse(centre)
     used = [False] * n
@@ -205,6 +226,122 @@ def _hamming_ball(centre: tuple[int, ...], radius: int) -> Iterator[tuple[int, .
                 used[v] = False
 
     return fill(0, 0)
+
+
+# The S_n bitsets of one degree take n * n * n! / 8 bytes.  Free depths at
+# degrees whose bitsets would exceed this enumerate S_n one candidate at a time.
+_MASK_TABLE_BYTES = 64 << 20
+
+
+@lru_cache(maxsize=2)  # the degree searched, and the one below it that built it
+def _rank_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """``masks[x][v]`` has bit i set iff the rank-i permutation of S_n in lex
+    order maps x to v.
+
+    Built from S_{n-1}: ranks ``v0 * (n-1)!`` on hold the permutations with
+    first image v0, whose tails run through S_{n-1} in lex order with every
+    value from v0 up raised by one.
+    """
+    if n == 1:
+        return ((1,),)
+    prev = _rank_masks(n - 1)
+    block = factorial(n - 1)
+    masks = [[0] * n for _ in range(n)]
+    for v0 in range(n):
+        shift = v0 * block
+        masks[0][v0] = ((1 << block) - 1) << shift
+        for x in range(1, n):
+            row = masks[x]
+            for u, m in enumerate(prev[x - 1]):
+                row[u + (u >= v0)] |= m << shift
+    return tuple(map(tuple, masks))
+
+
+def _at_least(k: int, sets: list[int]) -> int:
+    """Bits set in at least ``k`` >= 1 of ``sets``."""
+    more_than = [0] * k  # more_than[j]: bits set in more than j of the sets so far
+    for i, s in enumerate(sets):
+        for j in range(min(i, k - 1), 0, -1):
+            more_than[j] |= more_than[j - 1] & s
+        more_than[0] |= s
+    return more_than[k - 1]
+
+
+def _agreements(masks: tuple[tuple[int, ...], ...], full: int, f: list[tuple[int, ...]],
+                new: int, triple: tuple[int, int, int]) -> list[int]:
+    """Per point x, the ranks whose permutation, as the image of element
+    ``new``, makes f(ab) and f(a)f(b) agree at x.
+
+    Agreement at x means f(b) takes x to some y and f(a) takes y to f(ab)(x).
+    Each clause on the new element is one mask, and y runs over every value
+    where the new element stands in b's place; a square f(a)f(a) is covered
+    that way too.
+    """
+    a, b, ab = triple
+    out = []
+    for x in range(len(masks)):
+        at_x = 0
+        for y in (range(len(masks)) if b == new else (f[b][x],)):
+            term = masks[x][y] if b == new else full
+            if a == new and ab == new:  # p(y) = p(x)
+                if y != x:
+                    continue
+            elif a == new:
+                term &= masks[y][f[ab][x]]
+            elif ab == new:
+                term &= masks[x][f[a][y]]
+            elif f[a][y] != f[ab][x]:
+                continue
+            at_x |= term
+        out.append(at_x)
+    return out
+
+
+def _bitset_pool(f: list[tuple[int, ...]], new: int, triples: list[tuple[int, int, int]],
+                 radius: int, min_sep: int) -> Iterator[tuple[int, ...]]:
+    """The permutations that pass ``_backtrack``'s checks as the image of
+    element ``new``, in lex order, found on bitsets over the lex ranks of S_n.
+
+    A candidate agreeing with an earlier image at more than ``n - min_sep``
+    points fails its separation test, and one agreeing with f(a)f(b) at
+    fewer than ``n - radius`` points fails that product's defect test.
+    """
+    n = len(f[0])
+    masks = _rank_masks(n)
+    live = full = (1 << factorial(n)) - 1
+    if min_sep > 0:
+        for g in f[:new]:
+            live &= ~_at_least(n - min_sep + 1, [masks[x][v] for x, v in enumerate(g)])
+    if radius < n:
+        for t in triples:
+            if live:
+                live &= _at_least(n - radius, _agreements(masks, full, f, new, t))
+    return _decode(live, n)
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _decode(live: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The permutations whose lex ranks are set in ``live``, in increasing
+    rank order.  Unranking one costs about as much as stepping ``permutations``
+    over 200 ranks, so a set denser than that is read off the full listing."""
+    bits = format(live, "b")[::-1]
+    if live.bit_count() * 200 > factorial(n):
+        return compress(permutations(range(n)), bits.encode().translate(_BITS))
+    return _unrank_each(bits, n)
+
+
+def _unrank_each(bits: str, n: int) -> Iterator[tuple[int, ...]]:
+    radix = [factorial(k) for k in range(n - 1, -1, -1)]
+    i = bits.find("1")
+    while i >= 0:
+        rest, images, rank = list(range(n)), [], i
+        for step in radix:
+            q, rank = divmod(rank, step)
+            images.append(rest.pop(q))
+        yield tuple(images)
+        i = bits.find("1", i + 1)
 
 
 def _lex_rank(p: tuple[int, ...]) -> int:
@@ -238,6 +375,7 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     radius = n * den // num  # defect passes iff k*num <= n*den
     min_sep = -(-n * (num - den) // num)  # separation passes iff k*num >= n*(num - den)
     full = factorial(n)
+    bitsets = n * n * full <= 8 * _MASK_TABLE_BYTES
     first = first_candidates
     if first is None:
         first = [cycle_type_representative(t, n).images for t in all_cycle_types(n)]
@@ -248,14 +386,16 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
         if new == 1:
             return first
         ball = balls_at[new - 1]
-        if ball is None or radius >= n:
-            return permutations(ident)
-        role, a, b, ab = ball
-        return _hamming_ball(_ball_centre(role, f[a], f[b], f[ab]), radius)
+        if ball is not None and radius < n:
+            role, a, b, ab = ball
+            return _hamming_ball(_ball_centre(role, f[a], f[b], f[ab]), radius)
+        if bitsets:
+            return _bitset_pool(f, new, triples_at[new - 1], radius, min_sep)
+        return permutations(ident)
 
     def extend(new: int) -> bool:
-        # Every permutation outside the ball fails the ball triple's defect
-        # check, so skipping them changes no outcome, only the work done.
+        # Every permutation a pool leaves out fails a check below, so the
+        # pools change no outcome, only the work done.
         nonlocal nodes
         earlier = f[:new]
         triples = triples_at[new - 1]

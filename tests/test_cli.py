@@ -82,20 +82,19 @@ class TestProfileCommand:
         assert code == 0
         assert witness.read_text() == "1 -> [0 1]\na -> [1 0]\n"
 
-    def test_element_count_warning(self, capsys, tmp_path):
-        code, _, err = run(capsys, "profile", "--chunk", data_path("klein.chunk"),
-                           "--r", "2/1", "--n-max", "4")
-        assert code == 0
-        assert "warning" not in err  # klein has exactly four elements
+    def test_no_element_count_warning(self, capsys, tmp_path):
         big = tmp_path / "five.chunk"
         lines = ["unit 1"] + [f"elem x{i}" for i in range(4)]
         elems = ["1"] + [f"x{i}" for i in range(4)]
         lines += [f"1 * {e} = {e}" for e in elems]
         lines += [f"{e} * 1 = {e}" for e in elems if e != "1"]
         big.write_text("\n".join(lines) + "\n")
-        code, _, err = run(capsys, "profile", "--chunk", str(big),
-                           "--r", "2/1", "--n-max", "5")
-        assert "warning" in err
+        code, out, err = run(capsys, "profile", "--chunk", str(big),
+                             "--r", "2/1", "--n-max", "5")
+        assert code == 0
+        assert out == ("prof = 3\n1 -> [0 1 2]\nx0 -> [1 0 2]\nx1 -> [0 2 1]\n"
+                       "x2 -> [1 2 0]\nx3 -> [2 0 1]\ndefect = 0/1\nexpansiveness = 2/3\n")
+        assert err == ""
 
     def test_unknown_flag_rejected(self, capsys):
         code = main(["profile", "--chunk", data_path("z2.chunk"), "--bogus"])

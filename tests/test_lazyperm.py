@@ -30,7 +30,7 @@ from soficapprox.lazyperm import (
     supp_quality,
 )
 from soficapprox.permcore import Perm, hamming_distance, identity
-from soficapprox.profile import ProfileCertificate, measure, sofic_profile
+from soficapprox.profile import ProfileCertificate, disagreement_counts, measure, sofic_profile
 
 from conftest import DATA, data_path
 from oracles import (reference_measure, reference_realize, reference_supp_morphism,
@@ -345,6 +345,18 @@ class TestRestrictionTables:
         assert len(calls) == audited  # degree 100 needs only the values 0..99
         supp_quality(gc, 101, 2)
         assert sorted(calls[audited:]) == list(range(100, 200))  # doubled once
+
+    def test_unit_products_count_zero_without_points(self):
+        # (1, s) -> r is no unit product, so only it and (r, s) -> 1 keep points
+        c = Chunk(("1", "r", "s"), "1", {("1", "1"): "1", ("1", "r"): "r", ("r", "1"): "r",
+                                        ("1", "s"): "r", ("s", "1"): "s", ("r", "s"): "1"})
+        swap = finitary([500] + list(range(1, 500)) + [0])
+        gc = build_gchunk(c, {"r": swap, "s": three_cycle()}, Affine(500), 60, check_table=False)
+        for n in (1, 7, 59, 61, 200, 505):
+            want = disagreement_counts(c, reference_supp_morphism(gc, n))
+            assert gc.restrictions.counts(n) == want
+            assert [points is None for points in gc.restrictions.product_points] == \
+                [True, True, True, False, True, False]
 
 
 class TestRealize:

@@ -6,14 +6,19 @@ from operator import ne
 
 import pytest
 
+from soficapprox import profile
 from soficapprox.chunk import Chunk, induced_chunk
 from soficapprox.permcore import (Perm, all_perms, compose, hamming_distance, identity, inverse,
                                   transposition)
 from soficapprox.profile import (
     Exhausted,
     ProfileCertificate,
+    _backtrack,
+    _bitset_pool,
+    _decode,
     _hamming_ball,
     _lex_rank,
+    _rank_masks,
     _search_degree,
     _search_plan,
     decide_product,
@@ -412,9 +417,105 @@ class TestReferenceSearch:
             for radius in range(n + 1):
                 expected = [p for p in everything if sum(map(ne, p, centre)) <= radius]
                 assert list(_hamming_ball(centre, radius)) == expected, (centre, radius)
+            assert _hamming_ball(centre, 0) == _hamming_ball(centre, 1) == [centre]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_lex_rank_is_listing_index(self, n):
         listing = all_perms(n)
         assert [_lex_rank(p.images) for p in listing] == [listing.index(p) for p in listing]
         assert len(listing) == factorial(n)
+
+
+def passes_checks(f, new, triples, radius, min_sep, cand):
+    """``_backtrack``'s checks on ``cand`` as the image of element ``new``."""
+    g = f[:new] + [cand]
+    return (all(sum(map(ne, h, cand)) >= min_sep for h in f[:new])
+            and all(sum(map(ne, g[ab], [g[a][v] for v in g[b]])) <= radius
+                    for a, b, ab in triples))
+
+
+class TestBitsetPool:
+    """Free depths draw their candidates from bitsets over the lex ranks of
+    S_n; the pool must be exactly the candidates that pass the checks."""
+
+    def test_rank_masks_mark_each_image(self):
+        for n in range(1, 7):
+            masks = _rank_masks(n)
+            for i, p in enumerate(itertools.permutations(range(n))):
+                assert [[masks[x][v] >> i & 1 for v in range(n)] for x in range(n)] == \
+                    [[int(p[x] == v) for v in range(n)] for x in range(n)]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_decode_lists_set_ranks_in_order(self, n):
+        everything = list(itertools.permutations(range(n)))
+        rng = random.Random(n)
+        full = (1 << len(everything)) - 1
+        for live in (0, full, 1, 1 << (len(everything) - 1), rng.getrandbits(len(everything)),
+                     sum(1 << rng.randrange(len(everything)) for _ in range(3))):
+            want = [p for i, p in enumerate(everything) if live >> i & 1]
+            assert list(_decode(live, n)) == want
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_pool_is_filtered_symmetric_group(self, n):
+        everything = list(itertools.permutations(range(n)))
+        rng = random.Random(100 + n)
+        new = 3  # elements 0 (the unit), 1 and 2 are placed
+        ident = tuple(range(n))
+        # squares, both factors new, a*a = a, and shapes only an unvalidated
+        # table has, such as (e, b, c) with b != c
+        shapes = [(3, 3, 1), (3, 3, 0), (1, 3, 3), (3, 1, 3), (3, 3, 3), (0, 3, 1), (0, 1, 3),
+                  (3, 0, 2), (1, 2, 3), (3, 2, 1), (2, 3, 1), (0, 3, 3), (3, 0, 3)]
+        for trial in range(6 if n < 7 else 1):
+            f = [ident] + [rng.choice(everything) for _ in range(new - 1)] + [ident]
+            if trial == 5:
+                f[1] = f[2] = ident  # fixed points everywhere: (1, 3, 3) and (3, 1, 3) pass
+            for r in map(Fraction, (1, Fraction(3, 2), 2, 3, 7)):
+                num, den = r.numerator, r.denominator
+                radius, min_sep = n * den // num, -(-n * (num - den) // num)
+                for triples in [[]] + [[t] for t in shapes] + [rng.sample(shapes, 3)]:
+                    want = [p for p in everything
+                            if passes_checks(f, new, triples, radius, min_sep, p)]
+                    assert list(_bitset_pool(f, new, triples, radius, min_sep)) == want, \
+                        (f, triples, r)
+
+    def test_backtrack_matches_reference_on_sparse_traces(self):
+        # five traces, three of them searched up to degree 6, with five free
+        # depths past the first among them: 129956 reference nodes in all
+        rng = random.Random(23)
+        free_depths = degree_6 = 0
+        for _ in range(5):
+            m = rng.randint(9, 14)
+            c = cyclic_chunk(m, [0] + sorted(rng.sample(range(1, m), 4)))
+            free_depths += _search_plan(c)[2][1:].count(None)
+            for n in range(1, 7):
+                got = _backtrack(c, Fraction(3), n)
+                assert got == reference_backtrack(c, 3, n), (c, n)
+                if got[0] is not None:
+                    break
+            degree_6 += n == 6
+        assert free_depths == 5 and degree_6 == 3
+
+    def test_mask_size_rule_both_sides(self, monkeypatch):
+        c = cyclic_chunk(12, [0, 4, 6, 9, 10])
+        want = {n: reference_backtrack(c, 3, n) for n in (5, 6)}
+        built = []
+        rank_masks = profile._rank_masks
+
+        def spy(n):
+            built.append(n)
+            return rank_masks(n)
+
+        monkeypatch.setattr(profile, "_rank_masks", spy)
+        monkeypatch.setattr(profile, "_MASK_TABLE_BYTES", 5 * 5 * factorial(5) // 8)
+        assert _backtrack(c, Fraction(3), 5) == want[5]
+        assert built and max(built) == 5  # degree 5 sits exactly at the limit
+        built.clear()
+        assert _backtrack(c, Fraction(3), 6) == want[6]
+        assert built == []  # degree 6 is past it: S_6 one candidate at a time
+
+    def test_plan_skips_unit_products_only(self, klein):
+        for triples in _search_plan(klein)[1]:
+            assert not any((a == 0 and b == ab) or (b == 0 and a == ab) for a, b, ab in triples)
+        assert sum(map(len, _search_plan(klein)[1])) == 9  # 16 products less 7 unit products
+        loose = Chunk(("1", "a", "b"), "1", {("1", "a"): "b", ("a", "1"): "a", ("a", "a"): "a"})
+        assert _search_plan(loose)[1:] == ([[(1, 1, 1)], [(0, 1, 2)]], [None, (2, 0, 1, 2)])
