@@ -395,27 +395,27 @@ def _quality_parameter(r) -> Fraction:
 
 
 def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
+    """The degree-n supp report.  Each condition is decided on the integer
+    counts, cross-multiplied by r = num/den; the Fractions are only reported."""
     r = _quality_parameter(r)
     counts = _restrictions(gc).counts(n)
-    quality = MorphismQuality.from_counts(*counts)
+    _, products, pairs = counts
+    num, den = r.numerator, r.denominator
     m_star = max_m_with_value_at_most(gc.bound, n)
-    defect_bound = None
-    bound_holds = None
+    defect_bound = bound_holds = None
     if m_star is not None:
         defect_bound = Fraction(2 * (n - m_star), n)
-        bound_holds = quality.defect <= defect_bound
-
-    hypothesis = all(gc.bound(a_q) >= n for a_q in counts[2])
-    gap_small = (m_star is not None and Fraction(n - m_star, n) <= 1 / (2 * r))
-    threshold = 1 - 1 / (2 * r)
-    exp_ok = quality.expansiveness is None or quality.expansiveness >= threshold
+        bound_holds = max(products, default=0) <= 2 * (n - m_star)
+    # Growth functions are monotone, so the closest pair decides the hypothesis.
+    hypothesis = not pairs or gc.bound(min(pairs)) >= n
+    gap_small = m_star is not None and 2 * num * (n - m_star) <= n * den
     return SuppReport(
-        n=n, r=r, m_star=m_star, quality=quality,
+        n=n, r=r, m_star=m_star, quality=MorphismQuality.from_counts(*counts),
         defect_bound=defect_bound, defect_bound_holds=bound_holds,
         separation_hypothesis=hypothesis,
         conclusion_expected=hypothesis and gap_small,
-        expansiveness_threshold=threshold,
-        expansiveness_ok=exp_ok,
+        expansiveness_threshold=Fraction(2 * num - den, 2 * num),  # 1 - 1/(2r)
+        expansiveness_ok=not pairs or 2 * num * min(pairs) >= n * (2 * num - den),
     )
 
 

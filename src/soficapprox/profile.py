@@ -20,20 +20,28 @@ The search works on raw image tuples with integer thresholds.  With r =
 num/den and k the number of points where two images differ, a product passes
 the defect test when ``k*num <= n*den`` and a pair passes the separation test
 when ``k*num >= n*(num - den)``.  Each depth draws its candidates, in lex
-order, from one of three pools, and every candidate drawn is still checked:
+order, from one of three pools:
 
-- the first element takes the cycle-type representatives;
+- the first element takes the cycle-type representatives, each checked;
 - an element that occurs once in a product whose other two members are
-  assigned (a ball triple) takes a Hamming ball: bi-invariance of the metric
-  turns that product's defect test into "within floor(n*den/num) points of
-  one centre permutation".  A ball of radius 0 or 1 is its centre alone;
-- any other element takes an S_n bitset: per point x and value v, one integer
-  has bit i set iff the lex rank-i permutation maps x to v.  Counting set
-  bits across such integers, a whole word of candidates at a time, gives the
-  candidates that pass the separation test against every earlier image and
-  the defect test of every product the depth makes checkable.  Above the
-  degree where these integers outgrow ``_MASK_TABLE_BYTES`` (n >= 11), the
-  element ranges over all of S_n one candidate at a time.
+  assigned (a ball triple) lies in a Hamming ball: bi-invariance of the
+  metric turns that product's defect test into "within floor(n*den/num)
+  points of one centre permutation".  A ball of radius 0 or 1 is its centre
+  alone.  That centre, the members of a ball that is small beside S_n
+  (fewer than n!/2048 members: radius 2 at n = 9) and every ball from
+  n = 10 on are checked one at a time; any other ball is cut out of an S_n
+  bitset as below;
+- every other depth takes an S_n bitset: per point x and value v, one
+  integer has bit i set iff the lex rank-i permutation maps x to v.
+  Counting set bits across such integers, a whole word of candidates at a
+  time, gives exactly the candidates that pass the separation test against
+  every earlier image and the defect test of every product the depth makes
+  checkable, so they are taken unchecked.  A product in which the new
+  element occurs once is a ball, counted as agreements with its centre.
+  Each placed image's separation set is built once, when a deeper pool
+  first needs it.  Above the degree where these integers outgrow
+  ``_MASK_TABLE_BYTES`` (n >= 11), a depth without a ball steps through
+  all of S_n, one checked candidate at a time.
 
 ``Perm`` values are built only for the witness.
 
@@ -55,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, permutations
-from math import factorial
+from math import comb, factorial
 from operator import ne
 from typing import Iterable, Iterator, Mapping
 
@@ -201,31 +209,43 @@ def _hamming_ball(centre: tuple[int, ...], radius: int) -> Iterable[tuple[int, .
     """Permutations differing from ``centre`` in at most ``radius`` points, in lex order."""
     if radius <= 1:
         return [centre]  # no two permutations differ in exactly one point
+    return _ball_members(centre, radius)
+
+
+def _ball_members(centre: tuple[int, ...], radius: int) -> Iterator[tuple[int, ...]]:
+    # A depth-first walk over points 0..n-1 with an explicit stack: ``lost[x]``
+    # counts the points below x that differ from the centre, plus the points
+    # from x on whose centre image is already taken.  Every other point can
+    # still agree, so ``lost[x]`` is the least final distance and the walk
+    # never enters a branch without a member.
     n = len(centre)
     where = _inverse(centre)
     used = [False] * n
     images = [0] * n
-
-    def fill(x: int, lost: int) -> Iterator[tuple[int, ...]]:
-        # ``lost`` counts the points below x that differ from the centre, plus
-        # the points from x on whose centre image is already taken.  Every
-        # other point can still agree, so ``lost`` is the least final distance
-        # and the walk never enters a branch without a member.
+    lost = [0] * (n + 1)
+    start = [0] * n  # the least value point x may still take
+    x = 0
+    while x >= 0:
         if x == n:
             yield tuple(images)
-            return
-        taken = used[centre[x]]
-        for v in range(n):
-            if used[v]:
-                continue
-            k = lost + (v != centre[x] and not taken) + (where[v] > x)
-            if k <= radius:
-                used[v] = True
-                images[x] = v
-                yield from fill(x + 1, k)
-                used[v] = False
-
-    return fill(0, 0)
+            x -= 1
+            used[images[x]] = False
+            continue
+        cx = centre[x]
+        taken = used[cx]
+        for v in range(start[x], n):
+            if not used[v]:
+                k = lost[x] + (v != cx and not taken) + (where[v] > x)
+                if k <= radius:
+                    used[v] = True
+                    images[x], start[x], lost[x + 1] = v, v + 1, k
+                    x += 1
+                    break
+        else:
+            start[x] = 0
+            x -= 1
+            if x >= 0:
+                used[images[x]] = False
 
 
 # The S_n bitsets of one degree take n * n * n! / 8 bytes.  Free depths at
@@ -255,6 +275,33 @@ def _rank_masks(n: int) -> tuple[tuple[int, ...], ...]:
             for u, m in enumerate(prev[x - 1]):
                 row[u + (u >= v0)] |= m << shift
     return tuple(map(tuple, masks))
+
+
+# A ball depth, whose other pool is a short checked walk, draws a bitset pool
+# only where S_n has at most this many ranks per ball member and the masks
+# fit in the smaller budget below (n <= 9).  Per call, with four earlier
+# images and one product, a bitset pool cost 0.76 of checking the ball at
+# 1.8k ranks per member (n = 9, radius 3), 2.9 times as much at 9.8k (n = 9,
+# radius 2) and 27 times at 79k (n = 10, radius 2).  Searching all of Z10 to
+# degree 9, bitset pools took 24-26 s instead of 61-65 s at r = 3 (radius 3),
+# but 3.1-3.3 s instead of 1.4-1.5 s at r = 4 (radius 2).  At n = 10,
+# radius 4, a pool cost 0.87 of the walk, yet searches that drew it ran
+# slower and built 45 MB of masks they would not have needed.
+_RANKS_PER_BALL_MEMBER = 2048
+_BALL_MASK_TABLE_BYTES = 4 << 20
+
+
+def _ball_size(n: int, radius: int) -> int:
+    """The number of permutations of S_n within ``radius`` points of one."""
+    deranged = [1, 0]  # derangements of 0, 1, ... points
+    for k in range(2, radius + 1):
+        deranged.append((k - 1) * (deranged[-1] + deranged[-2]))
+    return sum(comb(n, k) * deranged[k] for k in range(min(radius, n) + 1))
+
+
+@lru_cache(maxsize=2)
+def _all_ranks(n: int) -> int:
+    return (1 << factorial(n)) - 1
 
 
 def _at_least(k: int, sets: list[int]) -> int:
@@ -297,25 +344,45 @@ def _agreements(masks: tuple[tuple[int, ...], ...], full: int, f: list[tuple[int
     return out
 
 
+def _separation_set(masks: tuple[tuple[int, ...], ...], g: tuple[int, ...], min_sep: int) -> int:
+    """Ranks whose permutation differs from ``g`` in at least ``min_sep`` >= 1
+    points, that is, agrees with it in at most ``n - min_sep``."""
+    return ~_at_least(len(g) - min_sep + 1, [masks[x][v] for x, v in enumerate(g)])
+
+
+def _product_set(masks: tuple[tuple[int, ...], ...], full: int, f: list[tuple[int, ...]],
+                 new: int, triple: tuple[int, int, int], radius: int) -> int:
+    """Ranks whose permutation, as the image of element ``new``, passes the
+    defect test of ``triple``: f(ab) and f(a)f(b) agree in at least
+    ``n - radius`` >= 1 points.  Where the new element occurs once, agreeing
+    at x means agreeing with the ball centre at x, one mask per point; only
+    squares and shapes where it occurs more than once need ``_agreements``."""
+    if triple.count(new) == 1:
+        a, b, ab = triple
+        centre = _ball_centre(triple.index(new), f[a], f[b], f[ab])
+        sets = [masks[x][v] for x, v in enumerate(centre)]
+    else:
+        sets = _agreements(masks, full, f, new, triple)
+    return _at_least(len(masks) - radius, sets)
+
+
 def _bitset_pool(f: list[tuple[int, ...]], new: int, triples: list[tuple[int, int, int]],
-                 radius: int, min_sep: int) -> Iterator[tuple[int, ...]]:
+                 radius: int, separated: int) -> Iterator[tuple[int, ...]]:
     """The permutations that pass ``_backtrack``'s checks as the image of
     element ``new``, in lex order, found on bitsets over the lex ranks of S_n.
 
-    A candidate agreeing with an earlier image at more than ``n - min_sep``
-    points fails its separation test, and one agreeing with f(a)f(b) at
-    fewer than ``n - radius`` points fails that product's defect test.
+    ``separated`` holds the ranks that pass every separation test against
+    ``f[:new]``; a candidate agreeing with f(a)f(b) at fewer than
+    ``n - radius`` points fails that product's defect test.
     """
     n = len(f[0])
     masks = _rank_masks(n)
-    live = full = (1 << factorial(n)) - 1
-    if min_sep > 0:
-        for g in f[:new]:
-            live &= ~_at_least(n - min_sep + 1, [masks[x][v] for x, v in enumerate(g)])
+    full = _all_ranks(n)
+    live = separated
     if radius < n:
         for t in triples:
             if live:
-                live &= _at_least(n - radius, _agreements(masks, full, f, new, t))
+                live &= _product_set(masks, full, f, new, t, radius)
     return _decode(live, n)
 
 
@@ -376,37 +443,64 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     min_sep = -(-n * (num - den) // num)  # separation passes iff k*num >= n*(num - den)
     full = factorial(n)
     bitsets = n * n * full <= 8 * _MASK_TABLE_BYTES
+    # a ball of radius 0 or 1 is one candidate, and a small ball in a large
+    # S_n is cheaper to check than to cut out of a bitset
+    ball_bitsets = (radius >= 2 and n * n * full <= 8 * _BALL_MASK_TABLE_BYTES
+                    and full <= _RANKS_PER_BALL_MEMBER * _ball_size(n, radius))
     first = first_candidates
     if first is None:
         first = [cycle_type_representative(t, n).images for t in all_cycle_types(n)]
     f: list[tuple[int, ...]] = [ident] * (len(order) + 1)
+    # allowed[k]: the ranks that pass the separation tests against f[:k], or
+    # None until a bitset pool needs it after f[k - 1] is placed.  Placing
+    # f[k] resets allowed[k + 1], and depth ``new`` draws a pool only after
+    # depths 1..new-1 were placed in order since any of them last changed, so
+    # every entry up to allowed[new] is either None or built from the current f.
+    allowed: list[int | None] = [None] * (len(order) + 2)
     nodes = 0
 
-    def pool(new: int) -> Iterable[tuple[int, ...]]:
-        if new == 1:
-            return first
+    def separated(new: int) -> int:
+        k = new
+        while k > 0 and allowed[k] is None:
+            k -= 1
+        if allowed[0] is None:
+            allowed[0] = _all_ranks(n)
+        masks = _rank_masks(n)
+        for i in range(k, new):
+            allowed[i + 1] = allowed[i]
+            if min_sep > 0:
+                allowed[i + 1] &= _separation_set(masks, f[i], min_sep)
+        return allowed[new]
+
+    def pool(new: int) -> tuple[Iterable[tuple[int, ...]], bool]:
+        """The candidates of depth ``new`` in lex order, and whether they
+        still need the checks: a bitset pool holds exactly those that pass."""
         ball = balls_at[new - 1]
+        if new == 1:
+            return first, True
+        if bitsets and (ball is None or ball_bitsets):
+            return _bitset_pool(f, new, triples_at[new - 1], radius, separated(new)), False
         if ball is not None and radius < n:
             role, a, b, ab = ball
-            return _hamming_ball(_ball_centre(role, f[a], f[b], f[ab]), radius)
-        if bitsets:
-            return _bitset_pool(f, new, triples_at[new - 1], radius, min_sep)
-        return permutations(ident)
+            return _hamming_ball(_ball_centre(role, f[a], f[b], f[ab]), radius), True
+        return permutations(ident), True
 
     def extend(new: int) -> bool:
-        # Every permutation a pool leaves out fails a check below, so the
-        # pools change no outcome, only the work done.
         nonlocal nodes
         earlier = f[:new]
         triples = triples_at[new - 1]
-        for cand in pool(new):
-            if all(sum(map(ne, g, cand)) >= min_sep for g in earlier):
-                f[new] = cand
-                if all(sum(map(ne, f[ab], _compose(f[a], f[b]))) <= radius
-                       for a, b, ab in triples):
-                    if new == len(order) or extend(new + 1):
-                        nodes += (first.index(cand) if new == 1 else _lex_rank(cand)) + 1
-                        return True
+        drawn, checked = pool(new)
+        for cand in drawn:
+            f[new] = cand
+            if checked and not (
+                    all(sum(map(ne, g, cand)) >= min_sep for g in earlier)
+                    and all(sum(map(ne, f[ab], _compose(f[a], f[b]))) <= radius
+                            for a, b, ab in triples)):
+                continue
+            allowed[new + 1] = None
+            if new == len(order) or extend(new + 1):
+                nodes += (first.index(cand) if new == 1 else _lex_rank(cand)) + 1
+                return True
         nodes += len(first) if new == 1 else full
         return False
 

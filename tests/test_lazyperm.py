@@ -17,6 +17,7 @@ from soficapprox.lazyperm import (
     GChunkError,
     LazyPerm,
     StageReport,
+    SuppReport,
     audit,
     build_gchunk,
     compose_lazy,
@@ -194,6 +195,24 @@ class TestSuppQuality:
         gc = z2_pair_swap_gchunk()
         for n in range(1, 60):
             assert supp_quality(gc, n, 3) == reference_supp_quality(gc, n, 3), n
+
+    def test_bounded_carriers_match_reference_field_by_field(self):
+        # the integer decisions against the Fraction comparisons they replace
+        seen = {}
+        for seed in range(8):
+            loose = seed % 2 == 1
+            gc, ref = bounded_gchunk(seed, 40, loose), bounded_gchunk(seed, 40, loose)
+            for n in range(1, 100):
+                for r in (1, Fraction(3, 2), 2, Fraction(7, 3), 5):
+                    got, want = supp_quality(gc, n, r), reference_supp_quality(ref, n, r)
+                    for field in fields(SuppReport):
+                        value = getattr(got, field.name)
+                        assert value == getattr(want, field.name), (seed, n, r, field.name)
+                        assert type(value) is type(getattr(want, field.name)), field.name
+                        seen.setdefault(field.name, set()).add(value)
+        for name in ("defect_bound_holds", "separation_hypothesis", "conclusion_expected",
+                     "expansiveness_ok"):
+            assert {True, False} <= seen[name], name
 
 
 @pytest.mark.parametrize("r", [0, -1, Fraction(1, 2)])

@@ -11,15 +11,20 @@ from soficapprox.chunk import Chunk, induced_chunk
 from soficapprox.permcore import (Perm, all_perms, compose, hamming_distance, identity, inverse,
                                   transposition)
 from soficapprox.profile import (
+    DegreeRecord,
     Exhausted,
     ProfileCertificate,
+    _agreements,
+    _at_least,
     _backtrack,
     _bitset_pool,
     _decode,
     _hamming_ball,
     _lex_rank,
+    _product_set,
     _rank_masks,
     _search_degree,
+    _separation_set,
     _search_plan,
     decide_product,
     disagreement_counts,
@@ -472,10 +477,13 @@ class TestBitsetPool:
             for r in map(Fraction, (1, Fraction(3, 2), 2, 3, 7)):
                 num, den = r.numerator, r.denominator
                 radius, min_sep = n * den // num, -(-n * (num - den) // num)
+                separated = (1 << len(everything)) - 1
+                for g in f[:new] if min_sep > 0 else ():
+                    separated &= _separation_set(_rank_masks(n), g, min_sep)
                 for triples in [[]] + [[t] for t in shapes] + [rng.sample(shapes, 3)]:
                     want = [p for p in everything
                             if passes_checks(f, new, triples, radius, min_sep, p)]
-                    assert list(_bitset_pool(f, new, triples, radius, min_sep)) == want, \
+                    assert list(_bitset_pool(f, new, triples, radius, separated)) == want, \
                         (f, triples, r)
 
     def test_backtrack_matches_reference_on_sparse_traces(self):
@@ -513,9 +521,86 @@ class TestBitsetPool:
         assert _backtrack(c, Fraction(3), 6) == want[6]
         assert built == []  # degree 6 is past it: S_6 one candidate at a time
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_centre_set_counts_agreements(self, n):
+        # a triple in which the new element occurs once: the agreements with
+        # the ball centre, one mask per point, are the agreements of the product
+        everything = list(itertools.permutations(range(n)))
+        masks, full = _rank_masks(n), (1 << len(everything)) - 1
+        rng = random.Random(300 + n)
+        new = 3
+        shapes = [(3, 1, 2), (1, 3, 2), (1, 2, 3), (3, 2, 2), (0, 3, 1), (2, 0, 3)]
+        assert {t.index(new) for t in shapes} == {0, 1, 2}
+        for _ in range(4 if n < 7 else 2):
+            f = [tuple(range(n))] + [rng.choice(everything) for _ in range(new - 1)] + [None]
+            for t in shapes:
+                for radius in range(n):
+                    assert _product_set(masks, full, f, new, t, radius) == \
+                        _at_least(n - radius, _agreements(masks, full, f, new, t)), (f, t, radius)
+
+    def test_masks_built_only_for_a_drawn_bitset_pool(self, monkeypatch):
+        built = []
+        rank_masks = profile._rank_masks
+        monkeypatch.setattr(profile, "_rank_masks", lambda n: built.append(n) or rank_masks(n))
+        # Z4 at r = 4: every depth has a ball triple of radius at most 1
+        c = cyclic_chunk(4)
+        for n in range(1, 5):
+            assert _backtrack(c, Fraction(4), n) == reference_backtrack(c, 4, n), n
+        assert built == []
+        # at r = 2 degree 4 has radius 2, so its ball depths draw bitsets
+        assert _backtrack(c, Fraction(2), 4) == reference_backtrack(c, 2, 4)
+        assert built and max(built) == 4
+
+    @pytest.mark.parametrize("ranks_per_member,table_bytes,drawn", [
+        (45, 6 * 6 * 720 // 8, True),  # exactly at both limits: bitset pools
+        (44, 6 * 6 * 720 // 8, False),  # too few ranks per member
+        (45, 6 * 6 * 720 // 8 - 1, False),  # masks over the budget
+    ])
+    def test_ball_pool_rule_both_sides(self, monkeypatch, ranks_per_member, table_bytes, drawn):
+        # Z5 at r = 3, degree 6: every depth past the first is a ball of
+        # radius 2 with 16 members, and S_6 has 720 = 45 * 16 ranks
+        c = cyclic_chunk(5)
+        built = []
+        rank_masks = profile._rank_masks
+        monkeypatch.setattr(profile, "_rank_masks", lambda n: built.append(n) or rank_masks(n))
+        monkeypatch.setattr(profile, "_RANKS_PER_BALL_MEMBER", ranks_per_member)
+        monkeypatch.setattr(profile, "_BALL_MASK_TABLE_BYTES", table_bytes)
+        assert _backtrack(c, Fraction(3), 6) == reference_backtrack(c, 3, 6)
+        # without bitset pools each ball is stepped through and checked
+        assert max(built, default=0) == (6 if drawn else 0)
+
+    def test_ball_size_counts_the_ball(self):
+        for n in range(1, 7):
+            everything = list(itertools.permutations(range(n)))
+            for radius in range(n + 2):
+                assert profile._ball_size(n, radius) == \
+                    sum(sum(map(ne, p, everything[0])) <= radius for p in everything)
+
     def test_plan_skips_unit_products_only(self, klein):
         for triples in _search_plan(klein)[1]:
             assert not any((a == 0 and b == ab) or (b == 0 and a == ab) for a, b, ab in triples)
         assert sum(map(len, _search_plan(klein)[1])) == 9  # 16 products less 7 unit products
         loose = Chunk(("1", "a", "b"), "1", {("1", "a"): "b", ("a", "1"): "a", ("a", "a"): "a"})
         assert _search_plan(loose)[1:] == ([[(1, 1, 1)], [(0, 1, 2)]], [None, (2, 0, 1, 2)])
+
+
+# Rows of the ROADMAP baseline table at r = 3, whose ball depths draw decided
+# bitset pools from degree 6 on: the least degree, the lex ranks of the
+# witness images in element order, and the nodes of every degree below it.
+BASELINE_ROWS = [
+    ("Z16{0,2,4,7,9,14}", 16, (0, 2, 4, 7, 9, 14), 6, (0, 150, 288, 169, 247, 360),
+     (1, 4, 39, 461, 11647)),
+    ("Z13{0,1,6,8,9,12}", 13, (0, 1, 6, 8, 9, 12), 6, (0, 147, 181, 598, 666, 258),
+     (1, 4, 63, 1013, 32167)),
+    ("Z12{0,1,2,4,5,7}", 12, (0, 1, 2, 4, 5, 7), 8, (0, 5889, 11560, 2592, 23632, 35136),
+     (1, 4, 21, 125, 847, 974171, 12237135)),
+]
+
+
+@pytest.mark.parametrize("name,m,elems,least,ranks,nodes", BASELINE_ROWS,
+                         ids=[row[0] for row in BASELINE_ROWS])
+def test_baseline_rows_keep_witness_and_records(name, m, elems, least, ranks, nodes):
+    cert = sofic_profile(cyclic_chunk(m, elems), 3, least)
+    assert cert.n == least
+    assert [_lex_rank(cert.assignment[str(x)].images) for x in elems] == list(ranks)
+    assert cert.infeasible == tuple(DegreeRecord(d, k) for d, k in enumerate(nodes, start=1))
