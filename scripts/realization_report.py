@@ -18,7 +18,7 @@ from soficapprox.chunk import parse_chunk_file
 from soficapprox.cli import emit_realization, format_rational
 from soficapprox.growth import is_slow
 from soficapprox.lazyperm import realize, supp_morphism
-from soficapprox.profile import Exhausted, sofic_profile
+from soficapprox.profile import Exhausted, profile_table
 
 
 def main(argv=None):
@@ -31,16 +31,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     c = parse_chunk_file(args.chunk)
-    certs = []
-    for r in range(2, args.depth + 1):
-        result = sofic_profile(c, r, args.n_max, workers=args.workers)
-        if isinstance(result, Exhausted):
-            print(f"profile search exhausted at r = {r} (n_max = {result.n_max})")
+    certs = profile_table(c, range(2, args.depth + 1), args.n_max, workers=args.workers)
+    for r, cert in enumerate(certs, start=2):
+        if isinstance(cert, Exhausted):
+            print(f"profile search exhausted at r = {r} (n_max = {cert.n_max})")
             return 2
-        certs.append(result)
-        print(f"certificate r = {r}: degree {result.n}, "
-              f"defect {format_rational(result.quality.defect)}, "
-              f"expansiveness {format_rational(result.quality.expansiveness)}")
+        print(f"certificate r = {r}: degree {cert.n}, "
+              f"defect {format_rational(cert.quality.defect)}, "
+              f"expansiveness {format_rational(cert.quality.expansiveness)}")
 
     real = realize(c, certs)
     print()

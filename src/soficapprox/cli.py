@@ -499,13 +499,11 @@ def _cmd_realize(args) -> int:
     if args.depth < 2:
         raise ValueError("depth must be at least 2")
     n_max = args.n_max if args.n_max is not None else DEFAULT_N_MAX
-    certs = []
-    for r in range(2, args.depth + 1):
-        result = sofic_profile(c, r, n_max, workers=args.workers)
-        if isinstance(result, Exhausted):
-            print(f"profile search exhausted at r = {r}, n_max = {result.n_max}")
+    certs = profile_table(c, range(2, args.depth + 1), n_max, workers=args.workers)
+    for r, cert in enumerate(certs, start=2):
+        if isinstance(cert, Exhausted):
+            print(f"profile search exhausted at r = {r}, n_max = {cert.n_max}")
             return EXIT_EXHAUSTED
-        certs.append(result)
     real = realize(c, certs)
     for st in real.stages:
         print(f"n = {st.n} m = {st.m_n} f = {st.f_n} degree = {st.degree} "

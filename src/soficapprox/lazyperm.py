@@ -354,13 +354,6 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
                   RestrictionTables(chunk, carriers, values))
 
 
-def _restrictions(gc: GChunk) -> RestrictionTables:
-    """The g-chunk's tables; an object with only ``chunk`` and ``carriers``
-    gets tables of its own for one call."""
-    tables = getattr(gc, "restrictions", None)
-    return tables if tables is not None else RestrictionTables(gc.chunk, gc.carriers)
-
-
 def supp_morphism(gc: GChunk, n: int) -> dict[str, Perm]:
     """Degree-n restriction of every carrier, greedily completed to bijections.
 
@@ -368,7 +361,7 @@ def supp_morphism(gc: GChunk, n: int) -> dict[str, Perm]:
     domain points are matched to leftover range points in increasing order.
     The unit goes to the identity.
     """
-    return {e: Perm(tuple(images)) for e, images in _restrictions(gc).images(n).items()}
+    return {e: Perm(tuple(images)) for e, images in gc.restrictions.images(n).items()}
 
 
 @dataclass(frozen=True)
@@ -398,7 +391,7 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
     """The degree-n supp report.  Each condition is decided on the integer
     counts, cross-multiplied by r = num/den; the Fractions are only reported."""
     r = _quality_parameter(r)
-    counts = _restrictions(gc).counts(n)
+    counts = gc.restrictions.counts(n)
     _, products, pairs = counts
     num, den = r.numerator, r.denominator
     m_star = max_m_with_value_at_most(gc.bound, n)
@@ -421,7 +414,7 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
 
 def supp_defect_holds(gc: GChunk, n: int, r: Fraction) -> bool:
     """Whether the degree-n supp morphism has defect at most 1/r."""
-    return r * max(_restrictions(gc).counts(n)[1], default=0) <= n
+    return r * max(gc.restrictions.counts(n)[1], default=0) <= n
 
 
 def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:
@@ -596,8 +589,7 @@ class Realization:
         return Fraction(num, self.layout[n - 2])
 
 
-def realize(c: Chunk, certs: Sequence[ProfileCertificate], *,
-            require_valid: bool = True) -> Realization:
+def realize(c: Chunk, certs: Sequence[ProfileCertificate]) -> Realization:
     """Assemble the realization from certificates at r = 2, 3, ..., depth.
 
     Each multiplicity f(n) is the least positive integer making the stage-n
@@ -620,10 +612,9 @@ def realize(c: Chunk, certs: Sequence[ProfileCertificate], *,
     stage-sum ratio slow_lhs never exceeds g_gap, since x/(degree-1+x) does
     not decrease in x, so its inequality follows.
     """
-    if require_valid:
-        report = validate(c)
-        if not report.ok:
-            raise ValueError("chunk fails validation: " + "; ".join(report.all_violations()))
+    report = validate(c)
+    if not report.ok:
+        raise ValueError("chunk fails validation: " + "; ".join(report.all_violations()))
     if not certs:
         raise ValueError("need at least the r = 2 certificate")
     counts = []

@@ -54,12 +54,22 @@ a bitset leaves out only permutations that fail a check, so it changes which
 candidates are tried but not which one completes a witness, nor this count,
 which each call adds in closed form: ``n!`` or the witness image's lex rank
 plus one.
+
+Every caller that needs several r (``sofic realize``, ``profile --all-r``
+and both scripts) shares one sweep, ``profile_table``.  An assignment that
+meets the 1/r' thresholds meets the 1/r ones for every r < r', so the sweep
+takes the r in increasing order and starts each at the least degree of the
+one before it.  The search reads r only through a degree's radius and
+min_sep, so the sweep memoizes each degree's outcome on (n, radius,
+min_sep) and searches none twice.  Its results carry no records: only
+``sofic_profile``, which searches every degree from 1 and backs
+``profile --r`` and ``--emit-cert``, claims minimality.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, permutations
@@ -107,9 +117,15 @@ class DegreeRecord:
 
 @dataclass(frozen=True)
 class ProfileCertificate:
-    """A least-degree witness with its measured quality and the degrees below
-    it proven infeasible.  ``quality`` is None on the stages rebuilt from a
-    realization file, because ``realize`` counts each stage itself."""
+    """A least-degree witness with its measured quality and the records of
+    the degrees below it proven infeasible.
+
+    Only ``sofic_profile`` makes that minimality claim, so only its results
+    are emitted as certificates.  The results of ``profile_table`` and the
+    stages rebuilt from a realization file carry ``infeasible=()``.
+    ``quality`` is None on the rebuilt stages, because ``realize`` counts
+    each stage itself.
+    """
 
     r: Fraction
     n: int
@@ -535,32 +551,52 @@ def _search_degree(c: Chunk, r: Fraction, n: int, workers: int) -> tuple[dict[st
     return None, nodes
 
 
-def sofic_profile(c: Chunk, r, n_max: int, *, workers: int = 1,
-                  require_valid: bool = True) -> ProfileCertificate | Exhausted:
-    """Least feasible degree for the 1/r thresholds, or Exhausted(n_max).
-
-    ``require_valid=False`` skips the group-trace validation, for deliberately
-    pathological inputs.  r = 1 is accepted; the resulting certificate is
-    flagged vacuous since both thresholds degenerate.
-    """
-    r = Fraction(r)
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
+def _checked(c: Chunk, rs: Iterable, n_max: int, require_valid: bool) -> list[Fraction]:
+    """The quality parameters as Fractions, once each is known to be at
+    least 1, ``n_max`` positive and, if required, the chunk a group trace."""
+    rs = [Fraction(r) for r in rs]
+    for r in rs:
+        if r < 1:
+            raise ValueError(f"r must be at least 1, got {r}")
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     if require_valid:
         report = validate(c)
         if not report.ok:
             raise ValueError("chunk fails validation: " + "; ".join(report.all_violations()))
+    return rs
 
+
+def _least_degree(c: Chunk, r: Fraction, n_from: int, n_max: int, workers: int,
+                  memo: dict[tuple[int, int, int], tuple[dict[str, Perm] | None, int]]
+                  ) -> ProfileCertificate | Exhausted:
+    """Least feasible degree from ``n_from`` to ``n_max``, with a record of
+    each degree searched below it.  Degree outcomes are read from and added
+    to ``memo`` under (n, radius, min_sep), all that ``_backtrack`` reads of r."""
+    num, den = r.numerator, r.denominator
     records: list[DegreeRecord] = []
-    for n in range(1, n_max + 1):
-        witness, nodes = _search_degree(c, r, n, workers)
+    for n in range(n_from, n_max + 1):
+        key = (n, n * den // num, -(-n * (num - den) // num))
+        if key not in memo:
+            memo[key] = _search_degree(c, r, n, workers)
+        witness, nodes = memo[key]
         if witness is not None:
-            quality = measure(c, witness)
-            return ProfileCertificate(r, n, witness, quality, tuple(records))
+            return ProfileCertificate(r, n, witness, measure(c, witness), tuple(records))
         records.append(DegreeRecord(n, nodes))
     return Exhausted(n_max, tuple(records))
+
+
+def sofic_profile(c: Chunk, r, n_max: int, *, workers: int = 1,
+                  require_valid: bool = True) -> ProfileCertificate | Exhausted:
+    """Least feasible degree for the 1/r thresholds, or Exhausted(n_max),
+    with the record of every degree below it proven infeasible.
+
+    ``require_valid=False`` skips the group-trace validation, for deliberately
+    pathological inputs.  r = 1 is accepted; the resulting certificate is
+    flagged vacuous since both thresholds degenerate.
+    """
+    (r,) = _checked(c, [r], n_max, require_valid)
+    return _least_degree(c, r, 1, n_max, workers, {})
 
 
 def replay_records(c: Chunk, r, records, *, workers: int = 1) -> None:
@@ -576,10 +612,26 @@ def replay_records(c: Chunk, r, records, *, workers: int = 1) -> None:
                              f"but is recorded with {rec.nodes}")
 
 
-def profile_table(c: Chunk, rs, n_max: int, *, workers: int = 1,
-                  require_valid: bool = True) -> list[ProfileCertificate | Exhausted]:
-    return [sofic_profile(c, r, n_max, workers=workers, require_valid=require_valid)
-            for r in rs]
+def profile_table(c: Chunk, rs, n_max: int, *,
+                  workers: int = 1) -> list[ProfileCertificate | Exhausted]:
+    """``sofic_profile`` at every r of ``rs``, in their order, with
+    ``infeasible=()``, from one sweep: the distinct r in increasing order,
+    each from the least degree of the one before, sharing one memo of degree
+    outcomes.  Once one r is exhausted at ``n_max``, every larger r is too.
+    """
+    rs = _checked(c, rs, n_max, True)
+    memo: dict = {}
+    least: dict[Fraction, ProfileCertificate | Exhausted] = {}
+    n_from = 1
+    for r in sorted(set(rs)):
+        found = _least_degree(c, r, n_from, n_max, workers, memo)
+        if isinstance(found, Exhausted):
+            least[r] = Exhausted(n_max)
+            n_from = n_max + 1
+        else:
+            least[r] = replace(found, infeasible=())
+            n_from = found.n
+    return [least[r] for r in rs]
 
 
 def decide_product(c: Chunk, i: str, j: str, k: str,

@@ -16,6 +16,7 @@ from soficapprox.lazyperm import (
     BoundWitness,
     GChunkError,
     LazyPerm,
+    RestrictionTables,
     StageReport,
     SuppReport,
     audit,
@@ -152,11 +153,9 @@ class TestSuppMorphism:
     def test_non_injective_carrier_rejected(self):
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
         broken = LazyPerm(lambda m: 0 if m < 2 else m, lambda m: m, "broken")
-        gc_like = type("GC", (), {})()
-        gc_like.chunk = c
-        gc_like.carriers = {"1": identity_lazy(), "a": broken}
-        with pytest.raises(ValueError):
-            supp_morphism(gc_like, 5)
+        tables = RestrictionTables(c, {"1": identity_lazy(), "a": broken})
+        with pytest.raises(ValueError, match="not injective"):
+            tables.images(5)
 
 
 class TestSuppQuality:

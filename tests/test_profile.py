@@ -8,6 +8,7 @@ import pytest
 
 from soficapprox import profile
 from soficapprox.chunk import Chunk, induced_chunk
+from soficapprox.cli import main
 from soficapprox.permcore import (Perm, all_perms, compose, hamming_distance, identity, inverse,
                                   transposition)
 from soficapprox.profile import (
@@ -34,6 +35,7 @@ from soficapprox.profile import (
 )
 
 
+from conftest import data_path
 from oracles import (brute_force_feasible, brute_force_least_n, reference_backtrack,
                      reference_measure)
 
@@ -219,6 +221,97 @@ class TestProfileTable:
         results = profile_table(c, rs, 6)
         values = [res.n for res in results]
         assert values == sorted(values)
+
+
+def sweep_chunk(name, request):
+    if name == "Z9{0,1,6,7,8}":
+        return cyclic_chunk(9, [0, 1, 6, 7, 8])
+    return request.getfixturevalue(name)
+
+
+SWEEP_RS = [1, Fraction(3, 2), 2, 3, 4, 5]
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The (r, n) of every degree search, in call order."""
+    calls = []
+    search = profile._search_degree
+    monkeypatch.setattr(profile, "_search_degree",
+                        lambda c, r, n, workers: calls.append((r, n)) or search(c, r, n, workers))
+    return calls
+
+
+def memo_key(r, n):
+    return n, n * r.denominator // r.numerator, -(-n * (r.numerator - r.denominator) // r.numerator)
+
+
+class TestSweep:
+    """``profile_table`` decides each r from the last r's least degree, on
+    degree outcomes shared through one memo; its answers are
+    ``sofic_profile``'s without the records."""
+
+    @pytest.mark.parametrize("name", ["z2", "z3", "klein", "z4trace", "Z9{0,1,6,7,8}"])
+    def test_matches_sofic_profile(self, name, request):
+        c = sweep_chunk(name, request)
+        swept = profile_table(c, SWEEP_RS, 6)
+        for r, got in zip(SWEEP_RS, swept):
+            cert = sofic_profile(c, r, 6)
+            assert (got.r, got.n, got.assignment, got.quality) == \
+                (cert.r, cert.n, cert.assignment, cert.quality), (name, r)
+            assert got.infeasible == ()
+
+    def test_order_duplicates_and_exhaustion(self, searched):
+        # at n_max = 4, Z9{0,1,6,7,8} has least degree 4 at r <= 2 and none at r >= 3
+        c = cyclic_chunk(9, [0, 1, 6, 7, 8])
+        rs = [2, 5, Fraction(3, 2), 2, 3]
+        got = profile_table(c, rs, 4)
+        # r = 2 reads degree 4 (radius 2) from r = 3/2, and r = 5 follows r = 3 unsearched
+        assert searched == [(Fraction(3, 2), n) for n in range(1, 5)] + [(3, 4)]
+        assert [res.n if isinstance(res, ProfileCertificate) else None for res in got] == \
+            [4, None, 4, 4, None]
+        assert [res.r for res in got if isinstance(res, ProfileCertificate)] == \
+            [2, Fraction(3, 2), 2]
+        assert got[1] == got[4] == Exhausted(4)
+        assert got[0] == got[3]
+        for r, res in zip(rs, got):
+            expected = sofic_profile(c, r, 4)
+            if isinstance(expected, Exhausted):
+                assert res == Exhausted(4)
+            else:
+                assert (res.n, res.assignment) == (expected.n, expected.assignment)
+
+    def test_searches_each_degree_once_from_the_last_least(self, searched):
+        c = cyclic_chunk(9, [0, 1, 6, 7, 8])
+        least = {r: sofic_profile(c, r, 6).n for r in SWEEP_RS}
+        searched.clear()
+        profile_table(c, reversed(SWEEP_RS), 6)
+        keys = [memo_key(r, n) for r, n in searched]
+        assert len(keys) == len(set(keys))
+        assert [r for r, _ in searched] == sorted(r for r, _ in searched)
+        for r, n in searched:
+            below = [least[s] for s in SWEEP_RS if s < r]
+            assert n >= max(below, default=1)
+            assert n <= least[r]
+
+    def test_realize_searches_each_degree_once(self, z3, searched, capsys):
+        least = {r: sofic_profile(z3, r, 8).n for r in range(2, 25)}
+        outs = []
+        for workers in ("1", "2"):
+            searched.clear()
+            assert main(["--workers", workers, "realize", "--chunk", data_path("z3.chunk"),
+                         "--depth", "24"]) == 0
+            outs.append(capsys.readouterr().out)
+            keys = {memo_key(r, n) for r, n in searched}
+            # stage by stage from degree 1, the searches would number 69
+            assert len(searched) == len(keys) == 4
+            assert all(r == 2 or n >= least[r - 1] for r, n in searched)
+        assert outs[0] == outs[1]
+
+    def test_rejects_r_below_one_before_searching(self, z3, searched):
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            profile_table(z3, [3, Fraction(1, 2)], 4)
+        assert searched == []
 
 
 class TestWitnessProperties:

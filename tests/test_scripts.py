@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+from soficapprox.cli import main
+
 from conftest import data_path
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -29,3 +31,25 @@ class TestProfileSweep:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(": error: --rs: zero denominator in '1/0'")
         assert "Traceback" not in err
+
+
+class TestRealizationReport:
+    def test_report_and_emitted_file(self, tmp_path, capsys):
+        emitted = tmp_path / "report.json"
+        code = load_script("realization_report").main(
+            [data_path("z3.chunk"), "--depth", "4", "--emit", str(emitted)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [f"certificate r = {r}: degree 3, defect 0/1, expansiveness 1/1"
+                             for r in (2, 3, 4)]
+        assert "supp restrictions reproduce every stage: yes" in lines
+        realized = tmp_path / "realize.json"
+        assert main(["realize", "--chunk", data_path("z3.chunk"), "--depth", "4",
+                     "--emit", str(realized)]) == 0
+        assert emitted.read_bytes() == realized.read_bytes()
+
+    def test_exhausted_stage(self, capsys):
+        code = load_script("realization_report").main(
+            [data_path("z3.chunk"), "--depth", "4", "--n-max", "2"])
+        assert code == 2
+        assert capsys.readouterr().out == "profile search exhausted at r = 2 (n_max = 2)\n"
