@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import gadgets, profile
-from .chunk import Chunk, ChunkParseError, format_chunk, parse_chunk, validate
+from .chunk import Chunk, ChunkParseError, format_chunk, parse_chunk, parse_chunk_file, validate
 from .growth import GrowthFn, growth_profile, is_slow, ll, lt_eventually, parse_growth, sim
 from .lazyperm import (GChunk, LazyPerm, Realization, build_gchunk, finitary,
                        identity_lazy, realize, supp_quality)
@@ -246,8 +246,7 @@ def parse_gchunk_file(path: str, horizon: int) -> GChunk:
             if line.startswith("chunk "):
                 rel = line[len("chunk "):].strip()
                 target = rel if os.path.isabs(rel) else os.path.join(base, rel)
-                with open(target, "r", encoding="utf-8") as ch:
-                    chunk_obj = parse_chunk(ch.read())
+                chunk_obj = parse_chunk_file(target)
             elif line.startswith("carrier "):
                 body = line[len("carrier "):]
                 name, _, spec = body.partition("=")
@@ -370,13 +369,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_chunk(path: str) -> Chunk:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_chunk(fh.read())
-
-
 def _cmd_chunk_validate(args) -> int:
-    c = _load_chunk(args.file)
+    c = parse_chunk_file(args.file)
     report = validate(c)
     if report.ok:
         print("valid")
@@ -387,7 +381,7 @@ def _cmd_chunk_validate(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    c = _load_chunk(args.chunk)
+    c = parse_chunk_file(args.chunk)
     n_max = args.n_max if args.n_max is not None else DEFAULT_N_MAX
     if args.all_r:
         if args.emit_witness or args.emit_cert:
@@ -495,7 +489,7 @@ def _yn(value) -> str:
 
 
 def _cmd_realize(args) -> int:
-    c = _load_chunk(args.chunk)
+    c = parse_chunk_file(args.chunk)
     if args.depth < 2:
         raise ValueError("depth must be at least 2")
     n_max = args.n_max if args.n_max is not None else DEFAULT_N_MAX
@@ -589,7 +583,7 @@ def main(argv=None) -> int:
         if args.command == "cert":
             return _cmd_cert_verify(args)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

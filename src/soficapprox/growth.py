@@ -584,11 +584,17 @@ def max_m_with_value_at_most(g: GrowthFn, n: int) -> int | None:
     return lo
 
 
-def growth_profile(g: GrowthFn, r, n_max: int) -> int | Exhausted:
-    """Least n with some m satisfying g(m) <= n and (n - m)/n < 1/r."""
+def quality_parameter(r) -> Fraction:
+    """``r`` as a Fraction, once it is known to be at least 1."""
     r = Fraction(r)
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
+    return r
+
+
+def growth_profile(g: GrowthFn, r, n_max: int) -> int | Exhausted:
+    """Least n with some m satisfying g(m) <= n and (n - m)/n < 1/r."""
+    r = quality_parameter(r)
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     if is_infinite(g):

@@ -40,9 +40,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validate
 from .growth import (BlockStep, Exhausted, GrowthFn, growth_profile,
-                     max_m_with_value_at_most)
+                     max_m_with_value_at_most, quality_parameter)
 from .permcore import Perm, block_sum, disagreements, inverse
-from .profile import MorphismQuality, ProfileCertificate, disagreement_counts
+from .profile import MorphismQuality, ProfileCertificate, disagreement_counts, threshold_radius
 
 
 class GChunkError(ValueError):
@@ -380,20 +380,13 @@ class SuppReport:
     expansiveness_ok: bool
 
 
-def _quality_parameter(r) -> Fraction:
-    r = Fraction(r)
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
-    return r
-
-
 def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
     """The degree-n supp report.  Each condition is decided on the integer
-    counts, cross-multiplied by r = num/den; the Fractions are only reported."""
-    r = _quality_parameter(r)
+    counts against the radius of 2r; the Fractions are only reported."""
+    r = quality_parameter(r)
     counts = gc.restrictions.counts(n)
     _, products, pairs = counts
-    num, den = r.numerator, r.denominator
+    radius = threshold_radius(n, r) // 2  # of 2r: floor(floor(n/r)/2) = floor(n/(2r))
     m_star = max_m_with_value_at_most(gc.bound, n)
     defect_bound = bound_holds = None
     if m_star is not None:
@@ -401,20 +394,21 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
         bound_holds = max(products, default=0) <= 2 * (n - m_star)
     # Growth functions are monotone, so the closest pair decides the hypothesis.
     hypothesis = not pairs or gc.bound(min(pairs)) >= n
-    gap_small = m_star is not None and 2 * num * (n - m_star) <= n * den
+    gap_small = m_star is not None and n - m_star <= radius
     return SuppReport(
         n=n, r=r, m_star=m_star, quality=MorphismQuality.from_counts(*counts),
         defect_bound=defect_bound, defect_bound_holds=bound_holds,
         separation_hypothesis=hypothesis,
         conclusion_expected=hypothesis and gap_small,
-        expansiveness_threshold=Fraction(2 * num - den, 2 * num),  # 1 - 1/(2r)
-        expansiveness_ok=not pairs or 2 * num * min(pairs) >= n * (2 * num - den),
+        expansiveness_threshold=Fraction(2 * r.numerator - r.denominator,
+                                         2 * r.numerator),  # 1 - 1/(2r)
+        expansiveness_ok=not pairs or min(pairs) >= n - radius,
     )
 
 
 def supp_defect_holds(gc: GChunk, n: int, r: Fraction) -> bool:
     """Whether the degree-n supp morphism has defect at most 1/r."""
-    return r * max(gc.restrictions.counts(n)[1], default=0) <= n
+    return max(gc.restrictions.counts(n)[1], default=0) <= threshold_radius(n, r)
 
 
 def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:
@@ -425,7 +419,7 @@ def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:
     defect need not be monotone in n; use ``property_holds_mask`` to inspect
     the full scan.
     """
-    r = _quality_parameter(r)
+    r = quality_parameter(r)
     found = None
     for n in range(1, n_max + 1):
         if supp_defect_holds(gc, n, r):
@@ -443,7 +437,7 @@ def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:
 
 
 def property_holds_mask(gc: GChunk, r, n_range: Sequence[int]) -> list[bool]:
-    r = _quality_parameter(r)
+    r = quality_parameter(r)
     return [supp_defect_holds(gc, n, r) for n in n_range]
 
 
@@ -632,8 +626,8 @@ def realize(c: Chunk, certs: Sequence[ProfileCertificate]) -> Realization:
         if degree != cert.n:
             raise ValueError(f"certificate at r = {want} is not a map into S_{cert.n}: "
                              f"its images have degree {degree}")
-        if any(want * k_p > cert.n for k_p in k) or any(
-                want * a_q < (want - 1) * cert.n for a_q in a):
+        radius = threshold_radius(cert.n, cert.r)
+        if any(k_p > radius for k_p in k) or any(a_q < cert.n - radius for a_q in a):
             raise ValueError(f"certificate at r = {want} does not meet its thresholds")
         counts.append((k, a))
 

@@ -16,21 +16,21 @@ conjugating an entire assignment by a fixed permutation preserves distances,
 products, and the unit, so every feasible assignment has a conjugate whose
 first element is canonical.
 
-The search works on raw image tuples with integer thresholds.  With r =
-num/den and k the number of points where two images differ, a product passes
-the defect test when ``k*num <= n*den`` and a pair passes the separation test
-when ``k*num >= n*(num - den)``.  Each depth draws its candidates, in lex
-order, from one of three pools:
+The search works on raw image tuples with one integer threshold per
+degree, ``threshold_radius``: with k the number of points where two images
+differ, a product passes the defect test when k is at most the radius and a
+pair passes the separation test when the images agree in at most the radius.
+Each depth draws its candidates, in lex order, from one of three pools:
 
 - the first element takes the cycle-type representatives, each checked;
 - an element that occurs once in a product whose other two members are
   assigned (a ball triple) lies in a Hamming ball: bi-invariance of the
-  metric turns that product's defect test into "within floor(n*den/num)
-  points of one centre permutation".  A ball of radius 0 or 1 is its centre
-  alone.  That centre, the members of a ball that is small beside S_n
-  (fewer than n!/2048 members: radius 2 at n = 9) and every ball from
-  n = 10 on are checked one at a time; any other ball is cut out of an S_n
-  bitset as below;
+  metric turns that product's defect test into "within the radius of one
+  centre permutation".  A ball of radius 0 or 1 is its centre alone.  That
+  centre, the members of a ball that is small beside S_n (fewer than
+  n!/2048 members: radius 2 at n = 9) and every ball from n = 10 on are
+  checked one at a time; any other ball is cut out of an S_n bitset as
+  below;
 - every other depth takes an S_n bitset: per point x and value v, one
   integer has bit i set iff the lex rank-i permutation maps x to v.
   Counting set bits across such integers, a whole word of candidates at a
@@ -59,11 +59,11 @@ Every caller that needs several r (``sofic realize``, ``profile --all-r``
 and both scripts) shares one sweep, ``profile_table``.  An assignment that
 meets the 1/r' thresholds meets the 1/r ones for every r < r', so the sweep
 takes the r in increasing order and starts each at the least degree of the
-one before it.  The search reads r only through a degree's radius and
-min_sep, so the sweep memoizes each degree's outcome on (n, radius,
-min_sep) and searches none twice.  Its results carry no records: only
-``sofic_profile``, which searches every degree from 1 and backs
-``profile --r`` and ``--emit-cert``, claims minimality.
+one before it.  The search reads r only through a degree's radius (the
+separation threshold is n minus it), so the sweep memoizes each degree's
+outcome on (n, radius) and searches none twice.  Its results carry no
+records: only ``sofic_profile``, which searches every degree from 1 and
+backs ``profile --r`` and ``--emit-cert``, claims minimality.
 """
 
 from __future__ import annotations
@@ -72,13 +72,13 @@ import concurrent.futures
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, permutations
+from itertools import compress, permutations, repeat
 from math import comb, factorial
-from operator import ne
+from operator import eq, ne
 from typing import Iterable, Iterator, Mapping
 
 from .chunk import Chunk, validate
-from .growth import Exhausted
+from .growth import Exhausted, quality_parameter
 from .permcore import Perm, all_cycle_types, compose, cycle_type_representative, hamming_distance
 
 
@@ -138,6 +138,16 @@ class ProfileCertificate:
         # At r = 1 the thresholds are defect <= 1 and expansiveness >= 0,
         # which every assignment meets.
         return self.r == 1
+
+
+def threshold_radius(n: int, r: Fraction) -> int:
+    """The most points in which two permutations of degree n may differ
+    within 1/r: floor(n/r).
+
+    A count k of points passes the defect test k/n <= 1/r iff k <= radius,
+    and the separation test k/n >= 1 - 1/r iff k >= n - radius.
+    """
+    return n * r.denominator // r.numerator
 
 
 def disagreement_counts(c: Chunk, f: Mapping[str, Perm]) -> tuple[int, list[int], list[int]]:
@@ -360,10 +370,10 @@ def _agreements(masks: tuple[tuple[int, ...], ...], full: int, f: list[tuple[int
     return out
 
 
-def _separation_set(masks: tuple[tuple[int, ...], ...], g: tuple[int, ...], min_sep: int) -> int:
-    """Ranks whose permutation differs from ``g`` in at least ``min_sep`` >= 1
-    points, that is, agrees with it in at most ``n - min_sep``."""
-    return ~_at_least(len(g) - min_sep + 1, [masks[x][v] for x, v in enumerate(g)])
+def _separation_set(masks: tuple[tuple[int, ...], ...], g: tuple[int, ...], radius: int) -> int:
+    """Ranks whose permutation agrees with ``g`` in at most ``radius`` < n
+    points, that is, passes the separation test against it."""
+    return ~_at_least(radius + 1, [masks[x][v] for x, v in enumerate(g)])
 
 
 def _product_set(masks: tuple[tuple[int, ...], ...], full: int, f: list[tuple[int, ...]],
@@ -454,9 +464,7 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
         # Single-element chunk: the unit assignment is the whole witness.
         return {c.unit: Perm(ident)}, 1
 
-    num, den = r.numerator, r.denominator
-    radius = n * den // num  # defect passes iff k*num <= n*den
-    min_sep = -(-n * (num - den) // num)  # separation passes iff k*num >= n*(num - den)
+    radius = threshold_radius(n, r)
     full = factorial(n)
     bitsets = n * n * full <= 8 * _MASK_TABLE_BYTES
     # a ball of radius 0 or 1 is one candidate, and a small ball in a large
@@ -484,8 +492,8 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
         masks = _rank_masks(n)
         for i in range(k, new):
             allowed[i + 1] = allowed[i]
-            if min_sep > 0:
-                allowed[i + 1] &= _separation_set(masks, f[i], min_sep)
+            if radius < n:
+                allowed[i + 1] &= _separation_set(masks, f[i], radius)
         return allowed[new]
 
     def pool(new: int) -> tuple[Iterable[tuple[int, ...]], bool]:
@@ -509,7 +517,7 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
         for cand in drawn:
             f[new] = cand
             if checked and not (
-                    all(sum(map(ne, g, cand)) >= min_sep for g in earlier)
+                    all(sum(map(eq, g, cand)) <= radius for g in earlier)
                     and all(sum(map(ne, f[ab], _compose(f[a], f[b]))) <= radius
                             for a, b, ab in triples)):
                 continue
@@ -527,12 +535,6 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     return witness, nodes
 
 
-def _search_one_candidate(args: tuple[Chunk, Fraction, int, tuple[int, ...]]
-                          ) -> tuple[dict[str, Perm] | None, int]:
-    c, r, n, cand = args
-    return _backtrack(c, r, n, first_candidates=[cand])
-
-
 def _search_degree(c: Chunk, r: Fraction, n: int, workers: int) -> tuple[dict[str, Perm] | None, int]:
     order = [e for e in c.elements if e != c.unit]
     cands = [cycle_type_representative(t, n).images for t in all_cycle_types(n)]
@@ -543,40 +545,36 @@ def _search_degree(c: Chunk, r: Fraction, n: int, workers: int) -> tuple[dict[st
     # identical to the sequential search.
     nodes = 0
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for witness, sub_nodes in pool.map(
-                _search_one_candidate, [(c, r, n, cand) for cand in cands]):
+        for witness, sub_nodes in pool.map(_backtrack, repeat(c), repeat(r), repeat(n),
+                                           ([cand] for cand in cands)):
             nodes += sub_nodes
             if witness is not None:
                 return witness, nodes
     return None, nodes
 
 
-def _checked(c: Chunk, rs: Iterable, n_max: int, require_valid: bool) -> list[Fraction]:
+def _checked(c: Chunk, rs: Iterable, n_max: int) -> list[Fraction]:
     """The quality parameters as Fractions, once each is known to be at
-    least 1, ``n_max`` positive and, if required, the chunk a group trace."""
-    rs = [Fraction(r) for r in rs]
-    for r in rs:
-        if r < 1:
-            raise ValueError(f"r must be at least 1, got {r}")
+    least 1, ``n_max`` positive and the chunk a group trace."""
+    rs = [quality_parameter(r) for r in rs]
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    if require_valid:
-        report = validate(c)
-        if not report.ok:
-            raise ValueError("chunk fails validation: " + "; ".join(report.all_violations()))
+    report = validate(c)
+    if not report.ok:
+        raise ValueError("chunk fails validation: " + "; ".join(report.all_violations()))
     return rs
 
 
 def _least_degree(c: Chunk, r: Fraction, n_from: int, n_max: int, workers: int,
-                  memo: dict[tuple[int, int, int], tuple[dict[str, Perm] | None, int]]
+                  memo: dict[tuple[int, int], tuple[dict[str, Perm] | None, int]]
                   ) -> ProfileCertificate | Exhausted:
     """Least feasible degree from ``n_from`` to ``n_max``, with a record of
     each degree searched below it.  Degree outcomes are read from and added
-    to ``memo`` under (n, radius, min_sep), all that ``_backtrack`` reads of r."""
-    num, den = r.numerator, r.denominator
+    to ``memo`` under (n, radius), all that ``_backtrack`` reads of r: its
+    separation threshold is n - radius."""
     records: list[DegreeRecord] = []
     for n in range(n_from, n_max + 1):
-        key = (n, n * den // num, -(-n * (num - den) // num))
+        key = (n, threshold_radius(n, r))
         if key not in memo:
             memo[key] = _search_degree(c, r, n, workers)
         witness, nodes = memo[key]
@@ -586,16 +584,14 @@ def _least_degree(c: Chunk, r: Fraction, n_from: int, n_max: int, workers: int,
     return Exhausted(n_max, tuple(records))
 
 
-def sofic_profile(c: Chunk, r, n_max: int, *, workers: int = 1,
-                  require_valid: bool = True) -> ProfileCertificate | Exhausted:
+def sofic_profile(c: Chunk, r, n_max: int, *, workers: int = 1) -> ProfileCertificate | Exhausted:
     """Least feasible degree for the 1/r thresholds, or Exhausted(n_max),
     with the record of every degree below it proven infeasible.
 
-    ``require_valid=False`` skips the group-trace validation, for deliberately
-    pathological inputs.  r = 1 is accepted; the resulting certificate is
-    flagged vacuous since both thresholds degenerate.
+    r = 1 is accepted; the resulting certificate is flagged vacuous since
+    both thresholds degenerate.
     """
-    (r,) = _checked(c, [r], n_max, require_valid)
+    (r,) = _checked(c, [r], n_max)
     return _least_degree(c, r, 1, n_max, workers, {})
 
 
@@ -619,7 +615,7 @@ def profile_table(c: Chunk, rs, n_max: int, *,
     each from the least degree of the one before, sharing one memo of degree
     outcomes.  Once one r is exhausted at ``n_max``, every larger r is too.
     """
-    rs = _checked(c, rs, n_max, True)
+    rs = _checked(c, rs, n_max)
     memo: dict = {}
     least: dict[Fraction, ProfileCertificate | Exhausted] = {}
     n_from = 1

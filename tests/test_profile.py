@@ -32,6 +32,7 @@ from soficapprox.profile import (
     measure,
     profile_table,
     sofic_profile,
+    threshold_radius,
 )
 
 
@@ -71,6 +72,35 @@ class TestMeasure:
     def test_degree_mismatch_rejected(self, z2):
         with pytest.raises(ValueError):
             measure(z2, {"1": identity(2), "a": transposition(3, 0, 1)})
+
+
+class TestThresholdRadius:
+    """One integer per degree decides both 1/r thresholds on counts of points."""
+
+    RS = sorted({Fraction(p, q) for q in range(1, 5) for p in range(q, 20)})
+
+    def test_grid_has_the_usual_parameters(self):
+        assert {1, Fraction(3, 2), Fraction(7, 3), 2, 3, 19} <= set(self.RS)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_counts_pass_exactly_when_their_fractions_do(self, n):
+        for r in self.RS:
+            radius = threshold_radius(n, r)
+            eps, eps2 = 1 / r, 1 / (2 * r)
+            for k in range(n + 1):
+                d = Fraction(k, n)
+                assert (k <= radius) == (d <= eps), (n, r, k)
+                assert (k >= n - radius) == (d >= 1 - eps), (n, r, k)
+                # supp_quality's gap and expansiveness tests at 2r
+                assert (k <= radius // 2) == (d <= eps2), (n, r, k)
+                assert (k >= n - radius // 2) == (d >= 1 - eps2), (n, r, k)
+            assert radius // 2 == threshold_radius(n, 2 * r)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_radius_does_not_grow_with_r(self, n):
+        radii = [threshold_radius(n, r) for r in self.RS]
+        assert radii == sorted(radii, reverse=True)
+        assert radii[0] == n  # r = 1 admits every count
 
 
 def random_assignment(rng, c, n):
@@ -163,8 +193,6 @@ class TestSoficProfile:
         bad = Chunk(("1", "a"), "1", {("1", "1"): "1"})
         with pytest.raises(ValueError):
             sofic_profile(bad, 2, 3)
-        # the skip flag admits it (search semantics unchanged)
-        assert sofic_profile(bad, 2, 3, require_valid=False).n >= 1
 
     def test_r_equal_one_vacuous(self, z2):
         cert = sofic_profile(z2, 1, 3)
@@ -572,7 +600,7 @@ class TestBitsetPool:
                 radius, min_sep = n * den // num, -(-n * (num - den) // num)
                 separated = (1 << len(everything)) - 1
                 for g in f[:new] if min_sep > 0 else ():
-                    separated &= _separation_set(_rank_masks(n), g, min_sep)
+                    separated &= _separation_set(_rank_masks(n), g, radius)
                 for triples in [[]] + [[t] for t in shapes] + [rng.sample(shapes, 3)]:
                     want = [p for p in everything
                             if passes_checks(f, new, triples, radius, min_sep, p)]
