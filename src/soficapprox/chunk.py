@@ -142,6 +142,15 @@ def validate(c: Chunk) -> ValidationReport:
     return ValidationReport(tuple(unit_bad), tuple(cancel_bad), tuple(assoc_bad))
 
 
+def validated(c: Chunk) -> Chunk:
+    """``c``, once it passes ``validate``, else a one-line ValueError naming
+    every violation: the gate of every search and realization entry."""
+    report = validate(c)
+    if not report.ok:
+        raise ValueError("chunk fails validation: " + "; ".join(report.all_violations()))
+    return c
+
+
 def induced_chunk(elems: Sequence[str], unit: str,
                   mult_oracle: Callable[[str, str], str]) -> Chunk:
     """Chunk of an ambient multiplication: keep a*b exactly when it lands in elems."""

@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import gadgets, profile
-from .chunk import Chunk, ChunkParseError, format_chunk, parse_chunk, parse_chunk_file, validate
+from .chunk import (Chunk, ChunkParseError, format_chunk, parse_chunk, parse_chunk_file, validate,
+                    validated)
 from .growth import GrowthFn, growth_profile, is_slow, ll, lt_eventually, parse_growth, sim
 from .lazyperm import (GChunk, LazyPerm, Realization, build_gchunk, finitary,
                        identity_lazy, realize, supp_quality)
@@ -78,10 +79,11 @@ _RECORD_RE = re.compile(r"infeasible (\d+) nodes (\d+)", re.ASCII)
 def load_certificate(path: str) -> tuple[ProfileCertificate, Chunk]:
     """Parse and re-verify a certificate; tampering fails with the bad quantity.
 
-    The witness is re-measured against the embedded chunk and must reproduce
-    the claimed defect and expansiveness exactly, and meet the r-thresholds.
-    The infeasibility records must name degrees 1..n-1, once each and in
-    order; their node counts are checked only by ``replay_records``.
+    The embedded chunk must pass ``chunk.validate``.  The witness is
+    re-measured against it and must reproduce the claimed defect and
+    expansiveness exactly, and meet the r-thresholds.  The infeasibility
+    records must name degrees 1..n-1, once each and in order; their node
+    counts are checked only by ``replay_records``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -127,7 +129,7 @@ def load_certificate(path: str) -> tuple[ProfileCertificate, Chunk]:
         if key not in header:
             raise ValueError(f"certificate lacks the {key!r} line")
 
-    c = parse_chunk("\n".join(chunk_lines))
+    c = validated(parse_chunk("\n".join(chunk_lines)))
     r = parse_rational(header["r"])
     if r < 1:
         raise ValueError(f"certificate quality r = {format_rational(r)} is below 1")
@@ -164,8 +166,9 @@ def load_certificate(path: str) -> tuple[ProfileCertificate, Chunk]:
 
 # -- realization persistence ------------------------------------------------------
 
-def emit_realization(path: str, real: Realization) -> None:
-    payload = {
+def _realization_payload(real: Realization) -> dict:
+    """The JSON object ``emit_realization`` writes for ``real``."""
+    return {
         "format": "realization-v1",
         "chunk": format_chunk(real.chunk),
         "depth": real.depth,
@@ -186,13 +189,17 @@ def emit_realization(path: str, real: Realization) -> None:
             for st in real.stages
         ],
     }
+
+
+def emit_realization(path: str, real: Realization) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(_realization_payload(real), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_realization(path: str) -> Realization:
-    """Rebuild a realization from its emitted file, re-verifying every stage."""
+    """Rebuild a realization from its emitted file, re-verifying every stage
+    and every stored field against the recomputed one."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != "realization-v1":
@@ -210,10 +217,11 @@ def load_realization(path: str) -> Realization:
         assignment = {e: Perm(tuple(images)) for e, images in stage_sigma.items()}
         certs.append(ProfileCertificate(Fraction(idx + 2), m_i, assignment, None, ()))
     real = realize(c, certs)  # checks every stage against its thresholds
-    if list(real.f) != payload.get("f") or list(real.layout) != payload.get("layout"):
-        raise ValueError("stored multiplicities or layout differ from the recomputed ones")
-    if real.g.spec() != payload.get("g"):
-        raise ValueError("stored growth bound differs from the recomputed one")
+    recomputed = _realization_payload(real)
+    differ = sorted(key for key in recomputed.keys() | payload.keys()
+                    if recomputed.get(key) != payload.get(key))
+    if differ:
+        raise ValueError(f"stored fields differ from the recomputed ones: {', '.join(differ)}")
     return real
 
 

@@ -1,6 +1,6 @@
 """Evaluable permutations of the naturals with growth-bound certificates.
 
-A ``LazyPerm`` carries total forward and backward evaluators plus a symbolic
+A ``LazyPerm`` carries total forward and backward evaluators plus a text
 descriptor.  Nothing here can verify bijectivity of a black-box function on
 all of the naturals; ``audit`` checks injectivity, the inverse round trips,
 and the two-sided growth bound on an explicit horizon and says so in the
@@ -38,7 +38,7 @@ from itertools import accumulate, compress, islice
 from operator import ne
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .chunk import Chunk, validate
+from .chunk import Chunk, validated
 from .growth import (BlockStep, Exhausted, GrowthFn, growth_profile,
                      max_m_with_value_at_most, quality_parameter)
 from .permcore import Perm, block_sum, disagreements, inverse
@@ -104,7 +104,6 @@ class BoundWitness:
 
     g: GrowthFn
     audited_horizon: int
-    symbolic: str | None = None
 
 
 @dataclass(frozen=True)
@@ -124,18 +123,17 @@ class AuditViolation:
         return f"forward not injective at {self.m}"
 
 
-def audit(p: LazyPerm, g: GrowthFn, horizon: int,
-          symbolic: str | None = None) -> BoundWitness | AuditViolation:
+def audit(p: LazyPerm, g: GrowthFn, horizon: int) -> BoundWitness | AuditViolation:
     """Check injectivity, round trips, and rho(m) <= g(n) for all m <= n <= horizon.
 
     The bound is two-sided (forward and backward).  Violations are data; the
     first one found is returned.
     """
-    return _audit(p, [p.forward(m) for m in range(horizon + 1)], g, horizon, symbolic)
+    return _audit(p, [p.forward(m) for m in range(horizon + 1)], g, horizon)
 
 
-def _audit(p: LazyPerm, fwd: Sequence[int], g: GrowthFn, horizon: int,
-           symbolic: str | None = None) -> BoundWitness | AuditViolation:
+def _audit(p: LazyPerm, fwd: Sequence[int], g: GrowthFn,
+           horizon: int) -> BoundWitness | AuditViolation:
     """``audit`` given the forward values ``fwd`` on 0..horizon."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
@@ -164,7 +162,7 @@ def _audit(p: LazyPerm, fwd: Sequence[int], g: GrowthFn, horizon: int,
             return AuditViolation("bound", arg_f, n=n, side="forward")
         if run_max_b > gn:
             return AuditViolation("bound", arg_b, n=n, side="backward")
-    return BoundWitness(g, horizon, symbolic)
+    return BoundWitness(g, horizon)
 
 
 class _CarrierTable(NamedTuple):
@@ -606,9 +604,7 @@ def realize(c: Chunk, certs: Sequence[ProfileCertificate]) -> Realization:
     stage-sum ratio slow_lhs never exceeds g_gap, since x/(degree-1+x) does
     not decrease in x, so its inequality follows.
     """
-    report = validate(c)
-    if not report.ok:
-        raise ValueError("chunk fails validation: " + "; ".join(report.all_violations()))
+    validated(c)
     if not certs:
         raise ValueError("need at least the r = 2 certificate")
     counts = []

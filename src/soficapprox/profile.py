@@ -37,11 +37,12 @@ Each depth draws its candidates, in lex order, from one of three pools:
   time, gives exactly the candidates that pass the separation test against
   every earlier image and the defect test of every product the depth makes
   checkable, so they are taken unchecked.  A product in which the new
-  element occurs once is a ball, counted as agreements with its centre.
-  Each placed image's separation set is built once, when a deeper pool
-  first needs it.  Above the degree where these integers outgrow
-  ``_MASK_TABLE_BYTES`` (n >= 11), a depth without a ball steps through
-  all of S_n, one checked candidate at a time.
+  element occurs once is a ball, counted as agreements with its centre; the
+  only other shape a validated chunk has is a square a * a = c.  Each placed
+  image's separation set is built once, when a deeper pool first needs it.
+  Above the degree where these integers outgrow ``_MASK_TABLE_BYTES``
+  (n >= 11), a depth without a ball steps through all of S_n, one checked
+  candidate at a time.
 
 ``Perm`` values are built only for the witness.
 
@@ -71,13 +72,13 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, permutations, repeat
 from math import comb, factorial
-from operator import eq, ne
+from operator import eq, ne, or_
 from typing import Iterable, Iterator, Mapping
 
-from .chunk import Chunk, validate
+from .chunk import Chunk, validated
 from .growth import Exhausted, quality_parameter
 from .permcore import Perm, all_cycle_types, compose, cycle_type_representative, hamming_distance
 
@@ -202,8 +203,7 @@ def _search_plan(c: Chunk) -> tuple[tuple[str, ...], list[list[tuple[int, int, i
         if c.is_unit_product(a, b, ab):
             continue  # holds for every assignment
         triple = (number[a], number[b], number[ab])
-        if max(triple) > 0:
-            triples_at[max(triple) - 1].append(triple)
+        triples_at[max(triple) - 1].append(triple)
     balls_at = [next(((t.index(new), *t) for t in triples if t.count(new) == 1), None)
                 for new, triples in enumerate(triples_at, start=1)]
     return order, triples_at, balls_at
@@ -340,34 +340,11 @@ def _at_least(k: int, sets: list[int]) -> int:
     return more_than[k - 1]
 
 
-def _agreements(masks: tuple[tuple[int, ...], ...], full: int, f: list[tuple[int, ...]],
-                new: int, triple: tuple[int, int, int]) -> list[int]:
-    """Per point x, the ranks whose permutation, as the image of element
-    ``new``, makes f(ab) and f(a)f(b) agree at x.
-
-    Agreement at x means f(b) takes x to some y and f(a) takes y to f(ab)(x).
-    Each clause on the new element is one mask, and y runs over every value
-    where the new element stands in b's place; a square f(a)f(a) is covered
-    that way too.
-    """
-    a, b, ab = triple
-    out = []
-    for x in range(len(masks)):
-        at_x = 0
-        for y in (range(len(masks)) if b == new else (f[b][x],)):
-            term = masks[x][y] if b == new else full
-            if a == new and ab == new:  # p(y) = p(x)
-                if y != x:
-                    continue
-            elif a == new:
-                term &= masks[y][f[ab][x]]
-            elif ab == new:
-                term &= masks[x][f[a][y]]
-            elif f[a][y] != f[ab][x]:
-                continue
-            at_x |= term
-        out.append(at_x)
-    return out
+def _square_agreements(masks: tuple[tuple[int, ...], ...], c: tuple[int, ...]) -> list[int]:
+    """Per point x, the ranks whose permutation p squares to ``c`` at x:
+    p(x) = y and p(y) = c(x) for some y."""
+    n = len(masks)
+    return [reduce(or_, (masks[x][y] & masks[y][cx] for y in range(n))) for x, cx in enumerate(c)]
 
 
 def _separation_set(masks: tuple[tuple[int, ...], ...], g: tuple[int, ...], radius: int) -> int:
@@ -376,19 +353,23 @@ def _separation_set(masks: tuple[tuple[int, ...], ...], g: tuple[int, ...], radi
     return ~_at_least(radius + 1, [masks[x][v] for x, v in enumerate(g)])
 
 
-def _product_set(masks: tuple[tuple[int, ...], ...], full: int, f: list[tuple[int, ...]],
+def _product_set(masks: tuple[tuple[int, ...], ...], f: list[tuple[int, ...]],
                  new: int, triple: tuple[int, int, int], radius: int) -> int:
     """Ranks whose permutation, as the image of element ``new``, passes the
     defect test of ``triple``: f(ab) and f(a)f(b) agree in at least
     ``n - radius`` >= 1 points.  Where the new element occurs once, agreeing
-    at x means agreeing with the ball centre at x, one mask per point; only
-    squares and shapes where it occurs more than once need ``_agreements``."""
+    at x means agreeing with the ball centre at x, one mask per point.
+
+    ``triple`` comes from ``_search_plan`` on a validated chunk, so a new
+    element occurring twice makes it a square a * a = c with c != a: a * a = a,
+    a * b = a and b * a = a (b != e) each contradict a * e = a = e * a by
+    cancellation."""
+    a, b, ab = triple
     if triple.count(new) == 1:
-        a, b, ab = triple
         centre = _ball_centre(triple.index(new), f[a], f[b], f[ab])
         sets = [masks[x][v] for x, v in enumerate(centre)]
     else:
-        sets = _agreements(masks, full, f, new, triple)
+        sets = _square_agreements(masks, f[ab])
     return _at_least(len(masks) - radius, sets)
 
 
@@ -403,12 +384,11 @@ def _bitset_pool(f: list[tuple[int, ...]], new: int, triples: list[tuple[int, in
     """
     n = len(f[0])
     masks = _rank_masks(n)
-    full = _all_ranks(n)
     live = separated
     if radius < n:
         for t in triples:
             if live:
-                live &= _product_set(masks, full, f, new, t, radius)
+                live &= _product_set(masks, f, new, t, radius)
     return _decode(live, n)
 
 
@@ -451,6 +431,8 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
                ) -> tuple[dict[str, Perm] | None, int]:
     """Exhaustive search at one degree.  Returns (witness or None, nodes).
 
+    ``c`` must pass ``chunk.validate``, as every public entry checks, since
+    the bitset pools rely on it (see ``_product_set``).
     ``first_candidates`` are image tuples for the first non-unit element; the
     default is the cycle-type representatives.  Each call adds to the node
     count the length of its full pool when it fails, and the witness image's
@@ -559,9 +541,7 @@ def _checked(c: Chunk, rs: Iterable, n_max: int) -> list[Fraction]:
     rs = [quality_parameter(r) for r in rs]
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    report = validate(c)
-    if not report.ok:
-        raise ValueError("chunk fails validation: " + "; ".join(report.all_violations()))
+    validated(c)
     return rs
 
 
@@ -597,8 +577,10 @@ def sofic_profile(c: Chunk, r, n_max: int, *, workers: int = 1) -> ProfileCertif
 
 def replay_records(c: Chunk, r, records, *, workers: int = 1) -> None:
     """Re-run the search at each recorded degree.  Raises ValueError unless
-    the degree is infeasible and exhausts in exactly the recorded nodes."""
-    r = Fraction(r)
+    the degree is infeasible and exhausts in exactly the recorded nodes,
+    or the chunk does not pass ``chunk.validate``, checked before any search."""
+    validated(c)
+    r = quality_parameter(r)
     for rec in records:
         witness, nodes = _search_degree(c, r, rec.degree, workers)
         if witness is not None:

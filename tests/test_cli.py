@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from soficapprox import cli
 from soficapprox.cli import (
     emit_certificate,
+    emit_realization,
     load_certificate,
     load_realization,
     main,
@@ -323,6 +324,27 @@ class TestRealizeCommand:
         with pytest.raises(ValueError, match="r = 3 does not meet its thresholds"):
             load_realization(str(emitted))
 
+    @pytest.mark.parametrize("key, edit", [
+        ("stages", lambda payload: payload["stages"][0].update(defect="9/1")),
+        ("depth", lambda payload: payload.update(depth=payload["depth"] + 1)),
+    ], ids=["stage-defect", "depth"])
+    def test_every_stored_field_checked(self, capsys, tmp_path, key, edit):
+        emitted = tmp_path / "real.json"
+        run(capsys, "realize", "--chunk", data_path("z3.chunk"),
+            "--depth", "4", "--emit", str(emitted))
+        payload = json.loads(emitted.read_text())
+        edit(payload)
+        emitted.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"differ from the recomputed ones: {key}$"):
+            load_realization(str(emitted))
+
+    def test_genuine_realization_re_emits_identically(self, capsys, tmp_path):
+        emitted, again = tmp_path / "real.json", tmp_path / "again.json"
+        run(capsys, "realize", "--chunk", data_path("z3.chunk"),
+            "--depth", "4", "--emit", str(emitted))
+        emit_realization(str(again), load_realization(str(emitted)))
+        assert again.read_bytes() == emitted.read_bytes()
+
 
     @pytest.mark.parametrize("edit, message", [
         (lambda payload: {**payload, "m": "xx"}, "needs a chunk text"),
@@ -474,6 +496,11 @@ class TestCertificateParseErrors:
     ], ids=["r-below-one", "n-zero", "duplicate-header", "unknown-line"])
     def test_bad_header(self, capsys, cert_path, old, new, message):
         assert message in self.verify_edited(capsys, cert_path, old, new)
+
+    @pytest.mark.parametrize("flags", [(), ("--replay",)], ids=["plain", "replay"])
+    def test_embedded_chunk_must_validate(self, capsys, cert_path, flags):
+        err = self.verify_edited(capsys, cert_path, "h * 1 = h\n", "", *flags)
+        assert "chunk fails validation: h * 1 = undef" in err
 
 
 class TestCertificateReplay:

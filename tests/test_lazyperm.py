@@ -581,6 +581,16 @@ class TestClosedFormMultiplicities:
         with pytest.raises(ValueError, match="r = 3 does not meet its thresholds"):
             realize(z4trace, [cert2, forged])
 
+    def test_separation_checked_at_its_boundary(self, z2):
+        # a -> identity at degree 2: no defect, but the pair differs at no
+        # point, one short of n - radius = 1; passed on, it would make the
+        # expansiveness denominator (n-1)a_q - (n-2)m zero
+        assignment = {"1": identity(2), "a": identity(2)}
+        forged = ProfileCertificate(Fraction(2), 2, assignment, measure(z2, assignment), ())
+        assert forged.quality.defect == 0
+        with pytest.raises(ValueError, match="r = 2 does not meet its thresholds"):
+            realize(z2, [forged])
+
     def test_certificate_degree_must_match_its_images(self, z3):
         cert2, cert3 = (sofic_profile(z3, r, 8) for r in (2, 3))
         with pytest.raises(ValueError, match="r = 3 is not a map into S_4"):

@@ -15,8 +15,6 @@ from soficapprox.profile import (
     DegreeRecord,
     Exhausted,
     ProfileCertificate,
-    _agreements,
-    _at_least,
     _backtrack,
     _bitset_pool,
     _decode,
@@ -31,6 +29,7 @@ from soficapprox.profile import (
     disagreement_counts,
     measure,
     profile_table,
+    replay_records,
     sofic_profile,
     threshold_radius,
 )
@@ -193,6 +192,14 @@ class TestSoficProfile:
         bad = Chunk(("1", "a"), "1", {("1", "1"): "1"})
         with pytest.raises(ValueError):
             sofic_profile(bad, 2, 3)
+
+    def test_replay_validates_before_searching(self, z3, searched):
+        # the z3 table without h * 1 = h, under z3's genuine r = 2 records
+        table = {key: ab for key, ab in z3.table.items() if key != ("h", "1")}
+        bad = Chunk(z3.elements, z3.unit, table)
+        with pytest.raises(ValueError, match=r"^chunk fails validation: h \* 1 = undef"):
+            replay_records(bad, 2, [DegreeRecord(1, 1), DegreeRecord(2, 4)])
+        assert searched == []
 
     def test_r_equal_one_vacuous(self, z2):
         cert = sofic_profile(z2, 1, 3)
@@ -587,14 +594,15 @@ class TestBitsetPool:
         rng = random.Random(100 + n)
         new = 3  # elements 0 (the unit), 1 and 2 are placed
         ident = tuple(range(n))
-        # squares, both factors new, a*a = a, and shapes only an unvalidated
-        # table has, such as (e, b, c) with b != c
-        shapes = [(3, 3, 1), (3, 3, 0), (1, 3, 3), (3, 1, 3), (3, 3, 3), (0, 3, 1), (0, 1, 3),
-                  (3, 0, 2), (1, 2, 3), (3, 2, 1), (2, 3, 1), (0, 3, 3), (3, 0, 3)]
+        # squares, the only shapes of a validated chunk in which the new
+        # element occurs twice, and shapes in which it occurs once, also
+        # those only an unvalidated table has, such as (e, b, c) with b != c
+        shapes = [(3, 3, 1), (3, 3, 0), (0, 3, 1), (0, 1, 3),
+                  (3, 0, 2), (1, 2, 3), (3, 2, 1), (2, 3, 1)]
         for trial in range(6 if n < 7 else 1):
             f = [ident] + [rng.choice(everything) for _ in range(new - 1)] + [ident]
             if trial == 5:
-                f[1] = f[2] = ident  # fixed points everywhere: (1, 3, 3) and (3, 1, 3) pass
+                f[1] = f[2] = ident  # the square (3, 3, 1) then asks for an involution
             for r in map(Fraction, (1, Fraction(3, 2), 2, 3, 7)):
                 num, den = r.numerator, r.denominator
                 radius, min_sep = n * den // num, -(-n * (num - den) // num)
@@ -647,7 +655,7 @@ class TestBitsetPool:
         # a triple in which the new element occurs once: the agreements with
         # the ball centre, one mask per point, are the agreements of the product
         everything = list(itertools.permutations(range(n)))
-        masks, full = _rank_masks(n), (1 << len(everything)) - 1
+        masks = _rank_masks(n)
         rng = random.Random(300 + n)
         new = 3
         shapes = [(3, 1, 2), (1, 3, 2), (1, 2, 3), (3, 2, 2), (0, 3, 1), (2, 0, 3)]
@@ -656,8 +664,9 @@ class TestBitsetPool:
             f = [tuple(range(n))] + [rng.choice(everything) for _ in range(new - 1)] + [None]
             for t in shapes:
                 for radius in range(n):
-                    assert _product_set(masks, full, f, new, t, radius) == \
-                        _at_least(n - radius, _agreements(masks, full, f, new, t)), (f, t, radius)
+                    want = sum(1 << i for i, p in enumerate(everything)
+                               if passes_checks(f, new, [t], radius, 0, p))
+                    assert _product_set(masks, f, new, t, radius) == want, (f, t, radius)
 
     def test_masks_built_only_for_a_drawn_bitset_pool(self, monkeypatch):
         built = []
