@@ -11,21 +11,25 @@ partial injection to a permutation by the greedy rule: unmatched domain
 points, in increasing order, go to unmatched range points in increasing
 order.  The gadgets' modified restrictions use the same rule.  The degree-n
 restriction of a carrier therefore equals the carrier except at its free
-points, the m < n it sends to n or beyond, so a g-chunk keeps its carriers'
-values on a prefix once (the values its audit computed) in
-``RestrictionTables``, and every degree reads them.  ``supp_quality`` and
-the ``property_profile`` scans read the defect, expansiveness and separation
-hypothesis of each restriction from its disagreement counts (as
+points, the m < n it sends to n or beyond.  ``build_gchunk`` evaluates
+every carrier and the bound once on the audited prefix, and the g-chunk
+keeps those values in ``RestrictionTables``, which every degree reads: the
+tables grow past the prefix only for a degree beyond it.  ``supp_quality``
+and the ``property_profile`` scans read the defect, expansiveness and
+separation hypothesis of each restriction from its disagreement counts (as
 ``profile.disagreement_counts`` defines them): the carriers' own count
 below n, found by bisection in a sorted list of the points where they
 disagree, plus a correction at the few points a restriction moves off its
-carrier.  ``realize`` assembles the
-block-direct-sum family out of profile certificates, choosing each
-multiplicity minimally so that every stage meets its quality thresholds and
-both block-end slowness inequalities.  A block sum's disagreement counts are
-the multiplicity-weighted sums of the per-stage counts, so each least
-multiplicity is a maximum of integer ceilings (stated on ``realize``), and no
-block sum is built or measured.
+carrier.  At a settled degree, where no carrier has a free point, there is
+no correction.  m* is a bisection in the stored bound values, which are
+monotone.
+
+``realize`` assembles the block-direct-sum family out of profile
+certificates, choosing each multiplicity minimally so that every stage meets
+its quality thresholds and both block-end slowness inequalities.  A block
+sum's disagreement counts are the multiplicity-weighted sums of the
+per-stage counts, so each least multiplicity is a maximum of integer
+ceilings (stated on ``realize``), and no block sum is built or measured.
 """
 
 from __future__ import annotations
@@ -36,11 +40,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, islice
 from operator import ne
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validated
-from .growth import (BlockStep, Exhausted, GrowthFn, growth_profile,
-                     max_m_with_value_at_most, quality_parameter)
+from .growth import BlockStep, Exhausted, GrowthFn, growth_profile, quality_parameter
 from .permcore import Perm, block_sum, disagreements, inverse
 from .profile import MorphismQuality, ProfileCertificate, disagreement_counts, threshold_radius
 
@@ -129,14 +132,16 @@ def audit(p: LazyPerm, g: GrowthFn, horizon: int) -> BoundWitness | AuditViolati
     The bound is two-sided (forward and backward).  Violations are data; the
     first one found is returned.
     """
-    return _audit(p, [p.forward(m) for m in range(horizon + 1)], g, horizon)
-
-
-def _audit(p: LazyPerm, fwd: Sequence[int], g: GrowthFn,
-           horizon: int) -> BoundWitness | AuditViolation:
-    """``audit`` given the forward values ``fwd`` on 0..horizon."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
+    points = range(horizon + 1)
+    violation = _audit(p, [p.forward(m) for m in points], map(g, points))
+    return BoundWitness(g, horizon) if violation is None else violation
+
+
+def _audit(p: LazyPerm, fwd: Sequence[int], bound_values: Iterable) -> AuditViolation | None:
+    """The first violation of ``audit`` given the forward values ``fwd`` and
+    the bound values on the same prefix, read in order, or None."""
     seen: dict[int, int] = {}
     for m, v in enumerate(fwd):
         if v in seen:
@@ -145,24 +150,23 @@ def _audit(p: LazyPerm, fwd: Sequence[int], g: GrowthFn,
     for m, v in enumerate(fwd):
         if p.backward(v) != m:
             return AuditViolation("roundtrip", m, side="forward")
-    bwd = [p.backward(m) for m in range(horizon + 1)]
+    bwd = [p.backward(m) for m in range(len(fwd))]
     for m, v in enumerate(bwd):
         if p.forward(v) != m:
             return AuditViolation("roundtrip", m, side="backward")
     run_max_f = -1
     run_max_b = -1
     arg_f = arg_b = 0
-    for n in range(horizon + 1):
+    for n, gn in enumerate(bound_values):
         if fwd[n] > run_max_f:
             run_max_f, arg_f = fwd[n], n
         if bwd[n] > run_max_b:
             run_max_b, arg_b = bwd[n], n
-        gn = g(n)
         if run_max_f > gn:
             return AuditViolation("bound", arg_f, n=n, side="forward")
         if run_max_b > gn:
             return AuditViolation("bound", arg_b, n=n, side="backward")
-    return BoundWitness(g, horizon)
+    return None
 
 
 class _CarrierTable(NamedTuple):
@@ -185,16 +189,30 @@ class RestrictionTables:
     first degree at which two points visibly share an image.  Per defined
     product other than a unit product, and per distinct pair, they hold the
     sorted points below ``size`` where the carriers themselves disagree.
-    The unit is the identity.  A degree beyond ``size`` rebuilds everything
-    over max(n, 2 size) points, extending the values by the carriers'
-    forward maps.
+    The unit is the identity.
+
+    A degree is settled when no carrier has a free point there: each
+    carrier's running maximum below n is below n and no collision shows by
+    n, so every restriction is its carrier and the counts are the carriers'
+    own.  The tables mark every settled degree up to ``size``.
+
+    The first query builds the tables over n points.  A later degree beyond
+    ``size`` rebuilds them over the whole known prefix (the values the audit
+    computed) when n lies within it, and otherwise over max(n, 2 size)
+    points, extending the values by the carriers' forward maps.  The bound's
+    values start as the audit's too, and grow by one evaluation per point
+    as degrees need them; m* is a bisection in them.
     """
 
-    def __init__(self, chunk: Chunk, carriers: Mapping[str, LazyPerm],
-                 values: dict[str, list[int]] | None = None):
+    def __init__(self, chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn,
+                 values: dict[str, list[int]] | None = None,
+                 bound_values: list | None = None):
         self.chunk = chunk
         self.carriers = carriers
+        self.bound = bound
         self.values = {} if values is None else values
+        self._bound_values = [] if bound_values is None else bound_values
+        self.prefix = min(map(len, self.values.values()), default=0)
         self.pairs = [(x, y) for i, x in enumerate(chunk.elements)
                       for y in chunk.elements[i + 1:]]
         self.size = 0
@@ -202,7 +220,12 @@ class RestrictionTables:
     def _grow(self, n: int) -> None:
         if n <= self.size:
             return
-        size = max(n, 2 * self.size)
+        if not self.size:
+            size = n
+        elif n <= self.prefix:
+            size = self.prefix
+        else:
+            size = max(n, 2 * self.size)
         ident = range(size)
         tables = self.tables = {}
         for e in self.chunk.elements:
@@ -232,13 +255,21 @@ class RestrictionTables:
             for (a, b), ab in self.chunk.table.items()]
         self.pair_points = [array("q", compress(ident, map(ne, tables[x].vals, tables[y].vals)))
                             for x, y in self.pairs]
+        # settled[n]: the running maximum of every carrier below n is below n
+        # and n lies below every collision degree
+        first_collision = min(t.collision for t in tables.values())
+        self.settled = [False] + [top < n < first_collision for n, top in zip(
+            range(1, size + 1), map(max, ident, *(t.vals_max for t in tables.values())))]
         self.size = size
 
-    def _free(self, n: int) -> dict[str, dict[int, int]]:
-        """Per element, its free points at degree n mapped to their images."""
+    def _free(self, n: int) -> dict[str, dict[int, int]] | None:
+        """Per element, its free points at degree n mapped to their images;
+        None at a settled degree, where there are none."""
         if n < 1:
             raise ValueError("degree must be positive")
         self._grow(n)
+        if self.settled[n]:
+            return None
         free = {}
         for e in self.chunk.elements:
             t = self.tables[e]
@@ -251,48 +282,63 @@ class RestrictionTables:
 
     def images(self, n: int) -> dict[str, list[int]]:
         """Image lists of the degree-n restrictions."""
+        free = self._free(n) or {}
         out = {}
-        for e, free in self._free(n).items():
+        for e in self.chunk.elements:
             out[e] = images = list(islice(self.tables[e].vals, n))
-            for m, v in free.items():
+            for m, v in free.get(e, {}).items():
                 images[m] = v
         return out
 
     def counts(self, n: int) -> tuple[int, list[int], list[int]]:
         """``profile.disagreement_counts`` of the degree-n restrictions.
 
-        Each count is the carriers' count below n plus a correction at the
-        points some restriction moves off its carrier: the free points of
-        both members of a pair, and for a product (a, b, ab) the free points
-        of b and ab and the b-preimages of the free points of a.  A unit
-        product counts 0.
+        Each count is the carriers' count below n plus, at an unsettled
+        degree, a correction at the points some restriction moves off its
+        carrier: the free points of both members of a pair, and for a product
+        (a, b, ab) the free points of b and ab and the b-preimages of the
+        free points of a.  A unit product counts 0.
         """
         free = self._free(n)
+        products = [0 if points is None else bisect_left(points, n)
+                    for points in self.product_points]
+        pairs = [bisect_left(points, n) for points in self.pair_points]
+        if free is None:
+            return n, products, pairs
         t, size = self.tables, self.size
-        products = []
-        for ((a, b), ab), points in zip(self.chunk.table.items(), self.product_points):
-            if points is None:
-                products.append(0)
+        for i, ((a, b), ab) in enumerate(self.chunk.table.items()):
+            if self.product_points[i] is None:
                 continue
             va, vb, vab = t[a].vals, t[b].vals, t[ab].vals
             fa, fb, fab, pre_b = free[a], free[b], free[ab], t[b].pre
             unsettled = fb.keys() | fab.keys()
             unsettled.update(m for d in fa if (m := pre_b[d]) < n)
-            k = bisect_left(points, n)
             for m in unsettled:
                 v = vb[m]
                 w = fb.get(m, v)
-                k += ((fab.get(m, vab[m]) != fa.get(w, va[w]))
-                      - (v >= size or vab[m] != va[v]))
-            products.append(k)
-        pairs = []
-        for (x, y), points in zip(self.pairs, self.pair_points):
+                products[i] += ((fab.get(m, vab[m]) != fa.get(w, va[w]))
+                                - (v >= size or vab[m] != va[v]))
+        for i, (x, y) in enumerate(self.pairs):
             vx, vy, fx, fy = t[x].vals, t[y].vals, free[x], free[y]
-            k = bisect_left(points, n)
             for m in fx.keys() | fy.keys():
-                k += (fx.get(m, vx[m]) != fy.get(m, vy[m])) - (vx[m] != vy[m])
-            pairs.append(k)
+                pairs[i] += (fx.get(m, vx[m]) != fy.get(m, vy[m])) - (vx[m] != vy[m])
         return n, products, pairs
+
+    def bound_values(self, n: int) -> list:
+        """The bound's values at 0..n at least, each point evaluated once."""
+        values = self._bound_values
+        if len(values) <= n:
+            values.extend(map(self.bound, range(len(values), n + 1)))
+        return values
+
+    def m_star(self, n: int) -> int | None:
+        """Largest m with g(m) <= n, None when g(0) > n.
+
+        The bound is monotone with g(m) > m, so this is
+        ``growth.max_m_with_value_at_most``, read off the stored values.
+        """
+        m = bisect_right(self.bound_values(n), n, 0, n + 1) - 1
+        return m if m >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -309,14 +355,18 @@ class GChunk:
 
 def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn,
                  horizon: int, *, check_table: bool = True) -> GChunk:
-    """Audit every carrier and the table consistency, then assemble the g-chunk.
+    """Validate the chunk, audit every carrier and the table consistency,
+    then assemble the g-chunk.
 
     The unit's carrier defaults to the identity and must evaluate as such on
     the horizon.  Where the table defines a*b = c, the carriers of a and b
     must compose to the carrier of c pointwise on the audited prefix.  Each
-    carrier is evaluated once on the horizon; the audit, the table check and
-    the g-chunk's restriction tables read those values.
+    carrier and the bound are evaluated once on the horizon; the audits, the
+    table check and the g-chunk's restriction tables read those values.
     """
+    validated(chunk)
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
     carriers = dict(carriers)
     carriers.setdefault(chunk.unit, identity_lazy())
     missing = [e for e in chunk.elements if e not in carriers]
@@ -329,15 +379,15 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
     if moved is not None:
         raise GChunkError(f"unit carrier moves {moved}")
     values: dict[str, Sequence[int]] = {chunk.unit: points}  # the unit's, as just checked
+    bound_values = list(map(bound, points))
 
-    witnesses = {}
     for e in chunk.elements:
         if e not in values:
             values[e] = list(map(carriers[e].forward, points))
-        outcome = _audit(carriers[e], values[e], bound, horizon)
-        if isinstance(outcome, AuditViolation):
-            raise GChunkError(f"carrier of {e!r}: {outcome}")
-        witnesses[e] = outcome
+        violation = _audit(carriers[e], values[e], bound_values)
+        if violation is not None:
+            raise GChunkError(f"carrier of {e!r}: {violation}")
+    witnesses = dict.fromkeys(chunk.elements, BoundWitness(bound, horizon))
 
     if check_table:
         for (a, b), c in chunk.table.items():
@@ -349,7 +399,7 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
 
     del values[chunk.unit]  # the tables take the unit to the identity at every degree
     return GChunk(chunk, carriers, bound, horizon, witnesses,
-                  RestrictionTables(chunk, carriers, values))
+                  RestrictionTables(chunk, carriers, bound, values, bound_values))
 
 
 def supp_morphism(gc: GChunk, n: int) -> dict[str, Perm]:
@@ -385,13 +435,13 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
     counts = gc.restrictions.counts(n)
     _, products, pairs = counts
     radius = threshold_radius(n, r) // 2  # of 2r: floor(floor(n/r)/2) = floor(n/(2r))
-    m_star = max_m_with_value_at_most(gc.bound, n)
+    m_star = gc.restrictions.m_star(n)
     defect_bound = bound_holds = None
     if m_star is not None:
         defect_bound = Fraction(2 * (n - m_star), n)
         bound_holds = max(products, default=0) <= 2 * (n - m_star)
     # Growth functions are monotone, so the closest pair decides the hypothesis.
-    hypothesis = not pairs or gc.bound(min(pairs)) >= n
+    hypothesis = not pairs or gc.restrictions.bound_values(n)[min(pairs)] >= n
     gap_small = m_star is not None and n - m_star <= radius
     return SuppReport(
         n=n, r=r, m_star=m_star, quality=MorphismQuality.from_counts(*counts),

@@ -231,6 +231,17 @@ class TestSuppCommand:
         with open(data_path("three.supp"), encoding="utf-8") as fh:
             assert "".join(got) == fh.read()
 
+    def test_invalid_chunk_rejected_in_one_line(self, capsys, tmp_path):
+        with open(data_path("z3.chunk"), encoding="utf-8") as fh:
+            text = fh.read()
+        (tmp_path / "bad.chunk").write_text(text.replace("h * 1 = h\n", ""))
+        spec = tmp_path / "bad.gchunk"
+        spec.write_text("chunk bad.chunk\ncarrier h = gadget:threecycle\n"
+                        "carrier h2 = gadget:threecycle2\nbound = affine:31\n")
+        code, out, err = run(capsys, "supp", "--gchunk", str(spec), "--n", "99", "--r", "2/1")
+        assert (code, out) == (1, "")
+        assert err == "error: chunk fails validation: h * 1 = undef (expected h)\n"
+
     @pytest.mark.parametrize("r", ["0", "-1", "1/2"])
     def test_r_below_one_rejected(self, capsys, r):
         code, out, err = run(capsys, "supp", "--gchunk", data_path("three.gchunk"),

@@ -4,13 +4,15 @@ import random
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 
 from soficapprox.chunk import Chunk, induced_chunk, parse_chunk, parse_chunk_file
 from soficapprox.gadgets import three_cycle, three_cycle_chunk, three_cycle_squared
-from soficapprox.growth import (Affine, BlockStep, compose as compose_growth, growth_profile,
-                               is_slow)
+from soficapprox.growth import (Affine, BlockStep, GrowthFn, Linear, Tabulated,
+                               compose as compose_growth, growth_profile, is_slow,
+                               max_m_with_value_at_most)
 from soficapprox.lazyperm import (
     AuditViolation,
     BoundWitness,
@@ -45,9 +47,23 @@ def pair_swap() -> LazyPerm:
     return LazyPerm(flip, flip, "gadget:pairswap")
 
 
-def z2_pair_swap_gchunk(horizon=600):
+def z2_pair_swap_gchunk(horizon=600, bound=Affine(1)):
     c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
-    return build_gchunk(c, {"a": pair_swap()}, Affine(1), horizon)
+    return build_gchunk(c, {"a": pair_swap()}, bound, horizon)
+
+
+class CountingBound(GrowthFn):
+    """A growth function that counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def _eval(self, n):
+        self.calls += 1
+        return self.inner(n)
+
+    def spec(self):
+        return self.inner.spec()
 
 
 class TestLazyPerm:
@@ -122,10 +138,16 @@ class TestGChunkBuild:
             build_gchunk(c, {"1": pair_swap(), "a": pair_swap()}, Affine(1), 50)
 
     def test_table_consistency_enforced(self):
+        c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
+        # a * a = 1 is what the valid table says, but the carrier squares to its inverse
+        with pytest.raises(GChunkError, match="table says a \\* a = 1 but carriers disagree at 0"):
+            build_gchunk(c, {"a": three_cycle()}, Affine(2), 50, check_table=True)
+        build_gchunk(c, {"a": three_cycle()}, Affine(2), 50, check_table=False)
+
+    def test_chunk_validated(self):
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = a\n")
-        # a * a = a is what the table says, but the carrier squares to identity
-        with pytest.raises(GChunkError):
-            build_gchunk(c, {"a": pair_swap()}, Affine(1), 50, check_table=True)
+        with pytest.raises(ValueError, match="^chunk fails validation: left cancellation"):
+            build_gchunk(c, {"a": pair_swap()}, Affine(1), 50, check_table=False)
 
     def test_unbounded_carrier_rejected(self):
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
@@ -153,7 +175,7 @@ class TestSuppMorphism:
     def test_non_injective_carrier_rejected(self):
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
         broken = LazyPerm(lambda m: 0 if m < 2 else m, lambda m: m, "broken")
-        tables = RestrictionTables(c, {"1": identity_lazy(), "a": broken})
+        tables = RestrictionTables(c, {"1": identity_lazy(), "a": broken}, Affine(1))
         with pytest.raises(ValueError, match="not injective"):
             tables.images(5)
 
@@ -259,8 +281,9 @@ class TestPropertyProfile:
 
 def bounded_gchunk(seed, horizon, loose=False):
     """Random carrier r shuffling consecutive blocks of at most c + 1 points,
-    its inverse, and the products they define, bounded by n + c.  ``loose``
-    adds r * r = s and s * s = r, which the carriers need not satisfy."""
+    its inverse s unless r is an involution, and the products they define,
+    bounded by n + c.  ``loose`` keeps s and adds r * r = s and s * s = r,
+    which the carriers need not satisfy."""
     rng = random.Random(seed)
     c = rng.randint(1, 12)
     span, images = rng.randint(2 * c + 2, 90), []
@@ -269,15 +292,17 @@ def bounded_gchunk(seed, horizon, loose=False):
         rng.shuffle(block)
         images.extend(block)
     inverse = [images.index(v) for v in range(len(images))]
-    table = {("1", "1"): "1", ("1", "r"): "r", ("r", "1"): "r", ("1", "s"): "s",
-             ("s", "1"): "s", ("r", "s"): "1", ("s", "r"): "1"}
-    if inverse == images:
+    table = {("1", "1"): "1", ("1", "r"): "r", ("r", "1"): "r"}
+    carriers = {"r": finitary(images)}
+    if inverse != images or loose:
+        table.update({("1", "s"): "s", ("s", "1"): "s", ("r", "s"): "1", ("s", "r"): "1"})
+        carriers["s"] = finitary(inverse)
+    else:
         table[("r", "r")] = "1"
     if loose:
         table.update({("r", "r"): "s", ("s", "s"): "r"})
-    return build_gchunk(Chunk(("1", "r", "s"), "1", table),
-                        {"r": finitary(images), "s": finitary(inverse)}, Affine(c), horizon,
-                        check_table=not loose)
+    return build_gchunk(Chunk(("1",) + tuple(carriers), "1", table), carriers, Affine(c),
+                        horizon, check_table=not loose)
 
 
 def far_swap_gchunk(horizon):
@@ -312,10 +337,28 @@ class TestRestrictionTables:
         gc = make()
         assert max(degrees) > gc.horizon  # the tables outgrow the audited prefix
         ref = make()
+        settled = set()
         for n in query_orders(degrees)[order]:
             r = Fraction(2 + n % 5, 2)
             assert supp_quality(gc, n, r) == reference_supp_quality(ref, n, r), n
             assert supp_morphism(gc, n) == reference_supp_morphism(ref, n), n
+            settled.add(gc.restrictions.settled[n])
+        # both the carriers' own counts and the free-point corrections are compared
+        assert settled == {True, False}
+
+    BOUNDS = [Affine(1), Affine(5), Linear(3), BlockStep((7, 30), (2, 6)),
+              Tabulated((3, 9, 9, 9, 12), 8)]
+
+    @pytest.mark.parametrize("bound", BOUNDS, ids=[g.spec() for g in BOUNDS])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
+    def test_m_star_read_off_the_stored_bound_values(self, bound, order):
+        horizon = 40
+        gc = z2_pair_swap_gchunk(horizon, bound)
+        got = {n: supp_quality(gc, n, 2).m_star
+               for n in query_orders(range(1, 2 * horizon + 1))[order]}
+        want = {n: max_m_with_value_at_most(bound, n) for n in range(1, 2 * horizon + 1)}
+        assert got == want
+        assert (None in got.values()) == (bound(0) > 1)
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
     def test_mask_matches_reference_in_any_order(self, order):
@@ -359,21 +402,46 @@ class TestRestrictionTables:
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
         gc = build_gchunk(c, {"a": LazyPerm(forward, forward, "pairswap")}, Affine(1), 99)
         audited = len(calls)
-        supp_quality(gc, 100, 2)
-        assert len(calls) == audited  # degree 100 needs only the values 0..99
+        for n in range(1, 101):
+            supp_quality(gc, n, 2)
+        assert len(calls) == audited  # degrees up to 100 need only the values 0..99
         supp_quality(gc, 101, 2)
         assert sorted(calls[audited:]) == list(range(100, 200))  # doubled once
 
+    @pytest.mark.parametrize("carriers", [1, 2])
+    def test_bound_evaluated_once_per_point(self, carriers, z3):
+        bound = CountingBound(Affine(2))
+        if carriers == 1:
+            gc = z2_pair_swap_gchunk(99, bound)
+        else:
+            gc = build_gchunk(z3, {"h": three_cycle(), "h2": three_cycle_squared()}, bound, 99)
+        assert bound.calls == 100
+        for n in range(1, 100):
+            supp_quality(gc, n, 2)
+        assert bound.calls == 100  # degrees up to the horizon read the audit's values
+        supp_quality(gc, 100, 2)
+        assert bound.calls == 101  # and degree horizon + 1 needs g(100)
+
+    def test_one_off_query_builds_at_its_degree(self):
+        gc = z2_pair_swap_gchunk(200)
+        supp_quality(gc, 90, 2)
+        assert gc.restrictions.size == 90
+        supp_quality(gc, 91, 2)
+        assert gc.restrictions.size == 201  # then the whole audited prefix
+
     def test_unit_products_count_zero_without_points(self):
-        # (1, s) -> r is no unit product, so only it and (r, s) -> 1 keep points
+        # (1, s) -> r is no unit product, so only it and (r, s) -> 1 keep points;
+        # no g-chunk has such a table, so the tables are driven directly
         c = Chunk(("1", "r", "s"), "1", {("1", "1"): "1", ("1", "r"): "r", ("r", "1"): "r",
                                         ("1", "s"): "r", ("s", "1"): "s", ("r", "s"): "1"})
-        swap = finitary([500] + list(range(1, 500)) + [0])
-        gc = build_gchunk(c, {"r": swap, "s": three_cycle()}, Affine(500), 60, check_table=False)
+        carriers = {"1": identity_lazy(), "r": finitary([500] + list(range(1, 500)) + [0]),
+                    "s": three_cycle()}
+        tables = RestrictionTables(c, carriers, Affine(500))
+        ref = SimpleNamespace(chunk=c, carriers=carriers)
         for n in (1, 7, 59, 61, 200, 505):
-            want = disagreement_counts(c, reference_supp_morphism(gc, n))
-            assert gc.restrictions.counts(n) == want
-            assert [points is None for points in gc.restrictions.product_points] == \
+            want = disagreement_counts(c, reference_supp_morphism(ref, n))
+            assert tables.counts(n) == want
+            assert [points is None for points in tables.product_points] == \
                 [True, True, True, False, True, False]
 
 
