@@ -4,7 +4,9 @@
 For each stage the report shows the certificate degree, the chosen
 multiplicity, the running total degree, the block-sum quality, and the two
 block-end slowness quantities against their 1/n threshold.  The
-growth bound's own block checks conclude the report.
+growth bound's own block checks follow, and the report ends by checking
+that the degree-n supp restrictions of the block-sum carriers reproduce
+every stage; the exit status is 1 when they do not.
 
 Example:
     python scripts/realization_report.py tests/data/z3.chunk --depth 8 \
@@ -65,7 +67,7 @@ def main(argv=None):
     if args.emit:
         emit_realization(args.emit, real)
         print(f"wrote {args.emit}")
-    return 0
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":

@@ -40,6 +40,10 @@ class GrowthFn:
     def _eval(self, n: int):
         raise NotImplementedError
 
+    def values(self, n: int) -> list:
+        """g(0), ..., g(n), each point evaluated once."""
+        return list(map(self, range(n + 1)))
+
     def spec(self) -> str:
         raise NotImplementedError
 
@@ -59,6 +63,9 @@ class Affine(GrowthFn):
 
     def _eval(self, n: int) -> int:
         return n + self.c
+
+    def values(self, n: int) -> list[int]:
+        return list(range(self.c, n + self.c + 1))
 
     def spec(self) -> str:
         return f"affine:{self.c}"
@@ -120,6 +127,15 @@ class BlockStep(GrowthFn):
     def _eval(self, n: int) -> int:
         k = bisect_right(self.breaks, n)
         return n + self.offsets[min(k, len(self.offsets) - 1)]
+
+    def values(self, n: int) -> list[int]:
+        """g(0), ..., g(n) in closed form: one range per block."""
+        out: list[int] = []
+        starts = (0,) + self.breaks[:-1]
+        ends = self.breaks[:-1] + (n + 1,)  # the last offset continues past its break
+        for start, end, offset in zip(starts, ends, self.offsets):
+            out.extend(range(start + offset, min(end, n + 1) + offset))
+        return out
 
     def spec(self) -> str:
         return "blockstep:" + ";".join(f"{b},{o}" for b, o in zip(self.breaks, self.offsets))

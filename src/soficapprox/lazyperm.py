@@ -2,9 +2,15 @@
 
 A ``LazyPerm`` carries total forward and backward evaluators plus a text
 descriptor.  Nothing here can verify bijectivity of a black-box function on
-all of the naturals; ``audit`` checks injectivity, the inverse round trips,
-and the two-sided growth bound on an explicit horizon and says so in the
-witness it returns.
+all of the naturals; ``audit`` checks that both maps take values in the
+naturals, injectivity, the inverse round trips, and the two-sided growth
+bound on an explicit horizon H and says so in the witness it returns.  It
+evaluates the forward map on [0, H] and the backward map at those values,
+where it must give the points back; a backward value at a point of the
+forward image is then deduced, not evaluated, and both maps are evaluated
+again only at the points of [0, H] off the image.  ``build_gchunk`` checks
+the unit's carrier once: the identity in both directions on [0, H], and
+g(n) >= n there, which is all a full audit of it would find.
 
 ``supp_morphism`` restricts carriers to a finite prefix and completes the
 partial injection to a permutation by the greedy rule: unmatched domain
@@ -12,17 +18,19 @@ points, in increasing order, go to unmatched range points in increasing
 order.  The gadgets' modified restrictions use the same rule.  The degree-n
 restriction of a carrier therefore equals the carrier except at its free
 points, the m < n it sends to n or beyond.  ``build_gchunk`` evaluates
-every carrier and the bound once on the audited prefix, and the g-chunk
-keeps those values in ``RestrictionTables``, which every degree reads: the
-tables grow past the prefix only for a degree beyond it.  ``supp_quality``
-and the ``property_profile`` scans read the defect, expansiveness and
-separation hypothesis of each restriction from its disagreement counts (as
-``profile.disagreement_counts`` defines them): the carriers' own count
-below n, found by bisection in a sorted list of the points where they
-disagree, plus a correction at the few points a restriction moves off its
-carrier.  At a settled degree, where no carrier has a free point, there is
-no correction.  m* is a bisection in the stored bound values, which are
-monotone.
+every carrier's forward map and the bound once on the audited prefix, and
+the g-chunk keeps those values in ``RestrictionTables``, which every degree
+reads: the tables grow past the prefix only for a degree beyond it.  Its
+table check composes the stored values as whole lists, evaluating a
+carrier again only at b-values past the prefix, once per point.
+``supp_quality`` and the ``property_profile`` scans read the defect,
+expansiveness and separation hypothesis of each restriction from its
+disagreement counts (as ``profile.disagreement_counts`` defines them): the
+carriers' own count below n, found by bisection in a sorted list of the
+points where they disagree, plus a correction at the few points a
+restriction moves off its carrier.  At a settled degree, where no carrier
+has a free point, there is no correction.  m* is a bisection in the stored
+bound values, which are monotone.
 
 ``realize`` assembles the block-direct-sum family out of profile
 certificates, choosing each multiplicity minimally so that every stage meets
@@ -30,6 +38,8 @@ its quality thresholds and both block-end slowness inequalities.  A block
 sum's disagreement counts are the multiplicity-weighted sums of the
 per-stage counts, so each least multiplicity is a maximum of integer
 ceilings (stated on ``realize``), and no block sum is built or measured.
+A realization's carriers tabulate the block sum in both directions once,
+so each evaluation is one lookup.
 """
 
 from __future__ import annotations
@@ -38,13 +48,14 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, islice
-from operator import ne
+from functools import lru_cache
+from itertools import accumulate, compress, count, filterfalse, islice, repeat
+from operator import gt, le, ne
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validated
 from .growth import BlockStep, Exhausted, GrowthFn, growth_profile, quality_parameter
-from .permcore import Perm, block_sum, disagreements, inverse
+from .permcore import Perm, block_sum, disagreements
 from .profile import MorphismQuality, ProfileCertificate, disagreement_counts, threshold_radius
 
 
@@ -77,15 +88,19 @@ def finitary(images: Sequence[int]) -> LazyPerm:
     n = len(images)
     if sorted(images) != list(range(n)):
         raise ValueError(f"prefix {images!r} is not a permutation of 0..{n - 1}")
-    back = [0] * n
-    for x, v in enumerate(images):
-        back[v] = x
-    back = tuple(back)
-    body = " ".join(str(v) for v in images)
+    return _tabulated(images, f"table:[{' '.join(map(str, images))}]+id")
+
+
+def _tabulated(images: tuple[int, ...], descriptor: str) -> LazyPerm:
+    """``finitary(images)`` of a permutation ``images`` under another
+    descriptor: both directions are tabulated once, and each evaluation is
+    one lookup."""
+    n = len(images)
+    back = tuple(sorted(range(n), key=images.__getitem__))
     return LazyPerm(
         lambda m: images[m] if m < n else m,
         lambda m: back[m] if m < n else m,
-        f"table:[{body}]+id",
+        descriptor,
     )
 
 
@@ -113,7 +128,7 @@ class BoundWitness:
 class AuditViolation:
     """First failure found by an audit; which check, and where."""
 
-    kind: str  # "injectivity" | "roundtrip" | "bound"
+    kind: str  # "range" | "injectivity" | "roundtrip" | "bound"
     m: int
     n: int | None = None
     side: str = "forward"
@@ -123,50 +138,104 @@ class AuditViolation:
             return f"{self.side}({self.m}) exceeds g({self.n})"
         if self.kind == "roundtrip":
             return f"inverse round trip fails at {self.m} ({self.side})"
+        if self.kind == "range":
+            return f"{self.side}({self.m}) is negative, outside the naturals"
         return f"forward not injective at {self.m}"
 
 
 def audit(p: LazyPerm, g: GrowthFn, horizon: int) -> BoundWitness | AuditViolation:
-    """Check injectivity, round trips, and rho(m) <= g(n) for all m <= n <= horizon.
+    """Check that both maps take values in the naturals, injectivity, round
+    trips, and rho(m) <= g(n) for all m <= n <= horizon.
 
     The bound is two-sided (forward and backward).  Violations are data; the
-    first one found is returned.
+    first one found is returned, in that order of checks.  The forward map is
+    evaluated at every point of [0, horizon], the backward map at every
+    forward value, and both again only at the points of [0, horizon] outside
+    the forward image (see ``_audit``).
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    points = range(horizon + 1)
-    violation = _audit(p, [p.forward(m) for m in points], map(g, points))
+    violation = _audit(p, list(map(p.forward, range(horizon + 1))), g.values(horizon))
     return BoundWitness(g, horizon) if violation is None else violation
 
 
-def _audit(p: LazyPerm, fwd: Sequence[int], bound_values: Iterable) -> AuditViolation | None:
-    """The first violation of ``audit`` given the forward values ``fwd`` and
-    the bound values on the same prefix, read in order, or None."""
-    seen: dict[int, int] = {}
-    for m, v in enumerate(fwd):
-        if v in seen:
-            return AuditViolation("injectivity", m)
-        seen[v] = m
-    for m, v in enumerate(fwd):
-        if p.backward(v) != m:
-            return AuditViolation("roundtrip", m, side="forward")
-    bwd = [p.backward(m) for m in range(len(fwd))]
-    for m, v in enumerate(bwd):
-        if p.forward(v) != m:
-            return AuditViolation("roundtrip", m, side="backward")
-    run_max_f = -1
-    run_max_b = -1
-    arg_f = arg_b = 0
-    for n, gn in enumerate(bound_values):
-        if fwd[n] > run_max_f:
-            run_max_f, arg_f = fwd[n], n
-        if bwd[n] > run_max_b:
-            run_max_b, arg_b = bwd[n], n
-        if run_max_f > gn:
-            return AuditViolation("bound", arg_f, n=n, side="forward")
-        if run_max_b > gn:
-            return AuditViolation("bound", arg_b, n=n, side="backward")
+def _audit(p: LazyPerm, fwd: list[int], bound_values: Sequence) -> AuditViolation | None:
+    """The first violation of ``audit`` given the forward values ``fwd`` on
+    [0, H] and the bound values on the same points, or None.
+
+    The backward map is evaluated at each forward value, where it must give
+    back the point.  A backward value at a point v = fwd[m] of the image is
+    then known to be m, so the backward round trip evaluates both maps only at
+    the points of [0, H] off the image.  Every check runs in builtins over
+    whole sequences; a point-by-point scan runs only to name a violation
+    known to exist.
+    """
+    size = len(fwd)
+    if min(fwd) < 0:
+        return AuditViolation("range", next(m for m, v in enumerate(fwd) if v < 0))
+    if len(set(fwd)) < size:
+        seen: set[int] = set()
+        for m, v in enumerate(fwd):
+            if v in seen:
+                return AuditViolation("injectivity", m)
+            seen.add(v)
+    m = next(compress(count(), map(ne, map(p.backward, fwd), count())), None)
+    if m is not None:
+        return AuditViolation("roundtrip", m)
+    # an injective fwd with every value below size takes every point of [0, H]
+    off = list(filterfalse(set(fwd).__contains__, range(size))) if max(fwd) >= size else []
+    off_back = list(map(p.backward, off))
+    if off and min(off_back) < 0:
+        return AuditViolation("range", next(v for v, u in zip(off, off_back) if u < 0),
+                              side="backward")
+    v = next(compress(off, map(ne, map(p.forward, off_back), off)), None)
+    if v is not None:
+        return AuditViolation("roundtrip", v, side="backward")
+    # The points sorted by their values: the first size - len(off) are the
+    # preimages of [0, H] without the off points, in order.
+    bwd = sorted(range(size), key=fwd.__getitem__)
+    del bwd[size - len(off):]
+    for v, u in zip(off, off_back):
+        bwd.insert(v, u)
+    floor = _suffix_minima(bound_values)
+    f_excess = _first_excess(fwd, bound_values, floor)
+    b_excess = _first_excess(bwd, bound_values, floor)
+    if f_excess is not None and (b_excess is None or f_excess[1] <= b_excess[1]):
+        return AuditViolation("bound", *f_excess, side="forward")
+    if b_excess is not None:
+        return AuditViolation("bound", *b_excess, side="backward")
     return None
+
+
+def _suffix_minima(bound_values: Sequence) -> Sequence:
+    """min(g(n), ..., g(H)) at each n: g itself when g is monotone, as every
+    member of the calculus is.  A value at m exceeds it exactly when the
+    running maximum exceeds g at some n >= m."""
+    if all(map(le, bound_values, islice(bound_values, 1, None))):
+        return bound_values
+    return list(accumulate(reversed(bound_values), min))[::-1]
+
+
+def _first_excess(values: list[int], bound_values: Sequence,
+                  floor: Sequence) -> tuple[int, int] | None:
+    """(m, n) for the least n with max(values[:n + 1]) > g(n), where m is the
+    point of that maximum, or None.  ``values`` is injective and ``floor`` is
+    ``_suffix_minima(bound_values)``."""
+    if not any(map(gt, values, floor)):
+        return None
+    peaks = list(accumulate(values, max))
+    n = next(n for n, (v, gn) in enumerate(zip(peaks, bound_values)) if v > gn)
+    return values.index(peaks[n]), n
+
+
+def _unit_audit(p: LazyPerm, points: range, bound_values: Sequence) -> AuditViolation | None:
+    """``_audit`` of a carrier whose forward map is the identity on ``points``:
+    its backward map must be the identity there too, and g(n) >= n."""
+    m = next(compress(points, map(ne, map(p.backward, points), points)), None)
+    if m is not None:
+        return AuditViolation("roundtrip", m)
+    n = next(compress(points, map(gt, points, bound_values)), None)
+    return None if n is None else AuditViolation("bound", n, n=n)
 
 
 class _CarrierTable(NamedTuple):
@@ -234,15 +303,14 @@ class RestrictionTables:
                 continue
             vals = self.values.setdefault(e, [])
             vals.extend(map(self.carriers[e].forward, range(len(vals), size)))
-            pre = array("q", [size]) * size
+            head = vals[:size]
+            least = dict(zip(reversed(head), reversed(ident)))  # value -> least preimage
             collision = size + 1
-            for m, v in enumerate(islice(vals, size)):
-                if v < size:
-                    if pre[v] == size:
-                        pre[v] = m
-                    else:  # the first repeat of v is its second preimage
-                        collision = min(collision, max(m, v) + 1)
-            tables[e] = _CarrierTable(vals, pre, list(accumulate(islice(vals, size), max)),
+            if len(least) < size:  # some value repeats; a repeat of v is a later preimage
+                collision = min((max(m, v) + 1 for m, v in enumerate(head)
+                                 if v < size and least[v] != m), default=collision)
+            pre = array("q", map(least.get, ident, repeat(size)))
+            tables[e] = _CarrierTable(vals, pre, list(accumulate(head, max)),
                                       array("q", accumulate(pre, max)), collision)
         # A point whose b-image lies beyond the tables counts as a disagreement
         # here and in ``counts`` alike; it is a free point of b at every degree.
@@ -250,8 +318,8 @@ class RestrictionTables:
         # restriction is the identity, so they agree everywhere at every degree.
         self.product_points = [
             None if self.chunk.is_unit_product(a, b, ab)
-            else array("q", (m for m in ident if (v := tables[b].vals[m]) >= size
-                             or tables[ab].vals[m] != tables[a].vals[v]))
+            else array("q", compress(ident, map(ne, tables[ab].vals,
+                                                _composite(tables[a].vals, tables[b].vals, size))))
             for (a, b), ab in self.chunk.table.items()]
         self.pair_points = [array("q", compress(ident, map(ne, tables[x].vals, tables[y].vals)))
                             for x, y in self.pairs]
@@ -341,6 +409,16 @@ class RestrictionTables:
         return m if m >= 0 else None
 
 
+def _composite(va: Sequence[int], vb: Sequence[int], size: int) -> Iterable:
+    """a's values at b's values on [0, size), None where b's value is size or more."""
+    heads = vb[:size]
+    if max(heads, default=0) < size:
+        return map(va.__getitem__, heads)
+    lookup = list(islice(va, size))
+    lookup.append(None)
+    return map(lookup.__getitem__, map(min, heads, repeat(size)))
+
+
 @dataclass(frozen=True)
 class GChunk:
     """A chunk whose elements are carried by lazy permutations bounded by g."""
@@ -359,10 +437,18 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
     then assemble the g-chunk.
 
     The unit's carrier defaults to the identity and must evaluate as such on
-    the horizon.  Where the table defines a*b = c, the carriers of a and b
-    must compose to the carrier of c pointwise on the audited prefix.  Each
-    carrier and the bound are evaluated once on the horizon; the audits, the
-    table check and the g-chunk's restriction tables read those values.
+    the horizon; its backward map must too, and the bound must satisfy
+    g(n) >= n there, which is all its audit would check.  Every other carrier
+    gets the checks of ``audit``, so a carrier with a value outside the
+    naturals is rejected.  Where the table defines a*b = c, the carriers of
+    a and b must compose to the carrier of c pointwise on the audited prefix;
+    a product a*e = a holds there once the unit is checked.
+
+    Each carrier's forward map and the bound are evaluated once per point of
+    the horizon (the bound by ``GrowthFn.values``); the audits, the table
+    check and the g-chunk's restriction tables read those values.  The
+    backward maps are evaluated as ``audit`` says, and a carrier's forward map
+    again only at b-values past the horizon, once per point.
     """
     validated(chunk)
     if horizon < 1:
@@ -374,27 +460,39 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
         raise GChunkError(f"no carrier for elements {missing}")
 
     points = range(horizon + 1)
-    unit_forward = carriers[chunk.unit].forward
-    moved = next((m for m in points if unit_forward(m) != m), None)
+    moved = next(compress(points, map(ne, map(carriers[chunk.unit].forward, points), points)),
+                 None)
     if moved is not None:
         raise GChunkError(f"unit carrier moves {moved}")
     values: dict[str, Sequence[int]] = {chunk.unit: points}  # the unit's, as just checked
-    bound_values = list(map(bound, points))
+    bound_values = bound.values(horizon)
 
     for e in chunk.elements:
-        if e not in values:
+        if e == chunk.unit:
+            violation = _unit_audit(carriers[e], points, bound_values)
+        else:
             values[e] = list(map(carriers[e].forward, points))
-        violation = _audit(carriers[e], values[e], bound_values)
+            violation = _audit(carriers[e], values[e], bound_values)
         if violation is not None:
             raise GChunkError(f"carrier of {e!r}: {violation}")
     witnesses = dict.fromkeys(chunk.elements, BoundWitness(bound, horizon))
 
     if check_table:
+        past: dict[str, dict[int, int]] = {e: {} for e in chunk.elements}  # values past H
         for (a, b), c in chunk.table.items():
-            va, vb, vc, fa = values[a], values[b], values[c], carriers[a].forward
-            bad = next((m for m in points
-                        if (va[v] if 0 <= (v := vb[m]) <= horizon else fa(v)) != vc[m]), None)
-            if bad is not None:
+            if b == chunk.unit:
+                continue  # a * e = a: b's values are the points themselves
+            va, vb, known = values[a], values[b], past[a]
+            if max(vb) <= horizon:
+                composite = list(map(va.__getitem__, vb))
+            else:  # a's values at b-values past the horizon, each evaluated once
+                composite = list(map(va.__getitem__, map(min, vb, repeat(horizon))))
+                for m in compress(count(), map(gt, vb, repeat(horizon))):
+                    if vb[m] not in known:
+                        known[vb[m]] = carriers[a].forward(vb[m])
+                    composite[m] = known[vb[m]]
+            if any(map(ne, composite, values[c])):
+                bad = next(m for m, (u, w) in enumerate(zip(composite, values[c])) if u != w)
                 raise GChunkError(f"table says {a} * {b} = {c} but carriers disagree at {bad}")
 
     del values[chunk.unit]  # the tables take the unit to the identity at every degree
@@ -428,10 +526,18 @@ class SuppReport:
     expansiveness_ok: bool
 
 
+@lru_cache(maxsize=16)
+def _supp_parameters(r) -> tuple[Fraction, Fraction]:
+    """r as a Fraction and the expansiveness threshold 1 - 1/(2r), built once
+    per r rather than at every degree of a scan."""
+    r = quality_parameter(r)
+    return r, Fraction(2 * r.numerator - r.denominator, 2 * r.numerator)
+
+
 def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
     """The degree-n supp report.  Each condition is decided on the integer
     counts against the radius of 2r; the Fractions are only reported."""
-    r = quality_parameter(r)
+    r, expansiveness_threshold = _supp_parameters(r)
     counts = gc.restrictions.counts(n)
     _, products, pairs = counts
     radius = threshold_radius(n, r) // 2  # of 2r: floor(floor(n/r)/2) = floor(n/(2r))
@@ -448,8 +554,7 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
         defect_bound=defect_bound, defect_bound_holds=bound_holds,
         separation_hypothesis=hypothesis,
         conclusion_expected=hypothesis and gap_small,
-        expansiveness_threshold=Fraction(2 * r.numerator - r.denominator,
-                                         2 * r.numerator),  # 1 - 1/(2r)
+        expansiveness_threshold=expansiveness_threshold,
         expansiveness_ok=not pairs or min(pairs) >= n - radius,
     )
 
@@ -544,27 +649,12 @@ class Realization:
         }
 
     def carrier(self, e: str) -> LazyPerm:
+        """The block sum of every stage's image of ``e``, tabulated in both
+        directions once, and the identity from ``layout[-1]`` on."""
         if e not in self.chunk.elements:
             raise ValueError(f"element {e!r} not in chunk")
-        layout = self.layout
-        sizes = self.m
-        tables = tuple(s[e].images for s in self.sigma)
-        inv_tables = tuple(inverse(s[e]).images for s in self.sigma)
-        top = layout[-1]
-
-        def walk(tabs):
-            def fn(x: int) -> int:
-                if x >= top:
-                    return x
-                k = bisect_right(layout, x)
-                start = layout[k - 1] if k else 0
-                size = sizes[k]
-                off = x - start
-                return start + (off // size) * size + tabs[k][off % size]
-            return fn
-
-        return LazyPerm(walk(tables), walk(inv_tables),
-                        f"blocksum:depth={self.depth}")
+        images = block_sum([(s[e], f_n) for s, f_n in zip(self.sigma, self.f)]).images
+        return _tabulated(images, f"blocksum:depth={self.depth}")
 
     def exact_products(self) -> dict[tuple[str, str], str]:
         """Pairs whose carriers compose to another carrier exactly.

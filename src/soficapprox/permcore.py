@@ -143,7 +143,7 @@ def block_sum(parts: Sequence[tuple[Perm, int]]) -> Perm:
         if mult < 0:
             raise ValueError(f"negative multiplicity {mult}")
         for _ in range(mult):
-            images.extend(offset + v for v in perm.images)
+            images.extend(map(offset.__add__, perm.images))
             offset += perm.degree
     return Perm(tuple(images))
 

@@ -13,19 +13,25 @@ quality figures, which composed validated permutations and compared
 ``Fraction`` distances pair by pair, as the reference for the shared
 disagreement counts.  ``reference_supp_morphism`` keeps the point-by-point
 greedy completion of every carrier at every degree, as the reference for the
-restriction tables a g-chunk keeps.  ``reference_example_check`` keeps the
-gadget's own greedy completions, and ``reference_growth_eval`` evaluates a
-growth spec by iterating every power, without the closed form.
+restriction tables a g-chunk keeps.  ``reference_audit`` and
+``reference_gchunk_error`` keep the carrier audit and the table check as
+first written, point by point and with the unit audited like any carrier, as
+the reference for the whole-list checks; ``reference_blocksum_carrier`` keeps
+the block walk (a bisection and a divmod per evaluation) that the tabulated
+block-sum carriers replace.  ``reference_example_check`` keeps the gadget's
+own greedy completions, and ``reference_growth_eval`` evaluates a growth spec
+by iterating every power, without the closed form.
 """
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 from soficapprox.growth import INF, Compose, GrowthFn, Power, max_m_with_value_at_most
-from soficapprox.lazyperm import StageReport, SuppReport
+from soficapprox.lazyperm import AuditViolation, BoundWitness, LazyPerm, StageReport, SuppReport
 from soficapprox.permcore import (Perm, all_cycle_types, all_perms, block_sum, compose,
                                   cycle_type_representative, disagreements, hamming_distance,
-                                  identity)
+                                  identity, inverse)
 from soficapprox.profile import MorphismQuality
 
 
@@ -250,3 +256,92 @@ def reference_growth_eval(g: GrowthFn, n):
     if isinstance(g, Compose):
         return reference_growth_eval(g.outer, reference_growth_eval(g.inner, n))
     return g(n)
+
+
+def reference_audit(p, g, horizon):
+    """``audit`` as first written: every check point by point, the backward
+    round trip at every point of [0, horizon], and the bound read in order
+    with running maxima.  It predates the check that values lie in the
+    naturals, so compare it on carriers whose values do."""
+    fwd = [p.forward(m) for m in range(horizon + 1)]
+    violation = _reference_violation(p, fwd, [g(n) for n in range(horizon + 1)])
+    return BoundWitness(g, horizon) if violation is None else violation
+
+
+def _reference_violation(p, fwd, bound_values):
+    seen = {}
+    for m, v in enumerate(fwd):
+        if v in seen:
+            return AuditViolation("injectivity", m)
+        seen[v] = m
+    for m, v in enumerate(fwd):
+        if p.backward(v) != m:
+            return AuditViolation("roundtrip", m, side="forward")
+    bwd = [p.backward(m) for m in range(len(fwd))]
+    for m, v in enumerate(bwd):
+        if p.forward(v) != m:
+            return AuditViolation("roundtrip", m, side="backward")
+    run_max_f = run_max_b = -1
+    arg_f = arg_b = 0
+    for n, gn in enumerate(bound_values):
+        if fwd[n] > run_max_f:
+            run_max_f, arg_f = fwd[n], n
+        if bwd[n] > run_max_b:
+            run_max_b, arg_b = bwd[n], n
+        if run_max_f > gn:
+            return AuditViolation("bound", arg_f, n=n, side="forward")
+        if run_max_b > gn:
+            return AuditViolation("bound", arg_b, n=n, side="backward")
+    return None
+
+
+def reference_gchunk_error(chunk, carriers, bound, horizon, check_table=True):
+    """The message ``build_gchunk``'s checks raised as first written, or
+    None: the unit's forward map checked on the horizon, then every carrier,
+    the unit's included, audited in element order, then every product of
+    the table point by point, a's forward map evaluated at each b-value past
+    the horizon as often as it occurs."""
+    carriers = dict(carriers)
+    carriers.setdefault(chunk.unit, LazyPerm(lambda m: m, lambda m: m, "identity"))
+    points = range(horizon + 1)
+    unit_forward = carriers[chunk.unit].forward
+    moved = next((m for m in points if unit_forward(m) != m), None)
+    if moved is not None:
+        return f"unit carrier moves {moved}"
+    values = {chunk.unit: points}
+    bound_values = [bound(n) for n in points]
+    for e in chunk.elements:
+        if e not in values:
+            values[e] = [carriers[e].forward(m) for m in points]
+        violation = _reference_violation(carriers[e], values[e], bound_values)
+        if violation is not None:
+            return f"carrier of {e!r}: {violation}"
+    if check_table:
+        for (a, b), c in chunk.table.items():
+            va, vb, vc, fa = values[a], values[b], values[c], carriers[a].forward
+            bad = next((m for m in points
+                        if (va[v] if 0 <= (v := vb[m]) <= horizon else fa(v)) != vc[m]), None)
+            if bad is not None:
+                return f"table says {a} * {b} = {c} but carriers disagree at {bad}"
+    return None
+
+
+def reference_blocksum_carrier(real, e):
+    """The forward and backward maps of ``real.carrier(e)`` as first
+    written: a bisection in the layout and a divmod within the block at
+    every evaluation, and the identity from the last block end on."""
+    layout, sizes, top = real.layout, real.m, real.layout[-1]
+
+    def walk(tables):
+        def fn(x):
+            if x >= top:
+                return x
+            k = bisect_right(layout, x)
+            start = layout[k - 1] if k else 0
+            size = sizes[k]
+            off = x - start
+            return start + (off // size) * size + tables[k][off % size]
+        return fn
+
+    return (walk([s[e].images for s in real.sigma]),
+            walk([inverse(s[e]).images for s in real.sigma]))

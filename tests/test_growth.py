@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -97,6 +98,20 @@ class TestEval:
     def test_membership_invariant(self, g, n):
         assert g(n) > n
         assert g(n + 1) >= g(n)
+
+    @given(growths, st.integers(0, 300))
+    def test_values_evaluate_every_point(self, g, n):
+        assert g.values(n) == [g(i) for i in range(n + 1)]
+
+    def test_blockstep_values_in_closed_form(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            k = rng.randint(1, 6)
+            breaks = tuple(sorted(rng.sample(range(1, 80), k)))
+            g = BlockStep(breaks, tuple(sorted(rng.randint(1, 25) for _ in range(k))))
+            below_first, past_last = rng.randint(0, breaks[0] - 1), breaks[-1] + rng.randint(0, 40)
+            for n in (0, below_first, breaks[0], rng.randint(0, 100), breaks[-1] - 1, past_last):
+                assert g.values(n) == [g(i) for i in range(n + 1)], (g, n)
 
     def test_bad_constructions_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -37,7 +38,8 @@ from soficapprox.permcore import Perm, hamming_distance, identity
 from soficapprox.profile import ProfileCertificate, disagreement_counts, measure, sofic_profile
 
 from conftest import DATA, data_path
-from oracles import (reference_measure, reference_realize, reference_supp_morphism,
+from oracles import (reference_audit, reference_blocksum_carrier, reference_gchunk_error,
+                     reference_measure, reference_realize, reference_supp_morphism,
                      reference_supp_quality)
 
 
@@ -125,6 +127,209 @@ class TestAudit:
         both = compose_lazy(h, s)
         assert isinstance(audit(both, compose_growth(Affine(2), Affine(1)), 400),
                           BoundWitness)
+
+    def test_values_outside_the_naturals_rejected(self):
+        c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\n")
+        down = LazyPerm(lambda m: m - 1, lambda m: m + 1, "shift")
+        up = inverse_lazy(down)  # its backward map sends 0 to -1, off its forward image
+        for p, message in ((down, "forward(0) is negative, outside the naturals"),
+                           (up, "backward(0) is negative, outside the naturals")):
+            out = audit(p, Affine(2), 50)
+            assert out.kind == "range" and str(out) == message
+            with pytest.raises(GChunkError, match=rf"^carrier of 'a': {re.escape(message)}$"):
+                build_gchunk(c, {"a": p}, Affine(2), 50)
+
+    def test_each_map_evaluated_once_per_point(self):
+        # a finitary involution inside the horizon: the backward map runs at
+        # the forward values only, and the product a * a reads the stored values
+        rng = random.Random(4)
+        images = list(range(30))
+        for x, y in zip(*[iter(rng.sample(range(30), 20))] * 2):
+            images[x], images[y] = y, x
+        c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
+        horizon = 40
+        for run in (lambda p: audit(p, Affine(30), horizon),
+                    lambda p: build_gchunk(c, {"a": p}, Affine(30), horizon)):
+            carrier, calls = counting(finitary(images))
+            run(carrier)
+            assert calls == {"forward": horizon + 1, "backward": horizon + 1}
+
+
+def counting(p: LazyPerm) -> tuple[LazyPerm, dict[str, int]]:
+    """``p`` with each map counting its evaluations."""
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(side, fn):
+        def call(m):
+            calls[side] += 1
+            return fn(m)
+        return call
+
+    return LazyPerm(counted("forward", p.forward), counted("backward", p.backward),
+                    p.descriptor), calls
+
+
+def tabled(forward: list[int], backward: list[int]) -> LazyPerm:
+    """Carrier acting by the two lists on their prefixes and as the identity
+    beyond; the lists need not be inverse to each other."""
+    return LazyPerm(lambda m: forward[m] if m < len(forward) else m,
+                    lambda m: backward[m] if m < len(backward) else m, "planted")
+
+
+def block_shuffle(rng: random.Random, c: int, start: int, stop: int) -> list[int]:
+    """Images on [start, stop) shuffling consecutive blocks of at most c + 1
+    points; the first block rotates, so start moves up and its preimage is
+    larger than start."""
+    size = min(rng.randint(2, c + 1), stop - start)
+    images = list(range(start + 1, start + size)) + [start]
+    while start + len(images) < stop:
+        lo = start + len(images)
+        block = list(range(lo, min(stop, lo + rng.randint(1, c + 1))))
+        rng.shuffle(block)
+        images += block
+    return images
+
+
+def inverse_list(images: list[int]) -> list[int]:
+    back = [0] * len(images)
+    for m, v in enumerate(images):
+        back[v] = m
+    return back
+
+
+class Dip(GrowthFn):
+    """n + c, except n - 1 at the one point k."""
+
+    def __init__(self, c, k):
+        self.c, self.k = c, k
+
+    def _eval(self, n):
+        return n - 1 if n == self.k else n + self.c
+
+    def spec(self):
+        return f"dip:{self.c},{self.k}"
+
+
+PLANTED = ["none", "injectivity", "roundtrip-forward", "roundtrip-backward",
+           "forward-bound-0", "forward-bound-H", "forward-bound", "backward-bound-0",
+           "backward-bound-H", "backward-bound", "unit-backward", "unit-past-H", "dip",
+           "table-past-H"]
+
+
+def planted_case(kind: str, seed: int):
+    """(chunk, carriers, bound, horizon, the planted violation or None) for a
+    random carrier bounded by n + c with one violation of ``kind`` planted.
+    The carrier shuffles blocks of [0, H) and of [H, span) separately, so H
+    starts a block and some points of [0, H] have preimages past H."""
+    rng = random.Random(seed)
+    c, horizon = rng.randint(1, 5), rng.randint(20, 60)
+    images = (block_shuffle(rng, c, 0, horizon)
+              + block_shuffle(rng, c, horizon, horizon + rng.randint(2, 3 * c + 2)))
+    chunk = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\n")
+    bound, back, want = Affine(c), None, None
+    unit = identity_lazy()
+    if kind == "injectivity":
+        j = rng.randint(1, horizon)
+        back = inverse_list(images)
+        images[j] = images[rng.randrange(j)]
+        want = AuditViolation("injectivity", j)
+    elif kind == "roundtrip-forward":
+        m1, m2 = sorted(rng.sample(range(horizon + 1), 2))
+        back = inverse_list(images)
+        back[images[m1]], back[images[m2]] = m2, m1
+        want = AuditViolation("roundtrip", m1)
+    elif kind == "roundtrip-backward":
+        # a swap of a random k < H with a point past H moves images[k] off the
+        # image of [0, H]; so the rotation at H does with H
+        k, t = rng.randrange(horizon), rng.randrange(horizon + 1, len(images))
+        images[k], images[t] = images[t], images[k]
+        v = rng.choice(sorted(set(range(horizon + 1)).difference(images[:horizon + 1])))
+        back = inverse_list(images)
+        back[v] = len(images) + 3  # a fixed point of the forward map
+        want = AuditViolation("roundtrip", v, side="backward")
+    elif kind.startswith(("forward-bound", "backward-bound")):
+        side = kind.split("-")[0]
+        # a point the transposition below moves first in the checked direction
+        if side == "forward":
+            ks = [k for k in range(horizon + 1) if images[k] >= k]
+        else:
+            ks = [k for k in range(horizon + 1) if images.index(k) > k]
+        k = {"0": 0, "H": horizon}.get(kind.rsplit("-", 1)[1], None)
+        k = rng.choice(ks) if k is None else k
+        t = k + 2 * c + 1 + rng.randint(0, c)
+        images += range(len(images), t + 1)
+        if side == "forward":  # k takes t's image, beyond k + c
+            images[k], images[t] = images[t], images[k]
+        else:  # the point sent to k now goes to t, so k's preimage is beyond k + c
+            p, q = images.index(k), images.index(t)
+            images[p], images[q] = t, k
+        want = AuditViolation("bound", k, n=k, side=side)
+    elif kind == "unit-backward":
+        k1, k2 = sorted(rng.sample(range(horizon + 1), 2))
+        unit_back = list(range(horizon + 1))
+        unit_back[k1], unit_back[k2] = k2, k1
+        unit = tabled([], unit_back)
+        want = AuditViolation("roundtrip", k1)
+    elif kind == "unit-past-H":  # the unit moves a's image of H, so 1 * a = a fails there
+        unit = tabled(list(range(images[horizon])) + [images[horizon] + 1], [])
+    elif kind == "dip":  # the unit fails at k, and every other carrier by k
+        k = rng.randint(0, horizon)
+        bound, want = Dip(c, k), AuditViolation("bound", k, n=k)
+    elif kind == "table-past-H":
+        # block three-cycles h over the z3 table; H starts a block turning
+        # H -> H + 1 -> H + 2, and h is wrong at H + 1, which no audit reads
+        chunk = parse_chunk_file(data_path("z3.chunk"))
+        images = []
+        while len(images) < horizon + 3:
+            lo = len(images)
+            block = [lo + 1, lo + 2, lo] if lo == horizon else rng.choice(
+                [[lo], [lo + 1, lo + 2, lo], [lo + 2, lo, lo + 1]])
+            if lo < horizon < lo + len(block):
+                block = list(range(lo, horizon))
+            images += block
+        square = [images[v] for v in images]
+        broken = list(images)
+        broken[horizon + 1] = horizon + 7
+        carriers = {"1": unit, "h": tabled(broken, inverse_list(images)),
+                    "h2": tabled(square, inverse_list(square))}
+        return chunk, carriers, Affine(2), horizon, None
+    if back is None:
+        back = inverse_list(images)
+    return chunk, {"1": unit, "a": tabled(images, back)}, bound, horizon, want
+
+
+class TestAuditAgainstReference:
+    """``audit`` and ``build_gchunk`` against the point-by-point checks of
+    ``reference_audit`` and ``reference_gchunk_error``, on random carriers
+    with one planted violation of each kind."""
+
+    @pytest.mark.parametrize("kind", PLANTED)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_first_violation(self, kind, seed):
+        chunk, carriers, bound, horizon, planted = planted_case(kind, seed)
+        for e in chunk.elements:
+            got, want = audit(carriers[e], bound, horizon), reference_audit(carriers[e], bound,
+                                                                            horizon)
+            assert got == want, e
+            if e == ("1" if kind in ("dip", "unit-backward") else "a"):
+                assert (want if isinstance(want, AuditViolation) else None) == planted
+        for elements in (chunk.elements, chunk.elements[::-1]):  # the unit first and last
+            reordered = Chunk(elements, chunk.unit, chunk.table)
+            message = reference_gchunk_error(reordered, carriers, bound, horizon)
+            if kind == "none":
+                assert message is None
+                build_gchunk(reordered, carriers, bound, horizon)
+                continue
+            assert message is not None
+            with pytest.raises(GChunkError) as info:
+                build_gchunk(reordered, carriers, bound, horizon)
+            assert str(info.value) == message
+        if kind == "unit-backward":
+            assert message == f"carrier of '1': {planted}"
+        if kind == "table-past-H":
+            assert message == f"table says h * h = h2 but carriers disagree at {horizon}"
+        if kind == "unit-past-H":
+            assert message == f"table says 1 * a = a but carriers disagree at {horizon}"
 
 
 class TestGChunkBuild:
@@ -531,6 +736,18 @@ class TestRealize:
         for e in z3.elements:
             out = audit(real.carrier(e), real.g, horizon)
             assert isinstance(out, BoundWitness)
+
+    @pytest.mark.parametrize("name", ["z3", "klein"])
+    @pytest.mark.parametrize("depth", [8, 16])
+    def test_carrier_tables_match_the_block_walk(self, name, depth, request):
+        chunk = request.getfixturevalue(name)
+        real = realize(chunk, self.certs(chunk, depth))
+        points = range(real.layout[-1] + 11)
+        for e in chunk.elements:
+            carrier, (forward, backward) = real.carrier(e), reference_blocksum_carrier(real, e)
+            assert carrier.descriptor == f"blocksum:depth={depth}"
+            assert list(map(carrier.forward, points)) == list(map(forward, points))
+            assert list(map(carrier.backward, points)) == list(map(backward, points))
 
     def test_wrong_r_sequence_rejected(self, z2):
         certs = self.certs(z2, 3)

@@ -53,3 +53,10 @@ class TestRealizationReport:
             [data_path("z3.chunk"), "--depth", "4", "--n-max", "2"])
         assert code == 2
         assert capsys.readouterr().out == "profile search exhausted at r = 2 (n_max = 2)\n"
+
+    def test_restriction_mismatch_exits_one(self, capsys):
+        script = load_script("realization_report")
+        script.supp_morphism = lambda gc, n: {}  # restrictions that reproduce no stage
+        assert script.main([data_path("z3.chunk"), "--depth", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "supp restrictions reproduce every stage: NO"
