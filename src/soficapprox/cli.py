@@ -345,7 +345,9 @@ def build_parser() -> _Parser:
     p_supp.add_argument("--gchunk", required=True)
     p_supp.add_argument("--n", type=int, required=True)
     p_supp.add_argument("--r", type=parse_rational, required=True)
-    p_supp.add_argument("--horizon", type=int, default=None)
+    p_supp.add_argument("--horizon", type=int, default=None,
+                        help="audit the carriers on [0, H]; --n must be at most H "
+                             "(default: max(1000, 2n))")
 
     p_realize = sub.add_parser("realize", help="block-direct-sum realization")
     p_realize.add_argument("--chunk", required=True)

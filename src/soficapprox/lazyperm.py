@@ -18,11 +18,12 @@ points, in increasing order, go to unmatched range points in increasing
 order.  The gadgets' modified restrictions use the same rule.  The degree-n
 restriction of a carrier therefore equals the carrier except at its free
 points, the m < n it sends to n or beyond.  ``build_gchunk`` evaluates
-every carrier's forward map and the bound once on the audited prefix, and
-the g-chunk keeps those values in ``RestrictionTables``, which every degree
-reads: the tables grow past the prefix only for a degree beyond it.  Its
-table check composes the stored values as whole lists, evaluating a
-carrier again only at b-values past the prefix, once per point.
+every carrier's forward map and the bound once on the audited prefix
+[0, H], and the g-chunk keeps those values in ``RestrictionTables``, which
+every degree 1..H reads; a degree past H is refused, since nothing checked
+the carriers there.  The table check composes the stored values as whole
+lists, evaluating a carrier again only at b-values past the prefix, once
+per point.
 ``supp_quality`` and the ``property_profile`` scans read the defect,
 expansiveness and separation hypothesis of each restriction from its
 disagreement counts (as ``profile.disagreement_counts`` defines them): the
@@ -240,48 +241,42 @@ def _unit_audit(p: LazyPerm, points: range, bound_values: Sequence) -> AuditViol
 
 class _CarrierTable(NamedTuple):
     vals: Sequence[int]       # forward values, at least ``size`` of them
-    pre: Sequence[int]        # least preimage of each value below size, else size
+    pre: Sequence[int]        # preimage of each value below size, else size
     vals_max: Sequence[int]   # running maxima of vals
     pre_max: Sequence[int]    # running maxima of pre
-    collision: int            # least n with two points below n sharing an image below n
 
 
 class RestrictionTables:
-    """What the degree-n supp restrictions of one g-chunk read, for n <= ``size``.
+    """What the degree-n supp restrictions of one g-chunk read, for n <= H.
 
     The degree-n restriction of a carrier rho equals rho except at its free
     points D_n = {m < n : rho(m) >= n}, which go, in increasing order, to
-    R_n = {v < n : no m < n has rho(m) = v} in increasing order.  Per carrier
-    the tables hold its forward values on a prefix, the least preimage of
-    each value below ``size`` (``size`` where there is none), running maxima
-    of both, so that D_n and R_n lie in a window found by bisection, and the
-    first degree at which two points visibly share an image.  Per defined
-    product other than a unit product, and per distinct pair, they hold the
-    sorted points below ``size`` where the carriers themselves disagree.
-    The unit is the identity.
+    R_n = {v < n : no m < n has rho(m) = v} in increasing order.  The tables
+    read only the forward values ``values`` (per element other than the
+    unit) and ``bound_values`` that ``build_gchunk`` audited on [0, H]; they
+    hold no carrier and evaluate nothing.  Per carrier they hold its forward
+    values, the preimage of each value below ``size`` (``size`` where there
+    is none) and running maxima of both, so that D_n and R_n lie in a window
+    found by bisection.  Per defined product other than a unit product, and
+    per distinct pair, they hold the sorted points below ``size`` where the
+    carriers themselves disagree.  The unit is the identity.
 
     A degree is settled when no carrier has a free point there: each
-    carrier's running maximum below n is below n and no collision shows by
-    n, so every restriction is its carrier and the counts are the carriers'
-    own.  The tables mark every settled degree up to ``size``.
+    carrier's running maximum below n is below n, so every restriction is
+    its carrier and the counts are the carriers' own.  The tables mark every
+    settled degree up to ``size``.
 
-    The first query builds the tables over n points.  A later degree beyond
-    ``size`` rebuilds them over the whole known prefix (the values the audit
-    computed) when n lies within it, and otherwise over max(n, 2 size)
-    points, extending the values by the carriers' forward maps.  The bound's
-    values start as the audit's too, and grow by one evaluation per point
-    as degrees need them; m* is a bisection in them.
+    The first query builds the tables over its own n points; a later degree
+    beyond them builds them once over [0, H].  A degree past H is refused.
+    The audit proved every carrier injective on [0, H], so no two points
+    below n share an image.  m* is a bisection in the bound values.
     """
 
-    def __init__(self, chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn,
-                 values: dict[str, list[int]] | None = None,
-                 bound_values: list | None = None):
+    def __init__(self, chunk: Chunk, values: Mapping[str, Sequence[int]], bound_values: list):
         self.chunk = chunk
-        self.carriers = carriers
-        self.bound = bound
-        self.values = {} if values is None else values
-        self._bound_values = [] if bound_values is None else bound_values
-        self.prefix = min(map(len, self.values.values()), default=0)
+        self.values = values
+        self.bound_values = bound_values
+        self.horizon = len(bound_values) - 1
         self.pairs = [(x, y) for i, x in enumerate(chunk.elements)
                       for y in chunk.elements[i + 1:]]
         self.size = 0
@@ -289,29 +284,21 @@ class RestrictionTables:
     def _grow(self, n: int) -> None:
         if n <= self.size:
             return
-        if not self.size:
-            size = n
-        elif n <= self.prefix:
-            size = self.prefix
-        else:
-            size = max(n, 2 * self.size)
+        if n > self.horizon:
+            raise ValueError(f"degree {n} lies past the audited horizon {self.horizon}")
+        size = self.horizon if self.size else n
         ident = range(size)
         tables = self.tables = {}
         for e in self.chunk.elements:
             if e == self.chunk.unit:
-                tables[e] = _CarrierTable(ident, ident, ident, ident, size + 1)
+                tables[e] = _CarrierTable(ident, ident, ident, ident)
                 continue
-            vals = self.values.setdefault(e, [])
-            vals.extend(map(self.carriers[e].forward, range(len(vals), size)))
+            vals = self.values[e]
             head = vals[:size]
-            least = dict(zip(reversed(head), reversed(ident)))  # value -> least preimage
-            collision = size + 1
-            if len(least) < size:  # some value repeats; a repeat of v is a later preimage
-                collision = min((max(m, v) + 1 for m, v in enumerate(head)
-                                 if v < size and least[v] != m), default=collision)
-            pre = array("q", map(least.get, ident, repeat(size)))
+            preimage = dict(zip(head, ident))
+            pre = array("q", map(preimage.get, ident, repeat(size)))
             tables[e] = _CarrierTable(vals, pre, list(accumulate(head, max)),
-                                      array("q", accumulate(pre, max)), collision)
+                                      array("q", accumulate(pre, max)))
         # A point whose b-image lies beyond the tables counts as a disagreement
         # here and in ``counts`` alike; it is a free point of b at every degree.
         # The unit products (e, b, b) and (a, e, a) get None: the unit's
@@ -324,9 +311,7 @@ class RestrictionTables:
         self.pair_points = [array("q", compress(ident, map(ne, tables[x].vals, tables[y].vals)))
                             for x, y in self.pairs]
         # settled[n]: the running maximum of every carrier below n is below n
-        # and n lies below every collision degree
-        first_collision = min(t.collision for t in tables.values())
-        self.settled = [False] + [top < n < first_collision for n, top in zip(
+        self.settled = [False] + [top < n for n, top in zip(
             range(1, size + 1), map(max, ident, *(t.vals_max for t in tables.values())))]
         self.size = size
 
@@ -341,8 +326,6 @@ class RestrictionTables:
         free = {}
         for e in self.chunk.elements:
             t = self.tables[e]
-            if t.collision <= n:
-                raise ValueError(f"carrier of {e!r} not injective below {n}")
             free[e] = dict(zip(
                 [m for m in range(bisect_left(t.vals_max, n, 0, n), n) if t.vals[m] >= n],
                 [v for v in range(bisect_left(t.pre_max, n, 0, n), n) if t.pre[v] >= n]))
@@ -392,20 +375,13 @@ class RestrictionTables:
                 pairs[i] += (fx.get(m, vx[m]) != fy.get(m, vy[m])) - (vx[m] != vy[m])
         return n, products, pairs
 
-    def bound_values(self, n: int) -> list:
-        """The bound's values at 0..n at least, each point evaluated once."""
-        values = self._bound_values
-        if len(values) <= n:
-            values.extend(map(self.bound, range(len(values), n + 1)))
-        return values
-
     def m_star(self, n: int) -> int | None:
-        """Largest m with g(m) <= n, None when g(0) > n.
+        """Largest m with g(m) <= n, None when g(0) > n, for n <= H.
 
         The bound is monotone with g(m) > m, so this is
         ``growth.max_m_with_value_at_most``, read off the stored values.
         """
-        m = bisect_right(self.bound_values(n), n, 0, n + 1) - 1
+        m = bisect_right(self.bound_values, n, 0, n + 1) - 1
         return m if m >= 0 else None
 
 
@@ -427,12 +403,11 @@ class GChunk:
     carriers: dict[str, LazyPerm]
     bound: GrowthFn
     horizon: int
-    witnesses: dict[str, BoundWitness]
     restrictions: RestrictionTables = field(repr=False, compare=False)
 
 
 def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn,
-                 horizon: int, *, check_table: bool = True) -> GChunk:
+                 horizon: int) -> GChunk:
     """Validate the chunk, audit every carrier and the table consistency,
     then assemble the g-chunk.
 
@@ -475,29 +450,25 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
             violation = _audit(carriers[e], values[e], bound_values)
         if violation is not None:
             raise GChunkError(f"carrier of {e!r}: {violation}")
-    witnesses = dict.fromkeys(chunk.elements, BoundWitness(bound, horizon))
 
-    if check_table:
-        past: dict[str, dict[int, int]] = {e: {} for e in chunk.elements}  # values past H
-        for (a, b), c in chunk.table.items():
-            if b == chunk.unit:
-                continue  # a * e = a: b's values are the points themselves
-            va, vb, known = values[a], values[b], past[a]
-            if max(vb) <= horizon:
-                composite = list(map(va.__getitem__, vb))
-            else:  # a's values at b-values past the horizon, each evaluated once
-                composite = list(map(va.__getitem__, map(min, vb, repeat(horizon))))
-                for m in compress(count(), map(gt, vb, repeat(horizon))):
-                    if vb[m] not in known:
-                        known[vb[m]] = carriers[a].forward(vb[m])
-                    composite[m] = known[vb[m]]
-            if any(map(ne, composite, values[c])):
-                bad = next(m for m, (u, w) in enumerate(zip(composite, values[c])) if u != w)
-                raise GChunkError(f"table says {a} * {b} = {c} but carriers disagree at {bad}")
+    past: dict[str, dict[int, int]] = {e: {} for e in chunk.elements}  # values past H
+    for (a, b), c in chunk.table.items():
+        if b == chunk.unit:
+            continue  # a * e = a: b's values are the points themselves
+        vb, known = values[b], past[a]
+        composite = list(_composite(values[a], vb, horizon + 1))
+        # the None points: a's values at b-values past the horizon, each evaluated once
+        for m in compress(count(), map(gt, vb, repeat(horizon))):
+            if vb[m] not in known:
+                known[vb[m]] = carriers[a].forward(vb[m])
+            composite[m] = known[vb[m]]
+        if any(map(ne, composite, values[c])):
+            bad = next(m for m, (u, w) in enumerate(zip(composite, values[c])) if u != w)
+            raise GChunkError(f"table says {a} * {b} = {c} but carriers disagree at {bad}")
 
     del values[chunk.unit]  # the tables take the unit to the identity at every degree
-    return GChunk(chunk, carriers, bound, horizon, witnesses,
-                  RestrictionTables(chunk, carriers, bound, values, bound_values))
+    return GChunk(chunk, carriers, bound, horizon,
+                  RestrictionTables(chunk, values, bound_values))
 
 
 def supp_morphism(gc: GChunk, n: int) -> dict[str, Perm]:
@@ -547,7 +518,7 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
         defect_bound = Fraction(2 * (n - m_star), n)
         bound_holds = max(products, default=0) <= 2 * (n - m_star)
     # Growth functions are monotone, so the closest pair decides the hypothesis.
-    hypothesis = not pairs or gc.restrictions.bound_values(n)[min(pairs)] >= n
+    hypothesis = not pairs or gc.restrictions.bound_values[min(pairs)] >= n
     gap_small = m_star is not None and n - m_star <= radius
     return SuppReport(
         n=n, r=r, m_star=m_star, quality=MorphismQuality.from_counts(*counts),

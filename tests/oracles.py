@@ -295,7 +295,7 @@ def _reference_violation(p, fwd, bound_values):
     return None
 
 
-def reference_gchunk_error(chunk, carriers, bound, horizon, check_table=True):
+def reference_gchunk_error(chunk, carriers, bound, horizon):
     """The message ``build_gchunk``'s checks raised as first written, or
     None: the unit's forward map checked on the horizon, then every carrier,
     the unit's included, audited in element order, then every product of
@@ -316,13 +316,12 @@ def reference_gchunk_error(chunk, carriers, bound, horizon, check_table=True):
         violation = _reference_violation(carriers[e], values[e], bound_values)
         if violation is not None:
             return f"carrier of {e!r}: {violation}"
-    if check_table:
-        for (a, b), c in chunk.table.items():
-            va, vb, vc, fa = values[a], values[b], values[c], carriers[a].forward
-            bad = next((m for m in points
-                        if (va[v] if 0 <= (v := vb[m]) <= horizon else fa(v)) != vc[m]), None)
-            if bad is not None:
-                return f"table says {a} * {b} = {c} but carriers disagree at {bad}"
+    for (a, b), c in chunk.table.items():
+        va, vb, vc, fa = values[a], values[b], values[c], carriers[a].forward
+        bad = next((m for m in points
+                    if (va[v] if 0 <= (v := vb[m]) <= horizon else fa(v)) != vc[m]), None)
+        if bad is not None:
+            return f"table says {a} * {b} = {c} but carriers disagree at {bad}"
     return None
 
 

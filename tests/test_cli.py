@@ -242,6 +242,17 @@ class TestSuppCommand:
         assert (code, out) == (1, "")
         assert err == "error: chunk fails validation: h * 1 = undef (expected h)\n"
 
+    @pytest.mark.parametrize("n, horizon, code", [(22, 20, 1), (99, 98, 1), (99, 99, 0)])
+    def test_degree_past_the_horizon_rejected_in_one_line(self, capsys, n, horizon, code):
+        got, out, err = run(capsys, "supp", "--gchunk", data_path("three.gchunk"),
+                            "--n", str(n), "--r", "2/1", "--horizon", str(horizon))
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == f"error: degree {n} lies past the audited horizon {horizon}\n"
+        else:
+            assert out.startswith(f"n = {n}\n") and err == ""
+
     @pytest.mark.parametrize("r", ["0", "-1", "1/2"])
     def test_r_below_one_rejected(self, capsys, r):
         code, out, err = run(capsys, "supp", "--gchunk", data_path("three.gchunk"),

@@ -17,6 +17,7 @@ from soficapprox.growth import (Affine, BlockStep, GrowthFn, Linear, Tabulated,
 from soficapprox.lazyperm import (
     AuditViolation,
     BoundWitness,
+    GChunk,
     GChunkError,
     LazyPerm,
     RestrictionTables,
@@ -52,6 +53,16 @@ def pair_swap() -> LazyPerm:
 def z2_pair_swap_gchunk(horizon=600, bound=Affine(1)):
     c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
     return build_gchunk(c, {"a": pair_swap()}, bound, horizon)
+
+
+def unchecked_gchunk(chunk, carriers, bound, horizon):
+    """A g-chunk over ``carriers`` built without ``build_gchunk``'s audits and
+    table check: its tables read the forward values on [0, horizon] as given."""
+    carriers = {chunk.unit: identity_lazy(), **carriers}
+    values = {e: list(map(carriers[e].forward, range(horizon + 1)))
+              for e in chunk.elements if e != chunk.unit}
+    return GChunk(chunk, carriers, bound, horizon,
+                  RestrictionTables(chunk, values, bound.values(horizon)))
 
 
 class CountingBound(GrowthFn):
@@ -335,7 +346,8 @@ class TestAuditAgainstReference:
 class TestGChunkBuild:
     def test_three_cycle_chunk_builds(self):
         gc = three_cycle_chunk(horizon=300)
-        assert set(gc.witnesses) == {"1", "h", "h2"}
+        assert set(gc.carriers) == {"1", "h", "h2"}
+        assert (gc.bound, gc.horizon) == (Affine(31), 300)
 
     def test_unit_must_be_identity(self):
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
@@ -346,13 +358,15 @@ class TestGChunkBuild:
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
         # a * a = 1 is what the valid table says, but the carrier squares to its inverse
         with pytest.raises(GChunkError, match="table says a \\* a = 1 but carriers disagree at 0"):
-            build_gchunk(c, {"a": three_cycle()}, Affine(2), 50, check_table=True)
-        build_gchunk(c, {"a": three_cycle()}, Affine(2), 50, check_table=False)
+            build_gchunk(c, {"a": three_cycle()}, Affine(2), 50)
+        # built without the check, the restrictions read the carrier as it is
+        gc = unchecked_gchunk(c, {"a": three_cycle()}, Affine(2), 50)
+        assert supp_morphism(gc, 3)["a"] == Perm((1, 2, 0))
 
     def test_chunk_validated(self):
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = a\n")
         with pytest.raises(ValueError, match="^chunk fails validation: left cancellation"):
-            build_gchunk(c, {"a": pair_swap()}, Affine(1), 50, check_table=False)
+            build_gchunk(c, {"a": pair_swap()}, Affine(1), 50)
 
     def test_unbounded_carrier_rejected(self):
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
@@ -380,9 +394,8 @@ class TestSuppMorphism:
     def test_non_injective_carrier_rejected(self):
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
         broken = LazyPerm(lambda m: 0 if m < 2 else m, lambda m: m, "broken")
-        tables = RestrictionTables(c, {"1": identity_lazy(), "a": broken}, Affine(1))
-        with pytest.raises(ValueError, match="not injective"):
-            tables.images(5)
+        with pytest.raises(GChunkError, match="^carrier of 'a': forward not injective at 1$"):
+            build_gchunk(c, {"a": broken}, Affine(1), 5)
 
 
 class TestSuppQuality:
@@ -427,7 +440,7 @@ class TestSuppQuality:
         seen = {}
         for seed in range(8):
             loose = seed % 2 == 1
-            gc, ref = bounded_gchunk(seed, 40, loose), bounded_gchunk(seed, 40, loose)
+            gc, ref = bounded_gchunk(seed, 99, loose), bounded_gchunk(seed, 99, loose)
             for n in range(1, 100):
                 for r in (1, Fraction(3, 2), 2, Fraction(7, 3), 5):
                     got, want = supp_quality(gc, n, r), reference_supp_quality(ref, n, r)
@@ -488,7 +501,8 @@ def bounded_gchunk(seed, horizon, loose=False):
     """Random carrier r shuffling consecutive blocks of at most c + 1 points,
     its inverse s unless r is an involution, and the products they define,
     bounded by n + c.  ``loose`` keeps s and adds r * r = s and s * s = r,
-    which the carriers need not satisfy."""
+    which the carriers need not satisfy, so that g-chunk is built without
+    the table check."""
     rng = random.Random(seed)
     c = rng.randint(1, 12)
     span, images = rng.randint(2 * c + 2, 90), []
@@ -506,8 +520,8 @@ def bounded_gchunk(seed, horizon, loose=False):
         table[("r", "r")] = "1"
     if loose:
         table.update({("r", "r"): "s", ("s", "s"): "r"})
-    return build_gchunk(Chunk(("1",) + tuple(carriers), "1", table), carriers, Affine(c),
-                        horizon, check_table=not loose)
+    build = unchecked_gchunk if loose else build_gchunk
+    return build(Chunk(("1",) + tuple(carriers), "1", table), carriers, Affine(c), horizon)
 
 
 def far_swap_gchunk(horizon):
@@ -531,16 +545,16 @@ class TestRestrictionTables:
     """Every query on one g-chunk, in any order, equals the point-by-point
     greedy completion; each order runs on a g-chunk of its own."""
 
-    CASES = ([(f"bounded-{seed}", lambda seed=seed: bounded_gchunk(seed, 40, seed >= 3),
+    CASES = ([(f"bounded-{seed}", lambda seed=seed: bounded_gchunk(seed, 129, seed >= 3),
                range(1, 130)) for seed in range(5)]
-             + [("far-swap", lambda: far_swap_gchunk(60),
+             + [("far-swap", lambda: far_swap_gchunk(519),
                  list(range(1, 40)) + list(range(490, 520)))])
 
     @pytest.mark.parametrize("name,make,degrees", CASES, ids=[c[0] for c in CASES])
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
     def test_queries_match_reference_in_any_order(self, name, make, degrees, order):
         gc = make()
-        assert max(degrees) > gc.horizon  # the tables outgrow the audited prefix
+        assert max(degrees) == gc.horizon  # the queries reach the audited horizon
         ref = make()
         settled = set()
         for n in query_orders(degrees)[order]:
@@ -557,17 +571,17 @@ class TestRestrictionTables:
     @pytest.mark.parametrize("bound", BOUNDS, ids=[g.spec() for g in BOUNDS])
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
     def test_m_star_read_off_the_stored_bound_values(self, bound, order):
-        horizon = 40
+        horizon = 80
         gc = z2_pair_swap_gchunk(horizon, bound)
         got = {n: supp_quality(gc, n, 2).m_star
-               for n in query_orders(range(1, 2 * horizon + 1))[order]}
-        want = {n: max_m_with_value_at_most(bound, n) for n in range(1, 2 * horizon + 1)}
+               for n in query_orders(range(1, horizon + 1))[order]}
+        want = {n: max_m_with_value_at_most(bound, n) for n in range(1, horizon + 1)}
         assert got == want
         assert (None in got.values()) == (bound(0) > 1)
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
     def test_mask_matches_reference_in_any_order(self, order):
-        for make in (lambda: bounded_gchunk(7, 30), lambda: far_swap_gchunk(30)):
+        for make in (lambda: bounded_gchunk(7, 119), lambda: far_swap_gchunk(119)):
             gc = make()
             degrees = query_orders(range(1, 120), seed=3)[order]
             for r in (2, Fraction(7, 2)):
@@ -578,24 +592,22 @@ class TestRestrictionTables:
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
     def test_non_injective_carrier_same_error_in_any_order(self, order):
         # injective on the audited prefix; 15 and 20 share the image 12 beyond it,
-        # which first shows at degree 21
+        # which the reference first sees at degree 21; every degree past the
+        # horizon is refused, before and after the collision
         def forward(m):
             return {12: 30, 15: 12, 20: 12, 30: 15}.get(m, m)
 
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\n")
         gc = build_gchunk(c, {"a": LazyPerm(forward, lambda m: m, "collides")}, Affine(20), 10)
         for n in query_orders(range(1, 45), seed=5)[order]:
-            try:
-                want = reference_supp_morphism(gc, n)
-            except ValueError as exc:
-                assert n >= 21 and str(exc) == f"carrier of 'a' not injective below {n}"
-                for query in (lambda: supp_morphism(gc, n), lambda: supp_quality(gc, n, 2),
-                              lambda: property_holds_mask(gc, 2, [n])):
-                    with pytest.raises(ValueError) as info:
-                        query()
-                    assert str(info.value) == str(exc)
-            else:
-                assert n < 21 and supp_morphism(gc, n) == want
+            if n <= 10:
+                assert supp_morphism(gc, n) == reference_supp_morphism(gc, n)
+                continue
+            for query in (lambda: supp_morphism(gc, n), lambda: supp_quality(gc, n, 2),
+                          lambda: property_holds_mask(gc, 2, [n])):
+                with pytest.raises(ValueError) as info:
+                    query()
+                assert str(info.value) == f"degree {n} lies past the audited horizon 10"
 
     def test_audit_values_seed_the_tables(self):
         calls = []
@@ -607,11 +619,12 @@ class TestRestrictionTables:
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
         gc = build_gchunk(c, {"a": LazyPerm(forward, forward, "pairswap")}, Affine(1), 99)
         audited = len(calls)
-        for n in range(1, 101):
+        for n in range(1, 100):
             supp_quality(gc, n, 2)
-        assert len(calls) == audited  # degrees up to 100 need only the values 0..99
-        supp_quality(gc, 101, 2)
-        assert sorted(calls[audited:]) == list(range(100, 200))  # doubled once
+        assert len(calls) == audited  # degrees up to 99 read the values 0..99
+        with pytest.raises(ValueError, match="^degree 100 lies past the audited horizon 99$"):
+            supp_quality(gc, 100, 2)
+        assert len(calls) == audited
 
     @pytest.mark.parametrize("carriers", [1, 2])
     def test_bound_evaluated_once_per_point(self, carriers, z3):
@@ -624,15 +637,59 @@ class TestRestrictionTables:
         for n in range(1, 100):
             supp_quality(gc, n, 2)
         assert bound.calls == 100  # degrees up to the horizon read the audit's values
-        supp_quality(gc, 100, 2)
-        assert bound.calls == 101  # and degree horizon + 1 needs g(100)
+        with pytest.raises(ValueError, match="^degree 100 lies past the audited horizon 99$"):
+            supp_quality(gc, 100, 2)
+        assert bound.calls == 100
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
+    def test_no_evaluation_after_the_build(self, order, z3):
+        horizon = 60
+        bound = CountingBound(Affine(2))
+        h, h_calls = counting(three_cycle())
+        h2, h2_calls = counting(three_cycle_squared())
+        gc = build_gchunk(z3, {"h": h, "h2": h2}, bound, horizon)
+        ref = build_gchunk(z3, {"h": three_cycle(), "h2": three_cycle_squared()}, Affine(2),
+                           horizon)
+        built = (bound.calls, dict(h_calls), dict(h2_calls))
+        for n in query_orders(range(1, horizon + 1), seed=2)[order]:
+            assert supp_quality(gc, n, 2) == reference_supp_quality(ref, n, 2), n
+            assert supp_morphism(gc, n) == reference_supp_morphism(ref, n), n
+            assert property_holds_mask(gc, 2, [n]) == property_holds_mask(ref, 2, [n])
+        for query in (lambda: supp_quality(gc, horizon + 1, 2),
+                      lambda: supp_morphism(gc, horizon + 1),
+                      lambda: property_holds_mask(gc, 2, [horizon + 1])):
+            with pytest.raises(ValueError, match="^degree 61 lies past the audited horizon 60$"):
+                query()
+        assert (bound.calls, h_calls, h2_calls) == built
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
+    def test_values_past_the_horizon_never_read(self, order):
+        # the identity on [0, 20] that swaps 21 with -1: its audit at horizon 20
+        # passes, and no degree may read the value -1 beyond it
+        swap = {21: -1, -1: 21}
+        p, calls = counting(LazyPerm(lambda m: swap.get(m, m), lambda m: swap.get(m, m),
+                                     "negative-past-20"))
+        c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\n")
+        gc = build_gchunk(c, {"a": p}, Affine(1), 20)
+        built = dict(calls)
+        for n in query_orders(range(18, 26), seed=4)[order]:
+            if n <= 20:
+                assert supp_morphism(gc, n)["a"] == identity(n)
+                assert supp_quality(gc, n, 2).quality.defect == 0
+                continue
+            for query in (lambda: supp_quality(gc, n, 2), lambda: supp_morphism(gc, n),
+                          lambda: property_holds_mask(gc, 2, [n])):
+                with pytest.raises(ValueError) as info:
+                    query()
+                assert str(info.value) == f"degree {n} lies past the audited horizon 20"
+        assert calls == built
 
     def test_one_off_query_builds_at_its_degree(self):
         gc = z2_pair_swap_gchunk(200)
         supp_quality(gc, 90, 2)
         assert gc.restrictions.size == 90
         supp_quality(gc, 91, 2)
-        assert gc.restrictions.size == 201  # then the whole audited prefix
+        assert gc.restrictions.size == 200  # then the whole audited prefix
 
     def test_unit_products_count_zero_without_points(self):
         # (1, s) -> r is no unit product, so only it and (r, s) -> 1 keep points;
@@ -641,7 +698,8 @@ class TestRestrictionTables:
                                         ("1", "s"): "r", ("s", "1"): "s", ("r", "s"): "1"})
         carriers = {"1": identity_lazy(), "r": finitary([500] + list(range(1, 500)) + [0]),
                     "s": three_cycle()}
-        tables = RestrictionTables(c, carriers, Affine(500))
+        tables = RestrictionTables(c, {e: list(map(carriers[e], range(506))) for e in "rs"},
+                                   Affine(500).values(505))
         ref = SimpleNamespace(chunk=c, carriers=carriers)
         for n in (1, 7, 59, 61, 200, 505):
             want = disagreement_counts(c, reference_supp_morphism(ref, n))
