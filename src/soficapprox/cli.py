@@ -18,7 +18,8 @@ from fractions import Fraction
 from . import gadgets, profile
 from .chunk import (Chunk, ChunkParseError, format_chunk, parse_chunk, parse_chunk_file, validate,
                     validated)
-from .growth import GrowthFn, growth_profile, is_slow, ll, lt_eventually, parse_growth, sim
+from .growth import (DEFAULT_HORIZON, GrowthFn, growth_profile, is_slow, ll, lt_eventually,
+                     parse_growth, sim)
 from .lazyperm import (GChunk, LazyPerm, Realization, build_gchunk, finitary,
                        identity_lazy, realize, supp_quality)
 from .permcore import Perm, format_perm, parse_perm
@@ -31,7 +32,8 @@ EXIT_EXHAUSTED = 2
 
 
 DEFAULT_N_MAX = 8
-DEFAULT_HORIZON = 10_000
+# `sofic supp` audits to max(SUPP_MIN_HORIZON, 2n) unless --horizon is given.
+SUPP_MIN_HORIZON = 1000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -338,7 +340,7 @@ def build_parser() -> _Parser:
     p_gcmp.add_argument("--f", required=True)
     p_gcmp.add_argument("--g", required=True)
     p_gcmp.add_argument("--rel", choices=["prec", "ll", "sim"], required=True)
-    p_gcmp.add_argument("--horizon", type=int, default=10_000)
+    p_gcmp.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     p_gcmp.add_argument("--k-max", type=int, default=16)
 
     p_supp = sub.add_parser("supp", help="supp-morphism quality report")
@@ -475,7 +477,7 @@ def _cmd_growth_cmp(args) -> int:
 
 
 def _cmd_supp(args) -> int:
-    horizon = args.horizon if args.horizon is not None else max(DEFAULT_HORIZON // 10, 2 * args.n)
+    horizon = args.horizon if args.horizon is not None else max(SUPP_MIN_HORIZON, 2 * args.n)
     gc = parse_gchunk_file(args.gchunk, horizon)
     report = supp_quality(gc, args.n, args.r)
     print(f"n = {report.n}")

@@ -29,8 +29,8 @@ Each depth draws its candidates, in lex order, from one of three pools:
   centre permutation".  A ball of radius 0 or 1 is its centre alone.  That
   centre, the members of a ball that is small beside S_n (fewer than
   n!/2048 members: radius 2 at n = 9) and every ball from n = 10 on are
-  checked one at a time; any other ball is cut out of an S_n bitset as
-  below;
+  listed support by support and checked one at a time; any other ball is
+  cut out of an S_n bitset as below;
 - every other depth takes an S_n bitset: per point x and value v, one
   integer has bit i set iff the lex rank-i permutation maps x to v.
   Counting set bits across such integers, a whole word of candidates at a
@@ -73,7 +73,7 @@ import concurrent.futures
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, permutations, repeat
+from itertools import combinations, compress, permutations, repeat
 from math import comb, factorial
 from operator import eq, ne, or_
 from typing import Iterable, Iterator, Mapping
@@ -231,47 +231,29 @@ def _ball_centre(role: int, fa: tuple[int, ...], fb: tuple[int, ...],
     return _compose(_inverse(fa), fab)
 
 
-def _hamming_ball(centre: tuple[int, ...], radius: int) -> Iterable[tuple[int, ...]]:
-    """Permutations differing from ``centre`` in at most ``radius`` points, in lex order."""
+def _hamming_ball(centre: tuple[int, ...], radius: int) -> list[tuple[int, ...]]:
+    """Permutations differing from ``centre`` in at most ``radius`` points, in lex order.
+
+    A member differs from the centre exactly on a support S of k <= radius
+    points, where it permutes the centre's values by a derangement of S, so
+    each k contributes comb(n, k) times the derangements of k points, as
+    ``_ball_size`` counts.  The members are listed support by support and
+    then sorted."""
     if radius <= 1:
         return [centre]  # no two permutations differ in exactly one point
-    return _ball_members(centre, radius)
-
-
-def _ball_members(centre: tuple[int, ...], radius: int) -> Iterator[tuple[int, ...]]:
-    # A depth-first walk over points 0..n-1 with an explicit stack: ``lost[x]``
-    # counts the points below x that differ from the centre, plus the points
-    # from x on whose centre image is already taken.  Every other point can
-    # still agree, so ``lost[x]`` is the least final distance and the walk
-    # never enters a branch without a member.
     n = len(centre)
-    where = _inverse(centre)
-    used = [False] * n
-    images = [0] * n
-    lost = [0] * (n + 1)
-    start = [0] * n  # the least value point x may still take
-    x = 0
-    while x >= 0:
-        if x == n:
-            yield tuple(images)
-            x -= 1
-            used[images[x]] = False
-            continue
-        cx = centre[x]
-        taken = used[cx]
-        for v in range(start[x], n):
-            if not used[v]:
-                k = lost[x] + (v != cx and not taken) + (where[v] > x)
-                if k <= radius:
-                    used[v] = True
-                    images[x], start[x], lost[x + 1] = v, v + 1, k
-                    x += 1
-                    break
-        else:
-            start[x] = 0
-            x -= 1
-            if x >= 0:
-                used[images[x]] = False
+    members = [centre]
+    for k in range(2, min(radius, n) + 1):
+        deranged = [d for d in permutations(range(k)) if all(map(ne, d, range(k)))]
+        for support in combinations(range(n), k):
+            values = [centre[x] for x in support]
+            for d in deranged:
+                member = list(centre)
+                for x, i in zip(support, d):
+                    member[x] = values[i]
+                members.append(tuple(member))
+    members.sort()
+    return members
 
 
 # The S_n bitsets of one degree take n * n * n! / 8 bytes.  Free depths at
@@ -303,16 +285,17 @@ def _rank_masks(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, masks))
 
 
-# A ball depth, whose other pool is a short checked walk, draws a bitset pool
-# only where S_n has at most this many ranks per ball member and the masks
-# fit in the smaller budget below (n <= 9).  Per call, with four earlier
-# images and one product, a bitset pool cost 0.76 of checking the ball at
-# 1.8k ranks per member (n = 9, radius 3), 2.9 times as much at 9.8k (n = 9,
-# radius 2) and 27 times at 79k (n = 10, radius 2).  Searching all of Z10 to
-# degree 9, bitset pools took 24-26 s instead of 61-65 s at r = 3 (radius 3),
-# but 3.1-3.3 s instead of 1.4-1.5 s at r = 4 (radius 2).  At n = 10,
-# radius 4, a pool cost 0.87 of the walk, yet searches that drew it ran
-# slower and built 45 MB of masks they would not have needed.
+# A ball depth, whose other pool is its ball listed by support and checked,
+# draws a bitset pool only where S_n has at most this many ranks per ball
+# member and the masks fit in the smaller budget below (n <= 9).  Per call,
+# with four earlier images and one product, a bitset pool cost 1.0-1.2 times
+# as much as the checked ball at 1.8k ranks per member (n = 9, radius 3),
+# 2.5-5.5 times at 9.8k (n = 9, radius 2) and 42-48 times at 79k (n = 10,
+# radius 2).  Searching all of Z10 to degree 9 at r = 3 (radius 3), bitset
+# pools still took 16-18 s against 24-27 s with this bound at 1000, which
+# checks the balls of degrees 8 and 9; at r = 4 (radius 2), with the bound
+# at 10^4, they took 2.1-2.8 s against 0.7-1.0 s.  At n = 10, radius 4, a
+# pool cost 1.0-1.4 times the checked ball and built 45 MB of masks.
 _RANKS_PER_BALL_MEMBER = 2048
 _BALL_MASK_TABLE_BYTES = 4 << 20
 

@@ -542,15 +542,29 @@ class TestReferenceSearch:
                  for ball in _search_plan(c)[2] if ball is not None}
         assert roles == {0, 1, 2}  # new element as left factor, right factor, product
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_ball_is_filtered_symmetric_group(self, n):
         everything = list(itertools.permutations(range(n)))
-        centres = everything if n <= 4 else random.Random(n).sample(everything, 4)
+        centres = everything if n <= 4 else random.Random(n).sample(everything, 4 if n < 8 else 2)
         for centre in centres:
             for radius in range(n + 1):
                 expected = [p for p in everything if sum(map(ne, p, centre)) <= radius]
                 assert list(_hamming_ball(centre, radius)) == expected, (centre, radius)
             assert _hamming_ball(centre, 0) == _hamming_ball(centre, 1) == [centre]
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("radius", [2, 3, 4])
+    def test_ball_lists_each_member_once_in_lex_order(self, n, radius):
+        # S_n is too large to filter here: the members must be strictly
+        # increasing, within the radius, and as many as the ball has
+        rng = random.Random(10 * n + radius)
+        for _ in range(3):
+            centre = tuple(rng.sample(range(n), n))
+            ball = list(_hamming_ball(centre, radius))
+            assert all(p < q for p, q in zip(ball, ball[1:]))
+            assert all(sorted(p) == list(range(n)) and sum(map(ne, p, centre)) <= radius
+                       for p in ball)
+            assert len(ball) == profile._ball_size(n, radius)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_lex_rank_is_listing_index(self, n):
@@ -733,4 +747,26 @@ def test_baseline_rows_keep_witness_and_records(name, m, elems, least, ranks, no
     cert = sofic_profile(cyclic_chunk(m, elems), 3, least)
     assert cert.n == least
     assert [_lex_rank(cert.assignment[str(x)].images) for x in elems] == list(ranks)
+    assert cert.infeasible == tuple(DegreeRecord(d, k) for d, k in enumerate(nodes, start=1))
+
+
+# Full Z10 at r = 4 and r = 5, whose ball depths at degrees 9 and 10 have
+# radius 2 and are stepped through and checked, not cut out of bitsets: r,
+# the least degree, the lex ranks of the witness images in element order,
+# and the nodes of every degree below it.
+CHECKED_BALL_ROWS = [
+    ("Z10@4", 4, 9, (0, 46233, 52144, 98371, 144580, 190698, 236256, 277800, 286560, 322560),
+     (1, 4, 15, 149, 1087, 9371, 80655, 60883222)),
+    ("Z10@5", 5, 10,
+     (0, 409112, 455340, 864434, 1273452, 1681992, 2087040, 2463120, 2570400, 2903040),
+     (1, 4, 15, 101, 1087, 9371, 80655, 846742, 10160670)),
+]
+
+
+@pytest.mark.parametrize("name,r,least,ranks,nodes", CHECKED_BALL_ROWS,
+                         ids=[row[0] for row in CHECKED_BALL_ROWS])
+def test_checked_ball_rows_keep_witness_and_records(name, r, least, ranks, nodes):
+    cert = sofic_profile(cyclic_chunk(10), r, least)
+    assert cert.n == least
+    assert [_lex_rank(cert.assignment[str(x)].images) for x in range(10)] == list(ranks)
     assert cert.infeasible == tuple(DegreeRecord(d, k) for d, k in enumerate(nodes, start=1))
