@@ -1,9 +1,9 @@
 """Command-line frontend: batch subcommands over chunk files and reports.
 
-Exit codes: 0 for a successful result or certificate, 2 for an exhausted or
-inconclusive outcome, 1 for usage or data errors.  All serialized rationals
-are exact ``P/Q`` text; identical inputs and flags produce byte-identical
-output regardless of the worker count.
+Exit codes: 0 for a successful result or certificate, 2 for an exhausted
+search or a check that does not hold, 1 for usage or data errors.  All
+serialized rationals are exact ``P/Q`` text; identical inputs and flags
+produce byte-identical output regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from fractions import Fraction
 from . import gadgets, profile
 from .chunk import (Chunk, ChunkParseError, format_chunk, parse_chunk, parse_chunk_file, validate,
                     validated)
-from .growth import (DEFAULT_HORIZON, GrowthFn, growth_profile, is_slow, ll, lt_eventually,
-                     parse_growth, sim)
+from .growth import GrowthFn, growth_profile, is_slow, ll, lt_eventually, parse_growth, sim
 from .lazyperm import (GChunk, LazyPerm, Realization, build_gchunk, finitary,
                        identity_lazy, realize, supp_quality)
 from .permcore import Perm, format_perm, parse_perm
@@ -139,7 +138,7 @@ def load_certificate(path: str) -> tuple[ProfileCertificate, Chunk]:
     if n < 1:
         raise ValueError(f"certificate degree n = {n} is not positive")
     degrees = [rec.degree for rec in records]
-    if degrees != list(range(1, n)):
+    if len(degrees) != n - 1 or degrees != list(range(1, n)):
         raise ValueError(f"infeasibility records name degrees {degrees}; "
                          f"expected 1..{n - 1}, once each and in order")
     assignment = {}
@@ -203,7 +202,10 @@ def load_realization(path: str) -> Realization:
     """Rebuild a realization from its emitted file, re-verifying every stage
     and every stored field against the recomputed one."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"realization file {path!r} nests too deeply to parse") from None
     if not isinstance(payload, dict) or payload.get("format") != "realization-v1":
         raise ValueError(f"unrecognized realization file {path!r}")
     chunk_text, m, sigma = payload.get("chunk"), payload.get("m"), payload.get("sigma")
@@ -340,8 +342,6 @@ def build_parser() -> _Parser:
     p_gcmp.add_argument("--f", required=True)
     p_gcmp.add_argument("--g", required=True)
     p_gcmp.add_argument("--rel", choices=["prec", "ll", "sim"], required=True)
-    p_gcmp.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    p_gcmp.add_argument("--k-max", type=int, default=16)
 
     p_supp = sub.add_parser("supp", help="supp-morphism quality report")
     p_supp.add_argument("--gchunk", required=True)
@@ -446,34 +446,17 @@ def _cmd_growth_cmp(args) -> int:
     f = parse_growth(args.f)
     g = parse_growth(args.g)
     if args.rel == "prec":
-        v = lt_eventually(f, g, args.horizon)
-        if v.outcome == "true":
-            print(f"prec: true from n0 = {v.n0}")
-            return EXIT_OK
-        if v.outcome == "false":
-            print(f"prec: false, f >= g from n = {v.witness}")
-            return EXIT_OK
-        print(f"prec: inconclusive ({v.note})")
-        return EXIT_EXHAUSTED
-    if args.rel == "ll":
-        v = ll(f, g, args.k_max, args.horizon)
-        if v.outcome == "true":
-            print("ll: true for every power")
-            return EXIT_OK
-        if v.outcome == "false":
-            print(f"ll: false at power k = {v.k}")
-            return EXIT_OK
-        print(f"ll: true up to k_max = {v.k} ({v.note})")
-        return EXIT_EXHAUSTED
-    v = sim(f, g, args.k_max, args.horizon)
-    if v.outcome == "true":
-        print(f"sim: true with k = {v.k}")
-        return EXIT_OK
-    if v.outcome == "false":
-        print(f"sim: false ({v.note})")
-        return EXIT_OK
-    print(f"sim: inconclusive ({v.note})")
-    return EXIT_EXHAUSTED
+        v = lt_eventually(f, g)
+        print(f"prec: true from n0 = {v.n0}" if v.outcome == "true"
+              else f"prec: false, f >= g from n = {v.witness}")
+    elif args.rel == "ll":
+        v = ll(f, g)
+        print("ll: true for every power" if v.outcome == "true"
+              else f"ll: false at power k = {v.k}")
+    else:
+        v = sim(f, g)
+        print(f"sim: true with k = {v.k}" if v.outcome == "true" else f"sim: false ({v.note})")
+    return EXIT_OK
 
 
 def _cmd_supp(args) -> int:

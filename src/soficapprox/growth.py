@@ -2,10 +2,9 @@
 
 Members of the calculus are monotone functions g with g(n) > n everywhere and
 g(inf) = inf.  Symbolic kinds (affine, linear, block-step, tabulated,
-composition, power, infinity) evaluate lazily and exactly; the comparison
-orders are decided symbolically wherever a kind reduces to an eventually
-affine form, and otherwise produce explicitly bounded verdicts rather than
-silent guesses.
+composition, power, infinity) evaluate lazily and exactly.  Every kind is
+either identically infinite or eventually affine, and the comparison orders
+are decided exactly from those forms; a function with neither is rejected.
 
 ``growth_profile`` computes the least n such that some m has g(m) <= n and
 (n - m)/n < 1/r, with the strict inequality taken exactly; the infimum over an
@@ -372,13 +371,24 @@ class PrecVerdict:
     """Outcome of the eventual strict comparison f(n) < g(n).
 
     ``true`` carries the minimal onset n0; ``false`` carries a point from
-    which f(n) >= g(n) persists; ``inconclusive`` carries the sampled window.
+    which f(n) >= g(n) persists.
     """
 
-    outcome: str  # "true" | "false" | "inconclusive"
+    outcome: str  # "true" | "false"
     n0: int | None = None
     witness: int | None = None
     note: str = ""
+
+
+def _order_form(g: GrowthFn) -> EventualAffine | None:
+    """None for an identically infinite g, else its eventually affine form;
+    the orders decide nothing else."""
+    if is_infinite(g):
+        return None
+    form = linearize(g)
+    if form is None:
+        raise ValueError(f"{g!r} has no eventually affine form, so no eventual order is decided")
+    return form
 
 
 def _minimal_onset(f: GrowthFn, g: GrowthFn, start: int) -> int:
@@ -389,120 +399,94 @@ def _minimal_onset(f: GrowthFn, g: GrowthFn, start: int) -> int:
     return n
 
 
-def lt_eventually(f: GrowthFn, g: GrowthFn, horizon: int = DEFAULT_HORIZON) -> PrecVerdict:
-    """Decide whether f(n) < g(n) for all large n.
+def lt_eventually(f: GrowthFn, g: GrowthFn) -> PrecVerdict:
+    """Decide whether f(n) < g(n) for all large n, exactly.
 
-    Eventually-affine kinds are decided exactly; the horizon only matters for
-    the sampled fallback, which never claims a tail it cannot justify.
+    a_f*n + c_f < a_g*n + c_g for all large n exactly when (a_f, c_f) <
+    (a_g, c_g) lexicographically.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    f_inf, g_inf = is_infinite(f), is_infinite(g)
-    if f_inf:
+    lf, lg = _order_form(f), _order_form(g)
+    if lf is None:
         return PrecVerdict("false", witness=0, note="left side is identically infinite")
-    if g_inf:
+    if lg is None:
         return PrecVerdict("true", n0=0, note="finite values stay below infinity")
-    lf, lg = linearize(f), linearize(g)
-    if lf is not None and lg is not None:
-        base = max(lf.n_from, lg.n_from, 1)
-        if (lf.a, lf.c) < (lg.a, lg.c):
-            if lf.a == lg.a:
-                onset = base
-            else:
-                # a_f*n + c_f < a_g*n + c_g from n > (c_f - c_g)/(a_g - a_f)
-                onset = max(base, (lf.c - lg.c) // (lg.a - lf.a) + 1)
-            return PrecVerdict("true", n0=_minimal_onset(f, g, onset), note="eventually affine")
+    base = max(lf.n_from, lg.n_from, 1)
+    if (lf.a, lf.c) < (lg.a, lg.c):
         if lf.a == lg.a:
-            witness = base
+            onset = base
         else:
-            witness = max(base, (lg.c - lf.c) // (lf.a - lg.a) + 1)
-        return PrecVerdict("false", witness=witness, note="eventually affine")
-    # sampled fallback: report the window, never extrapolate
-    n0 = None
-    for n in range(horizon, -1, -1):
-        if f(n) < g(n):
-            n0 = n
-        else:
-            break
-    if n0 is None:
-        return PrecVerdict("false", witness=horizon, note=f"f >= g at the horizon {horizon}")
-    return PrecVerdict("inconclusive", n0=n0,
-                       note=f"f < g on [{n0}, {horizon}] but no symbolic tail")
+            # a_f*n + c_f < a_g*n + c_g from n > (c_f - c_g)/(a_g - a_f)
+            onset = max(base, (lf.c - lg.c) // (lg.a - lf.a) + 1)
+        return PrecVerdict("true", n0=_minimal_onset(f, g, onset), note="eventually affine")
+    if lf.a == lg.a:
+        witness = base
+    else:
+        witness = max(base, (lg.c - lf.c) // (lf.a - lg.a) + 1)
+    return PrecVerdict("false", witness=witness, note="eventually affine")
+
+
+def _least_power_reaching(base: EventualAffine, a: int, c: int) -> int | None:
+    """The least k >= 1 with base^k >= n -> a*n + c eventually, or None if no
+    power reaches it.
+
+    The form of base^k increases in k.  A slope-1 base has base^k = n + k*c_b,
+    which reaches only slope-1 forms, first at k = ceil(c / c_b).  A base of
+    slope >= 2 reaches any form within about log2(a) + 2 steps.
+    """
+    if base.a == 1:
+        return max(1, -(-c // base.c)) if a == 1 else None
+    k = 1
+    while ((power := _power_form(base, k)).a, power.c) < (a, c):
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
-class PowerDomVerdict:
-    """Outcome of 'every composition power of f stays eventually below g'."""
+class PowerVerdict:
+    """Outcome of ``ll`` or ``sim``, which compare composition powers.
 
-    outcome: str  # "true" | "false" | "true_up_to"
-    k: int | None = None  # failing power for "false", depth checked otherwise
-    note: str = ""
+    k is the least failing power for a false ``ll``, the least working power
+    for a true ``sim``, and None otherwise.
+    """
 
-
-def ll(f: GrowthFn, g: GrowthFn, k_max: int, horizon: int = DEFAULT_HORIZON) -> PowerDomVerdict:
-    """Check f^k < g eventually, for every k (symbolically) or up to k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
-    if is_infinite(f):
-        return PowerDomVerdict("false", k=1, note="left side infinite")
-    if is_infinite(g):
-        return PowerDomVerdict("true", k=k_max, note="right side infinite")
-    lf, lg = linearize(f), linearize(g)
-    if lf is not None and lg is not None:
-        if lf.a == 1:
-            if lg.a >= 2:
-                return PowerDomVerdict("true", k=k_max, note="slope 1 below slope >= 2")
-            # f^k keeps slope 1 with offset k*c_f, so it passes c_g at the ceiling
-            k_fail = max(1, -((-lg.c) // lf.c))
-            return PowerDomVerdict("false", k=k_fail,
-                                   note=f"offsets grow linearly in k, failing at k = {k_fail}")
-        k = 1
-        while True:
-            if lt_eventually(Power(f, k), g, horizon).outcome != "true":
-                return PowerDomVerdict("false", k=k, note="slope outgrows the right side")
-            k += 1
-    for k in range(1, k_max + 1):
-        v = lt_eventually(Power(f, k), g, horizon)
-        if v.outcome == "false":
-            return PowerDomVerdict("false", k=k, note=v.note)
-        if v.outcome == "inconclusive":
-            return PowerDomVerdict("true_up_to", k=k - 1, note="sampled comparison went inconclusive")
-    return PowerDomVerdict("true_up_to", k=k_max, note="no symbolic form available")
-
-
-@dataclass(frozen=True)
-class SimVerdict:
-    """Outcome of the same-growth search: one k with f < g^k and g < f^k."""
-
-    outcome: str  # "true" | "false" | "inconclusive"
+    outcome: str  # "true" | "false"
     k: int | None = None
     note: str = ""
 
 
-def sim(f: GrowthFn, g: GrowthFn, k_max: int, horizon: int = DEFAULT_HORIZON) -> SimVerdict:
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
-    f_inf, g_inf = is_infinite(f), is_infinite(g)
-    if f_inf and g_inf:
-        return SimVerdict("false", note="infinite functions never compare strictly")
-    if f_inf or g_inf:
-        return SimVerdict("false", note="one side is infinite, the other is not")
-    for k in range(1, k_max + 1):
-        left = lt_eventually(f, Power(g, k), horizon)
-        right = lt_eventually(g, Power(f, k), horizon)
-        if left.outcome == "true" and right.outcome == "true":
-            return SimVerdict("true", k=k)
-        if left.outcome == "inconclusive" or right.outcome == "inconclusive":
-            return SimVerdict("inconclusive", k=k, note="sampled comparison went inconclusive")
-    lf, lg = linearize(f), linearize(g)
-    if lf is not None and lg is not None:
-        # powers of a slope-1 form keep slope 1, so they can never pass a
-        # slope >= 2 form; powers of a slope >= 2 form eventually pass anything
-        if lf.a >= 2 and lg.a == 1:
-            return SimVerdict("false", note=f"{g.spec()} never dominates slope {lf.a}")
-        if lg.a >= 2 and lf.a == 1:
-            return SimVerdict("false", note=f"{f.spec()} never dominates slope {lg.a}")
-    return SimVerdict("inconclusive", k=k_max, note=f"no k <= {k_max} works")
+def ll(f: GrowthFn, g: GrowthFn) -> PowerVerdict:
+    """Decide whether f^k < g eventually for every k >= 1, exactly; it fails
+    first at the least k with f^k reaching g."""
+    lf, lg = _order_form(f), _order_form(g)
+    if lf is None:
+        return PowerVerdict("false", k=1, note="left side infinite")
+    if lg is None:
+        return PowerVerdict("true", note="right side infinite")
+    k_fail = _least_power_reaching(lf, lg.a, lg.c)
+    if k_fail is None:
+        return PowerVerdict("true", note="slope 1 below slope >= 2")
+    return PowerVerdict("false", k=k_fail, note=f"the power k = {k_fail} reaches the right side")
+
+
+def sim(f: GrowthFn, g: GrowthFn) -> PowerVerdict:
+    """Decide whether some k has f < g^k and g < f^k eventually, exactly.
+
+    Each side holds from its least k on, so the least k for both is the
+    larger of the two.  On integer forms (a, c) > (a_f, c_f) is (a, c) >=
+    (a_f, c_f + 1), so g^k > f is g^k reaching n -> a_f*n + c_f + 1.
+    """
+    lf, lg = _order_form(f), _order_form(g)
+    if lf is None and lg is None:
+        return PowerVerdict("false", note="infinite functions never compare strictly")
+    if lf is None or lg is None:
+        return PowerVerdict("false", note="one side is infinite, the other is not")
+    k_left = _least_power_reaching(lg, lf.a, lf.c + 1)
+    if k_left is None:
+        return PowerVerdict("false", note=f"{g.spec()} never dominates slope {lf.a}")
+    k_right = _least_power_reaching(lf, lg.a, lg.c + 1)
+    if k_right is None:
+        return PowerVerdict("false", note=f"{f.spec()} never dominates slope {lg.a}")
+    return PowerVerdict("true", k=max(k_left, k_right))
 
 
 # -- slowness -----------------------------------------------------------------

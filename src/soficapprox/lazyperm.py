@@ -723,6 +723,8 @@ def realize(c: Chunk, certs: Sequence[ProfileCertificate]) -> Realization:
         want = idx + 2
         if cert.r != want:
             raise ValueError(f"certificate {idx} has r = {cert.r}, expected {want}")
+        if cert.n < 1:
+            raise ValueError(f"certificate at r = {want} has degree {cert.n}, below 1")
         if set(cert.assignment) != set(c.elements):
             raise ValueError(f"certificate at r = {want} covers different elements")
         try:

@@ -507,9 +507,10 @@ def _search_degree(c: Chunk, r: Fraction, n: int, workers: int) -> tuple[dict[st
         return _backtrack(c, r, n)
     # Split the canonical first-element candidates across workers.  Results are
     # consumed in candidate order, so the reported witness and node totals are
-    # identical to the sequential search.
+    # identical to the sequential search.  The pool starts all its workers at
+    # the first task, so it gets no more than there are candidates.
     nodes = 0
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cands))) as pool:
         for witness, sub_nodes in pool.map(_backtrack, repeat(c), repeat(r), repeat(n),
                                            ([cand] for cand in cands)):
             nodes += sub_nodes

@@ -20,14 +20,17 @@ the reference for the whole-list checks; ``reference_blocksum_carrier`` keeps
 the block walk (a bisection and a divmod per evaluation) that the tabulated
 block-sum carriers replace.  ``reference_example_check`` keeps the gadget's
 own greedy completions, and ``reference_growth_eval`` evaluates a growth spec
-by iterating every power, without the closed form.
+by iterating every power, without the closed form.  ``reference_power_orders``
+keeps the k loops that decided ``ll`` and ``sim`` power by power, as the
+reference for the closed forms.
 """
 
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
 
-from soficapprox.growth import INF, Compose, GrowthFn, Power, max_m_with_value_at_most
+from soficapprox.growth import (INF, Compose, GrowthFn, Power, lt_eventually,
+                                max_m_with_value_at_most)
 from soficapprox.lazyperm import AuditViolation, BoundWitness, LazyPerm, StageReport, SuppReport
 from soficapprox.permcore import (Perm, all_cycle_types, all_perms, block_sum, compose,
                                   cycle_type_representative, disagreements, hamming_distance,
@@ -256,6 +259,21 @@ def reference_growth_eval(g: GrowthFn, n):
     if isinstance(g, Compose):
         return reference_growth_eval(g.outer, reference_growth_eval(g.inner, n))
     return g(n)
+
+
+def reference_power_orders(f: GrowthFn, g: GrowthFn, k_max: int):
+    """``ll`` and ``sim`` by trying every power k <= k_max in turn.
+
+    Returns (ll_k, sim_k): the first k with f^k < g failing, and the first k
+    with f < g^k and g < f^k both holding, each None when no k <= k_max
+    decides it.
+    """
+    ll_k = next((k for k in range(1, k_max + 1)
+                 if lt_eventually(Power(f, k), g).outcome == "false"), None)
+    sim_k = next((k for k in range(1, k_max + 1)
+                  if lt_eventually(f, Power(g, k)).outcome == "true"
+                  and lt_eventually(g, Power(f, k)).outcome == "true"), None)
+    return ll_k, sim_k
 
 
 def reference_audit(p, g, horizon):

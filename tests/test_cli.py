@@ -148,9 +148,25 @@ class TestGrowthCommand:
 
     def test_cmp_sim(self, capsys):
         code, out, _ = run(capsys, "growth", "cmp", "--f", "affine:1",
-                           "--g", "affine:2", "--rel", "sim", "--k-max", "5")
+                           "--g", "affine:2", "--rel", "sim")
         assert code == 0
         assert "true with k = 3" in out
+
+    @pytest.mark.parametrize("rel, line", [
+        ("prec", "prec: true from n0 = 0"),
+        ("ll", "ll: false at power k = 100"),
+        ("sim", "sim: true with k = 101"),
+    ])
+    def test_cmp_decides_large_powers(self, capsys, rel, line):
+        code, out, _ = run(capsys, "growth", "cmp", "--f", "affine:1",
+                           "--g", "affine:100", "--rel", rel)
+        assert (code, out) == (0, line + "\n")
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--k-max"])
+    def test_cmp_has_no_search_bounds(self, capsys, flag):
+        code, _, err = run(capsys, "growth", "cmp", "--f", "affine:1",
+                           "--g", "affine:2", "--rel", "sim", flag, "5")
+        assert code == 1 and "unrecognized arguments" in err
 
     def test_bad_spec(self, capsys):
         code, _, err = run(capsys, "growth", "prof", "--g", "quadratic:2", "--r", "2/1")
@@ -372,13 +388,17 @@ class TestRealizeCommand:
         (lambda payload: {**payload, "m": "xx"}, "needs a chunk text"),
         (lambda payload: {**payload, "sigma": 5}, "needs a chunk text"),
         (lambda payload: [payload], "unrecognized realization file"),
-    ], ids=["m-text", "sigma-number", "top-level-list"])
+        (lambda payload: {**payload, "m": [0], "sigma": [{"1": [], "h": [], "h2": []}]},
+         "has degree 0, below 1"),
+        (lambda payload: "[" * 200_000, "nests too deeply to parse"),
+    ], ids=["m-text", "sigma-number", "top-level-list", "degree-zero", "deep-nesting"])
     def test_hostile_realization_file_one_line(self, capsys, tmp_path, edit, message):
         emitted = tmp_path / "real.json"
         run(capsys, "realize", "--chunk", data_path("z3.chunk"),
             "--depth", "4", "--emit", str(emitted))
         payload = json.loads(emitted.read_text())
-        emitted.write_text(json.dumps(edit(payload)))
+        edited = edit(payload)
+        emitted.write_text(edited if isinstance(edited, str) else json.dumps(edited))
         spec_file = tmp_path / "hostile.gchunk"
         spec_file.write_text(f"chunk {data_path('z3.chunk')}\n"
                              f"carrier h = blocksum:{emitted}\n"
@@ -498,6 +518,10 @@ class TestCertificateParseErrors:
         err = self.verify_edited(capsys, cert_path, "witness h = [1 2 0]\n",
                                  "witness h = [1 2 0]\nwitness h = [2 0 1]\n")
         assert "two witness lines for 'h'" in err
+
+    def test_huge_degree_rejected_before_listing_its_degrees(self, capsys, cert_path):
+        err = self.verify_edited(capsys, cert_path, "n = 3\n", "n = 4000000000\n")
+        assert "expected 1..3999999999, once each and in order" in err
 
     @pytest.mark.parametrize("old,new", [
         ("infeasible 1 nodes 1\n", ""),  # dropped record

@@ -15,6 +15,7 @@ from soficapprox.growth import (
     Compose,
     EventualAffine,
     Exhausted,
+    GrowthFn,
     Infinity,
     Linear,
     Power,
@@ -32,7 +33,7 @@ from soficapprox.growth import (
     sim,
 )
 
-from oracles import reference_growth_eval
+from oracles import reference_growth_eval, reference_power_orders
 
 simple_growths = st.one_of(
     st.integers(1, 40).map(Affine),
@@ -175,7 +176,7 @@ class TestPrec:
     @given(growths, growths)
     @settings(max_examples=60)
     def test_verdicts_match_evaluation(self, f, g):
-        v = lt_eventually(f, g, horizon=200)
+        v = lt_eventually(f, g)
         if v.outcome == "true":
             assert all(f(n) < g(n) for n in range(v.n0, v.n0 + 50))
             if v.n0 > 0:
@@ -186,40 +187,91 @@ class TestPrec:
 
 class TestPowerDomination:
     def test_affine_below_linear_all_powers(self):
-        v = ll(Affine(1), Linear(2), k_max=5)
+        v = ll(Affine(1), Linear(2))
         assert v.outcome == "true"
 
     def test_affine_pair_fails_at_some_power(self):
-        v = ll(Affine(1), Affine(7), k_max=10)
+        v = ll(Affine(1), Affine(7))
         assert v.outcome == "false" and v.k == 7
         # power 6 still passes, power 7 does not
         assert lt_eventually(Power(Affine(1), 6), Affine(7)).outcome == "true"
         assert lt_eventually(Power(Affine(1), 7), Affine(7)).outcome == "false"
 
     def test_linear_eventually_outgrows(self):
-        v = ll(Linear(2), Linear(100), k_max=20)
+        v = ll(Linear(2), Linear(100))
         assert v.outcome == "false" and v.k == 7  # 2^7 = 128 > 100
 
     def test_infinite_right_side(self):
-        assert ll(Linear(3), Infinity(), k_max=3).outcome == "true"
+        assert ll(Linear(3), Infinity()).outcome == "true"
+
+    def test_huge_offset_fails_at_once(self):
+        start = time.perf_counter()
+        v = ll(Affine(1), Affine(10**12))
+        assert time.perf_counter() - start < 0.1
+        assert v.outcome == "false" and v.k == 10**12
 
 
 class TestSim:
     def test_affine_pair(self):
-        v = sim(Affine(1), Affine(2), k_max=3)
+        v = sim(Affine(1), Affine(2))
         assert v.outcome == "true" and v.k == 3
 
     def test_linear_vs_affine_exact_false(self):
-        v = sim(Linear(2), Affine(1), k_max=10)
+        v = sim(Linear(2), Affine(1))
         assert v.outcome == "false"
 
     def test_same_function(self):
-        v = sim(Linear(3), Linear(3), k_max=2)
+        v = sim(Linear(3), Linear(3))
         assert v.outcome == "true" and v.k == 2  # strictness needs one power up
 
-    def test_bounded_inconclusive(self):
-        v = sim(Affine(1), Affine(100), k_max=3)
-        assert v.outcome == "inconclusive"
+    def test_offset_ratio_decides_k(self):
+        v = sim(Affine(1), Affine(100))
+        assert v.outcome == "true" and v.k == 101
+
+
+# block-step and table specs hold commas, so they parse only at the top level
+parseable_specs = st.one_of(
+    simple_growths.map(lambda g: g.spec()),
+    st.recursive(
+        st.one_of(st.integers(1, 40).map("affine:{}".format),
+                  st.integers(2, 5).map("linear:{}".format), st.just("infinity")),
+        lambda inner: st.one_of(st.builds("compose({},{})".format, inner, inner),
+                                st.builds("power({},{})".format, inner, st.integers(1, 3))),
+        max_leaves=4),
+).map(parse_growth)
+
+
+class _Square(GrowthFn):
+    """n -> n^2 + 1: a member of the calculus with no eventually affine form."""
+
+    def _eval(self, n):
+        return n * n + 1
+
+
+class TestClosedFormOrders:
+    @given(st.one_of(parseable_specs, growths), st.one_of(parseable_specs, growths))
+    @settings(max_examples=200, deadline=None)
+    def test_ll_and_sim_agree_with_the_power_loops(self, f, g):
+        k_max = 60
+        ll_k, sim_k = reference_power_orders(f, g, k_max)
+        v_ll, v_sim = ll(f, g), sim(f, g)
+        if ll_k is not None:
+            assert (v_ll.outcome, v_ll.k) == ("false", ll_k)
+        else:
+            assert v_ll.outcome == "true" or v_ll.k > k_max
+        if sim_k is not None:
+            assert (v_sim.outcome, v_sim.k) == ("true", sim_k)
+        else:
+            assert v_sim.outcome == "false" or v_sim.k > k_max
+
+    @pytest.mark.parametrize("f, g", [(_Square(), Affine(1)), (Affine(1), _Square()),
+                                      (_Square(), Infinity()), (Infinity(), _Square()),
+                                      (compose(Affine(1), _Square()), Linear(2))])
+    def test_no_affine_form_rejected(self, f, g):
+        for order in (lt_eventually, ll, sim):
+            with pytest.raises(ValueError, match="no eventually affine form") as exc:
+                order(f, g)
+            assert "\n" not in str(exc.value)
 
 
 class TestSlowness:

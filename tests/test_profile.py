@@ -213,6 +213,36 @@ class TestSoficProfile:
         assert par.assignment == seq.assignment
         assert par.infeasible == seq.infeasible
 
+    @pytest.mark.parametrize("workers, pool_sizes", [(500, [2, 3, 5]), (4, [2, 3, 4])])
+    def test_pool_gets_no_more_workers_than_candidates(self, capsys, monkeypatch, workers,
+                                                       pool_sizes):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        argv = ["profile", "--chunk", data_path("klein.chunk"), "--r", "3"]
+        assert main(argv) == 0
+        sequential = capsys.readouterr().out
+        assert sequential.startswith("prof = 4\n")
+        monkeypatch.setattr(profile.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert main(["--workers", str(workers)] + argv) == 0
+        assert capsys.readouterr().out == sequential
+        # one pool per degree 2..4, with at most p(n) = 2, 3, 5 candidates
+        assert sizes == pool_sizes
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("fixture", ["trivial", "z2", "z3", "open2", "z4trace"])
