@@ -9,6 +9,7 @@ produce byte-identical output regardless of the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -313,7 +314,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_DATA)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``sofic`` parser tree, built on the first call and shared by every
+    later one; each leaf subcommand carries its handler as ``args.handler``."""
     parser = _Parser(prog="sofic", description=__doc__)
     parser.add_argument("--workers", type=int, default=1, help="parallel search workers")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -322,6 +326,7 @@ def build_parser() -> _Parser:
     chunk_sub = p_chunk.add_subparsers(dest="chunk_command", required=True)
     p_validate = chunk_sub.add_parser("validate", help="validate a chunk file")
     p_validate.add_argument("file")
+    p_validate.set_defaults(handler=_cmd_chunk_validate)
 
     p_profile = sub.add_parser("profile", help="certified sofic profile search")
     p_profile.add_argument("--chunk", required=True)
@@ -331,6 +336,7 @@ def build_parser() -> _Parser:
     p_profile.add_argument("--n-max", type=int, default=None)
     p_profile.add_argument("--emit-witness", type=str, default=None)
     p_profile.add_argument("--emit-cert", type=str, default=None)
+    p_profile.set_defaults(handler=_cmd_profile)
 
     p_growth = sub.add_parser("growth", help="growth-function calculus")
     growth_sub = p_growth.add_subparsers(dest="growth_command", required=True)
@@ -338,10 +344,12 @@ def build_parser() -> _Parser:
     p_gprof.add_argument("--g", required=True)
     p_gprof.add_argument("--r", type=parse_rational, required=True)
     p_gprof.add_argument("--n-max", type=int, default=10_000)
+    p_gprof.set_defaults(handler=_cmd_growth_prof)
     p_gcmp = growth_sub.add_parser("cmp", help="order comparisons")
     p_gcmp.add_argument("--f", required=True)
     p_gcmp.add_argument("--g", required=True)
     p_gcmp.add_argument("--rel", choices=["prec", "ll", "sim"], required=True)
+    p_gcmp.set_defaults(handler=_cmd_growth_cmp)
 
     p_supp = sub.add_parser("supp", help="supp-morphism quality report")
     p_supp.add_argument("--gchunk", required=True)
@@ -350,25 +358,30 @@ def build_parser() -> _Parser:
     p_supp.add_argument("--horizon", type=int, default=None,
                         help="audit the carriers on [0, H]; --n must be at most H "
                              "(default: max(1000, 2n))")
+    p_supp.set_defaults(handler=_cmd_supp)
 
     p_realize = sub.add_parser("realize", help="block-direct-sum realization")
     p_realize.add_argument("--chunk", required=True)
     p_realize.add_argument("--depth", type=int, required=True)
     p_realize.add_argument("--n-max", type=int, default=None)
     p_realize.add_argument("--emit", type=str, default=None)
+    p_realize.set_defaults(handler=_cmd_realize)
 
     p_gadget = sub.add_parser("gadget", help="worked constructions")
     gadget_sub = p_gadget.add_subparsers(dest="gadget_command", required=True)
     p_example = gadget_sub.add_parser("example", help="three-cycle fixed-point deviation")
     p_example.add_argument("--n", type=int, required=True)
+    p_example.set_defaults(handler=_cmd_gadget_example)
     p_encode = gadget_sub.add_parser("encode", help="point-evaluation encoding")
     p_encode.add_argument("--rho", required=True, help="finitary permutation, cycle form")
     p_encode.add_argument("--k", type=int, required=True)
     p_encode.add_argument("--n", type=int, required=True)
     p_encode.add_argument("--horizon", type=int, default=1000)
+    p_encode.set_defaults(handler=_cmd_gadget_encode)
     p_stages = gadget_sub.add_parser("stages", help="stagewise limit map")
     p_stages.add_argument("--trace", required=True, help="comma-separated 0/1 flags")
     p_stages.add_argument("--horizon", type=int, required=True)
+    p_stages.set_defaults(handler=_cmd_gadget_stages)
 
     p_cert = sub.add_parser("cert", help="certificate persistence")
     cert_sub = p_cert.add_subparsers(dest="cert_command", required=True)
@@ -377,6 +390,7 @@ def build_parser() -> _Parser:
     p_cverify.add_argument("--replay", action="store_true",
                            help="re-run the search at every recorded degree and "
                                 "compare its node count")
+    p_cverify.set_defaults(handler=_cmd_cert_verify)
 
     return parser
 
@@ -549,35 +563,14 @@ def _cmd_cert_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles -h (0) and usage errors (1)
         return exc.code if isinstance(exc.code, int) else EXIT_DATA
     try:
         if args.workers < 1:
             raise ValueError("--workers must be positive")
-        if args.command == "chunk":
-            return _cmd_chunk_validate(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "growth":
-            if args.growth_command == "prof":
-                return _cmd_growth_prof(args)
-            return _cmd_growth_cmp(args)
-        if args.command == "supp":
-            return _cmd_supp(args)
-        if args.command == "realize":
-            return _cmd_realize(args)
-        if args.command == "gadget":
-            if args.gadget_command == "example":
-                return _cmd_gadget_example(args)
-            if args.gadget_command == "encode":
-                return _cmd_gadget_encode(args)
-            return _cmd_gadget_stages(args)
-        if args.command == "cert":
-            return _cmd_cert_verify(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -187,7 +187,7 @@ class Compose(GrowthFn):
         return self.outer(self.inner(n))
 
     def spec(self) -> str:
-        return f"compose({self.outer.spec()},{self.inner.spec()})"
+        return f"compose({_operand_spec(self.outer)},{self.inner.spec()})"
 
     def __repr__(self) -> str:
         return f"Compose({self.outer!r}, {self.inner!r})"
@@ -228,7 +228,7 @@ class Power(GrowthFn):
         return form.a * v + form.c
 
     def spec(self) -> str:
-        return f"power({self.base.spec()},{self.k})"
+        return f"power({_operand_spec(self.base)},{self.k})"
 
     def __repr__(self) -> str:
         return f"Power({self.base!r}, {self.k})"
@@ -263,44 +263,78 @@ MAX_SLOPE_BITS = 4096  # powers whose eventual slope reaches 2^this are rejected
 
 
 def parse_growth(text: str) -> GrowthFn:
-    if max(accumulate({"(": 1, ")": -1}.get(ch, 0) for ch in text), default=0) > MAX_NESTING:
-        raise ValueError(f"growth spec nests compose/power deeper than {MAX_NESTING} levels")
+    """The growth function a spec string names; ``g.spec()`` parses back to g.
+
+    A compose or power operand may be wrapped in one pair of parentheses,
+    which ``spec`` adds around a left operand with a top-level comma (a
+    block-step or table spec).  Malformed specs raise a one-line ValueError.
+    """
+    return _parse(text, 0)
+
+
+def _parse(text: str, depth: int) -> GrowthFn:
+    """``text`` as a spec nested in ``depth`` compose/power levels."""
     text = text.strip()
-    if text == "infinity":
-        return Infinity()
-    if text.startswith("affine:"):
-        return Affine(int(text[len("affine:"):]))
-    if text.startswith("linear:"):
-        return Linear(int(text[len("linear:"):]))
-    if text.startswith("blockstep:"):
-        pairs = []
-        for part in text[len("blockstep:"):].split(";"):
-            b, o = part.split(",")
-            pairs.append((int(b), int(o)))
-        return BlockStep(tuple(b for b, _ in pairs), tuple(o for _, o in pairs))
-    if text.startswith("table:"):
-        body = text[len("table:"):]
-        values, _, tail = body.rpartition("+")
-        prefix = tuple(int(v) for v in values.split(",")) if values else ()
-        return Tabulated(prefix, int(tail))
-    if text.startswith("compose(") and text.endswith(")"):
-        left, right = _split_top_comma(text[len("compose("):-1])
-        return Compose(parse_growth(left), parse_growth(right))
-    if text.startswith("power(") and text.endswith(")"):
-        left, right = _split_top_comma(text[len("power("):-1])
-        base, k = parse_growth(left), int(right)
-        form = linearize(base)
+    head, _, body = text.partition("(")
+    if head in ("compose", "power") and body.endswith(")"):
+        if depth == MAX_NESTING:
+            raise ValueError(f"growth spec nests compose/power deeper than {MAX_NESTING} levels")
+        left, right = _split_top_comma(text, body[:-1])
+        if head == "compose":
+            return Compose(_parse_operand(left, depth + 1), _parse_operand(right, depth + 1))
+        base = _parse_operand(left, depth + 1)
+        try:
+            g = Power(base, int(right))
+        except ValueError as exc:
+            raise ValueError(f"cannot parse growth spec {text!r}: {exc}") from None
+        form, k = g._base_form, g.k
         # a^k is computed only once its bit length is known to stay below 2 * MAX_SLOPE_BITS
         if form is not None and form.a > 1 and (
                 (form.a.bit_length() - 1) * k >= MAX_SLOPE_BITS
                 or form.a ** k >= 1 << MAX_SLOPE_BITS):
             raise ValueError(f"power of a slope-{form.a} spec to exponent {k} has a slope "
                              f"of 2^{MAX_SLOPE_BITS} or more")
-        return Power(base, k)
+        return g
+    if text == "infinity":
+        return Infinity()
+    kind, _, body = text.partition(":")
+    try:
+        if kind == "affine":
+            return Affine(int(body))
+        if kind == "linear":
+            return Linear(int(body))
+        if kind == "blockstep":
+            pairs = [part.split(",") for part in body.split(";")]
+            if any(len(pair) != 2 for pair in pairs):
+                raise ValueError("expected 'break,offset' pairs separated by ';'")
+            return BlockStep(tuple(int(b) for b, _ in pairs), tuple(int(o) for _, o in pairs))
+        if kind == "table":
+            values, _, tail = body.rpartition("+")
+            return Tabulated(tuple(int(v) for v in values.split(",")) if values else (),
+                             int(tail))
+    except ValueError as exc:
+        raise ValueError(f"cannot parse growth spec {text!r}: {exc}") from None
     raise ValueError(f"cannot parse growth spec {text!r}")
 
 
-def _split_top_comma(body: str) -> tuple[str, str]:
+def _parse_operand(text: str, depth: int) -> GrowthFn:
+    text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1]
+    return _parse(text, depth)
+
+
+def _operand_spec(g: GrowthFn) -> str:
+    """``g.spec()`` as the left operand of a compose or power: parenthesized
+    when it has a comma outside parentheses, which would end the operand."""
+    spec = g.spec()
+    depths = accumulate({"(": 1, ")": -1}.get(ch, 0) for ch in spec)
+    if any(ch == "," and depth == 0 for ch, depth in zip(spec, depths)):
+        return f"({spec})"
+    return spec
+
+
+def _split_top_comma(text: str, body: str) -> tuple[str, str]:
     depth = 0
     for i, ch in enumerate(body):
         if ch == "(":
@@ -309,7 +343,7 @@ def _split_top_comma(body: str) -> tuple[str, str]:
             depth -= 1
         elif ch == "," and depth == 0:
             return body[:i], body[i + 1:]
-    raise ValueError(f"expected a top-level comma in {body!r}")
+    raise ValueError(f"cannot parse growth spec {text!r}: expected two operands")
 
 
 # -- symbolic analysis --------------------------------------------------------

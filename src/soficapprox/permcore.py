@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _tuple_permutations
 from operator import ne
 from typing import Iterable, Sequence
 
@@ -180,12 +179,6 @@ def all_cycle_types(n: int) -> tuple[CycleType, ...]:
     types = [CycleType(parts) for parts in _partitions(n, n)]
     types.sort(key=lambda t: cycle_type_representative(t, n).images)
     return tuple(types)
-
-
-@lru_cache(maxsize=8)
-def all_perms(n: int) -> tuple[Perm, ...]:
-    """Every element of S_n in lexicographic image-tuple order."""
-    return tuple(Perm(images) for images in _tuple_permutations(range(n)))
 
 
 def format_perm(p: Perm) -> str:

@@ -504,7 +504,7 @@ def _search_degree(c: Chunk, r: Fraction, n: int, workers: int) -> tuple[dict[st
     order = [e for e in c.elements if e != c.unit]
     cands = [cycle_type_representative(t, n).images for t in all_cycle_types(n)]
     if workers <= 1 or not order or len(cands) <= 1:
-        return _backtrack(c, r, n)
+        return _backtrack(c, r, n, cands)
     # Split the canonical first-element candidates across workers.  Results are
     # consumed in candidate order, so the reported witness and node totals are
     # identical to the sequential search.  The pool starts all its workers at

@@ -28,14 +28,21 @@ reference for the closed forms.
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 
 from soficapprox.growth import (INF, Compose, GrowthFn, Power, lt_eventually,
                                 max_m_with_value_at_most)
 from soficapprox.lazyperm import AuditViolation, BoundWitness, LazyPerm, StageReport, SuppReport
-from soficapprox.permcore import (Perm, all_cycle_types, all_perms, block_sum, compose,
+from soficapprox.permcore import (Perm, all_cycle_types, block_sum, compose,
                                   cycle_type_representative, disagreements, hamming_distance,
                                   identity, inverse)
 from soficapprox.profile import MorphismQuality
+
+
+@lru_cache(maxsize=8)
+def all_perms(n):
+    """Every element of S_n in lexicographic image-tuple order."""
+    return tuple(Perm(images) for images in itertools.permutations(range(n)))
 
 
 def brute_force_feasible(c, r, n):

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -17,6 +20,7 @@ from soficapprox.cli import (
     parse_gchunk_file,
     parse_rational,
 )
+from soficapprox.growth import Affine, BlockStep, Compose
 from soficapprox.lazyperm import realize, supp_morphism
 from soficapprox.profile import sofic_profile
 
@@ -168,6 +172,12 @@ class TestGrowthCommand:
                            "--g", "affine:2", "--rel", "sim", flag, "5")
         assert code == 1 and "unrecognized arguments" in err
 
+    def test_cmp_reads_back_a_nested_spec(self, capsys):
+        spec = Compose(BlockStep((1, 2), (1, 1)), Affine(1)).spec()
+        code, out, _ = run(capsys, "growth", "cmp", "--f", spec, "--g", "affine:5",
+                           "--rel", "prec")
+        assert (code, out) == (0, "prec: true from n0 = 0\n")
+
     def test_bad_spec(self, capsys):
         code, _, err = run(capsys, "growth", "prof", "--g", "quadratic:2", "--r", "2/1")
         assert code == 1
@@ -211,9 +221,9 @@ class TestGrowthCommand:
     def test_power_prints_as_its_iterated_form(self, base, k, r, n_max):
         iterated = base
         for _ in range(k - 1):
-            iterated = f"compose({base},{iterated})"
+            iterated = f"compose(({base}),{iterated})"
         outputs = []
-        for spec in (f"power({base},{k})", iterated):
+        for spec in (f"power(({base}),{k})", iterated):
             out = io.StringIO()
             with redirect_stdout(out), redirect_stderr(io.StringIO()):
                 code = main(["growth", "prof", "--g", spec, "--r", r, "--n-max", str(n_max)])
@@ -626,3 +636,45 @@ class TestGChunkSpecFormat:
                         "carrier a = table:[1 0]\n")
         with pytest.raises(ValueError):
             parse_gchunk_file(str(spec), horizon=50)
+
+
+class TestRepeatedMain:
+    """``main`` shares one parser tree across calls in a process."""
+
+    def test_calls_in_one_process_match_fresh_interpreters(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps the same in both
+        cert = tmp_path / "z2.cert"
+        z2 = data_path("z2.chunk")
+        calls = [
+            ["--workers", "0", "growth", "cmp", "--f", "affine:1", "--g", "affine:2",
+             "--rel", "prec"],
+            ["profile", "--r", "2"],
+            ["-h"],
+            ["profile", "--chunk", z2, "--r", "2", "--emit-cert", str(cert)],
+            ["profile", "--chunk", z2, "--r", "2"],
+            ["cert", "verify", str(cert)],
+            ["growth", "cmp", "--f", "affine:1", "--g", "affine:2", "--rel", "prec"],
+            ["supp", "--gchunk", data_path("three.gchunk"), "--n", "9", "--r", "2/1"],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        fresh = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-m", "soficapprox.cli", *argv],
+                                  capture_output=True, text=True, env=env, check=False)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        cert.unlink()
+
+        cli.build_parser.cache_clear()
+        for i, argv in enumerate(calls):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out, err) == fresh[i], argv
+            if "--emit-cert" in argv:
+                os.utime(cert, ns=(0, 0))  # a later write would move the stamp
+        assert cert.stat().st_mtime_ns == 0 and os.listdir(tmp_path) == [cert.name]
+        assert fresh[0][0] == 1 and fresh[0][2] == "error: --workers must be positive\n"
+        assert fresh[1][0] == 1 and fresh[1][2].endswith(
+            "error: the following arguments are required: --chunk\n")
+        assert fresh[2][0] == 0 and fresh[2][1].startswith("usage: sofic")
+        assert all(code == 0 for code, _, _ in fresh[3:])
+        assert cli.build_parser.cache_info().misses == 1

@@ -18,9 +18,9 @@ from soficapprox.gadgets import (
 )
 from soficapprox.growth import Affine
 from soficapprox.lazyperm import BoundWitness, audit, compose_lazy, finitary
-from soficapprox.permcore import all_perms, compose, identity, transposition
+from soficapprox.permcore import compose, identity, transposition
 
-from oracles import reference_example_check
+from oracles import all_perms, reference_example_check
 
 
 class TestThreeCycle:

@@ -147,6 +147,42 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_growth("cubic:3")
 
+    @given(st.recursive(
+        st.one_of(simple_growths, st.just(Infinity()),
+                  st.builds(lambda b, o: BlockStep((b,), (o,)), st.integers(1, 30),
+                            st.integers(1, 10)),
+                  st.integers(1, 9).map(lambda c: Tabulated((), c))),
+        lambda inner: st.one_of(st.builds(Compose, inner, inner),
+                                st.builds(Power, inner, st.integers(1, 3))),
+        max_leaves=6))
+    @settings(max_examples=1000, deadline=None)
+    def test_nested_specs_parse_back(self, g):
+        assert parse_growth(g.spec()) == g
+
+    def test_comma_operands_are_parenthesized(self):
+        g = Compose(BlockStep((1, 2), (1, 1)), Affine(1))
+        assert g.spec() == "compose((blockstep:1,1;2,1),affine:1)"
+        assert Power(Tabulated((3, 4), 2), 2).spec() == "power((table:3,4+2),2)"
+        assert parse_growth("compose(affine:1,(linear:2))") == Compose(Affine(1), Linear(2))
+
+    def test_nesting_limit_counts_compose_levels_not_wrappers(self):
+        g = BlockStep((1, 2), (1, 1))
+        for _ in range(64):
+            g = Compose(g, Affine(1))
+        assert parse_growth(g.spec()) == g
+        with pytest.raises(ValueError, match="deeper than 64 levels"):
+            parse_growth(Compose(g, Affine(1)).spec())
+
+    @pytest.mark.parametrize("text", [
+        "blockstep:1", "compose(blockstep:1,1;2,1,affine:1)", "table:a+2",
+        "power(affine:1,x)", "power(affine:1,0)", "compose(affine:1)", "affine:0",
+    ])
+    def test_malformed_spec_named_in_one_line(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_growth(text)
+        message = str(exc.value)
+        assert message.startswith("cannot parse growth spec '") and "\n" not in message
+
 
 class TestPrec:
     def test_affine_pair(self):

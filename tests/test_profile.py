@@ -9,7 +9,7 @@ import pytest
 from soficapprox import profile
 from soficapprox.chunk import Chunk, induced_chunk
 from soficapprox.cli import main
-from soficapprox.permcore import (Perm, all_perms, compose, hamming_distance, identity, inverse,
+from soficapprox.permcore import (Perm, compose, hamming_distance, identity, inverse,
                                   transposition)
 from soficapprox.profile import (
     DegreeRecord,
@@ -36,7 +36,7 @@ from soficapprox.profile import (
 
 
 from conftest import data_path
-from oracles import (brute_force_feasible, brute_force_least_n, reference_backtrack,
+from oracles import (all_perms, brute_force_feasible, brute_force_least_n, reference_backtrack,
                      reference_measure)
 
 
@@ -475,7 +475,7 @@ class TestRandomizedOracleEquivalence:
 
     def random_chunks(self, rng, count):
         from soficapprox.chunk import induced_chunk, validate
-        from soficapprox.permcore import all_perms, compose as pcompose, identity
+        from soficapprox.permcore import compose as pcompose, identity
 
         pool = []
         s3 = all_perms(3)
