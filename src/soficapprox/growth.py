@@ -8,7 +8,9 @@ are decided exactly from those forms; a function with neither is rejected.
 
 ``growth_profile`` computes the least n such that some m has g(m) <= n and
 (n - m)/n < 1/r, with the strict inequality taken exactly; the infimum over an
-empty set is reported as Exhausted.
+empty set is reported as Exhausted.  Both slowness and the profile depend only
+on the gap 1 - m/g(m): g is slow when the gap tends to 0, and the profile at r
+is the least g(m) whose gap is below 1/r.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 INF = math.inf  # top element; comparisons against ints are exact
-
-DEFAULT_HORIZON = 10_000
 
 
 class GrowthFn:
@@ -538,30 +538,21 @@ class BlockCheck:
 
 @dataclass(frozen=True)
 class SlownessVerdict:
-    verdict: str  # "slow" | "not_slow" | "inconclusive"
+    verdict: str  # "slow" | "not_slow"
     evidence: str
-    max_gap: Fraction | None = None
-    window: tuple[int, int] | None = None
     blocks: tuple[BlockCheck, ...] | None = None
 
 
-def is_slow(g: GrowthFn, horizon: int = DEFAULT_HORIZON) -> SlownessVerdict:
+def is_slow(g: GrowthFn) -> SlownessVerdict:
     """Slowness means n/g(n) -> 1.
 
-    Affine and Linear are decided symbolically.  A BlockStep is judged by the
-    construction inequality at each block end: 1 - j/g(j) < 1/(stage), with
-    stages numbered 2, 3, ... in break order.  Everything else gets a numeric
-    verdict over the tail half of the horizon, reported as inconclusive with
-    the measured maximum of 1 - n/g(n).
+    A BlockStep is judged by the construction's inequality at each block end:
+    1 - j/g(j) < 1/stage, with stages numbered 2, 3, ... in break order.
+    Every other kind is decided by the slope a of its eventually affine form,
+    along which n/g(n) tends to 1/a: slope 1 is slow, slope >= 2 is not, and
+    an identically infinite g is not slow.  A function with no eventually
+    affine form raises the orders' one-line ValueError.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if isinstance(g, Affine):
-        return SlownessVerdict("slow", f"n/(n+{g.c}) tends to 1")
-    if isinstance(g, Linear):
-        return SlownessVerdict("not_slow", f"n/({g.a}n) tends to 1/{g.a}")
-    if isinstance(g, Infinity):
-        return SlownessVerdict("not_slow", "n/infinity tends to 0")
     if isinstance(g, BlockStep):
         checks = []
         all_ok = True
@@ -575,17 +566,12 @@ def is_slow(g: GrowthFn, horizon: int = DEFAULT_HORIZON) -> SlownessVerdict:
             checks.append(BlockCheck(k + 2, j, gap, threshold, ok))
         verdict = "slow" if all_ok else "not_slow"
         return SlownessVerdict(verdict, "block-end inequalities", blocks=tuple(checks))
-    lo = max(1, horizon // 2)
-    max_gap = Fraction(0)
-    for n in range(lo, horizon + 1):
-        gn = g(n)
-        if gn == INF:
-            return SlownessVerdict("not_slow", "infinite value in the sampled window")
-        gap = Fraction(gn - n, gn)
-        if gap > max_gap:
-            max_gap = gap
-    return SlownessVerdict("inconclusive", "numeric window only",
-                           max_gap=max_gap, window=(lo, horizon))
+    form = _order_form(g)
+    if form is None:
+        return SlownessVerdict("not_slow", "n/infinity tends to 0")
+    return SlownessVerdict("slow" if form.a == 1 else "not_slow",
+                           f"eventually g(n) = {form.a}n + {form.c}, "
+                           f"so n/g(n) tends to {Fraction(1, form.a)}")
 
 
 # -- profiles -----------------------------------------------------------------
@@ -604,20 +590,6 @@ class Exhausted:
     note: str = ""
 
 
-def max_m_with_value_at_most(g: GrowthFn, n: int) -> int | None:
-    """Largest m with g(m) <= n (None if even g(0) > n).  Monotone bisection."""
-    if g(0) > n:
-        return None
-    lo, hi = 0, n  # g(m) > m forces any solution below n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if g(mid) <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def quality_parameter(r) -> Fraction:
     """``r`` as a Fraction, once it is known to be at least 1."""
     r = Fraction(r)
@@ -627,18 +599,24 @@ def quality_parameter(r) -> Fraction:
 
 
 def growth_profile(g: GrowthFn, r, n_max: int) -> int | Exhausted:
-    """Least n with some m satisfying g(m) <= n and (n - m)/n < 1/r."""
+    """Least n <= n_max with some m satisfying g(m) <= n and (n - m)/n < 1/r.
+
+    For fixed m those n run from g(m) up to, not including, r*m/(r - 1) (with
+    no upper end when r = 1), which is non-empty exactly when the gap
+    1 - m/g(m) is below 1/r.  g is monotone, so the profile is the least g(m)
+    with 1 - m/g(m) < 1/r: g(m0) for the least such m0.  The scan over m stops
+    once g(m) exceeds n_max, which g(m) > m makes happen by m = n_max.
+    """
     r = quality_parameter(r)
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     if is_infinite(g):
         return Exhausted(n_max, note="g(m) <= n holds for no m: the defining set is empty")
-    for n in range(1, n_max + 1):
-        m = max_m_with_value_at_most(g, n)
-        if m is None:
-            continue
-        if Fraction(n - m, n) < 1 / r:
-            return n
+    m = 0
+    while (gm := g(m)) <= n_max:
+        if r * (gm - m) < gm:  # 1 - m/g(m) < 1/r, cleared of fractions
+            return gm
+        m += 1
     note = ""
     if isinstance(g, Linear) and Fraction(g.a - 1, g.a) >= 1 / r:
         note = (f"impossible for every n: g(m) <= n forces m <= n/{g.a}, "

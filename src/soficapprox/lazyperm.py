@@ -378,8 +378,8 @@ class RestrictionTables:
     def m_star(self, n: int) -> int | None:
         """Largest m with g(m) <= n, None when g(0) > n, for n <= H.
 
-        The bound is monotone with g(m) > m, so this is
-        ``growth.max_m_with_value_at_most``, read off the stored values.
+        The bound is monotone with g(m) > m, so this is the bisection for
+        m* that ``tests/oracles.py`` keeps, read off the stored values.
         """
         m = bisect_right(self.bound_values, n, 0, n + 1) - 1
         return m if m >= 0 else None

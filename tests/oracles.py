@@ -22,7 +22,9 @@ block-sum carriers replace.  ``reference_example_check`` keeps the gadget's
 own greedy completions, and ``reference_growth_eval`` evaluates a growth spec
 by iterating every power, without the closed form.  ``reference_power_orders``
 keeps the k loops that decided ``ll`` and ``sim`` power by power, as the
-reference for the closed forms.
+reference for the closed forms.  ``reference_growth_profile`` keeps the growth
+profile's scan over every n with a bisection for the largest m at each, as
+the reference for the least g(m) whose gap is below 1/r.
 """
 
 import itertools
@@ -30,8 +32,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from soficapprox.growth import (INF, Compose, GrowthFn, Power, lt_eventually,
-                                max_m_with_value_at_most)
+from soficapprox.growth import (INF, Compose, Exhausted, GrowthFn, Linear, Power, is_infinite,
+                                lt_eventually, quality_parameter)
 from soficapprox.lazyperm import AuditViolation, BoundWitness, LazyPerm, StageReport, SuppReport
 from soficapprox.permcore import (Perm, all_cycle_types, block_sum, compose,
                                   cycle_type_representative, disagreements, hamming_distance,
@@ -281,6 +283,41 @@ def reference_power_orders(f: GrowthFn, g: GrowthFn, k_max: int):
                   if lt_eventually(f, Power(g, k)).outcome == "true"
                   and lt_eventually(g, Power(f, k)).outcome == "true"), None)
     return ll_k, sim_k
+
+
+def max_m_with_value_at_most(g: GrowthFn, n: int) -> int | None:
+    """Largest m with g(m) <= n (None if even g(0) > n).  Monotone bisection."""
+    if g(0) > n:
+        return None
+    lo, hi = 0, n  # g(m) > m forces any solution below n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if g(mid) <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def reference_growth_profile(g: GrowthFn, r, n_max: int):
+    """``growth_profile`` as first written: every n = 1..n_max in turn, with
+    the largest m having g(m) <= n found by bisection and tested."""
+    r = quality_parameter(r)
+    if n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
+    if is_infinite(g):
+        return Exhausted(n_max, note="g(m) <= n holds for no m: the defining set is empty")
+    for n in range(1, n_max + 1):
+        m = max_m_with_value_at_most(g, n)
+        if m is None:
+            continue
+        if Fraction(n - m, n) < 1 / r:
+            return n
+    note = ""
+    if isinstance(g, Linear) and Fraction(g.a - 1, g.a) >= 1 / r:
+        note = (f"impossible for every n: g(m) <= n forces m <= n/{g.a}, "
+                f"so (n - m)/n >= {Fraction(g.a - 1, g.a)} >= 1/r")
+    return Exhausted(n_max, note=note)
 
 
 def reference_audit(p, g, horizon):

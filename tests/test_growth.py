@@ -33,7 +33,7 @@ from soficapprox.growth import (
     sim,
 )
 
-from oracles import reference_growth_eval, reference_power_orders
+from oracles import reference_growth_eval, reference_growth_profile, reference_power_orders
 
 simple_growths = st.one_of(
     st.integers(1, 40).map(Affine),
@@ -334,20 +334,36 @@ class TestSlowness:
         assert verdict.verdict == "not_slow"
         assert not verdict.blocks[0].ok
 
-    def test_compose_numeric_window(self):
-        verdict = is_slow(compose(Affine(3), Affine(4)), horizon=2000)
-        assert verdict.verdict == "inconclusive"
-        assert verdict.window == (1000, 2000)
-        assert verdict.max_gap == Fraction(7, 1007)
+    @pytest.mark.parametrize("g, verdict", [
+        (compose(Affine(3), Affine(4)), "slow"),
+        (compose(Linear(2), Affine(1)), "not_slow"),
+        (power(Tabulated((2, 3, 5, 6), 3), 3), "slow"),
+        (compose(Affine(1), Infinity()), "not_slow"),
+    ])
+    def test_decided_by_the_eventually_affine_form(self, g, verdict):
+        out = is_slow(g)
+        assert out.verdict == verdict
+        assert out.blocks is None
 
-    @given(st.integers(1, 39), st.integers(1, 39))
-    @settings(max_examples=30)
-    def test_slowness_closure_under_composition(self, cg, ch):
-        # compositions of slow affine maps stay nearly slow over the window
-        if cg + ch > 40:
-            cg, ch = 20, 20
-        verdict = is_slow(compose(Affine(cg), Affine(ch)), horizon=2000)
-        assert verdict.max_gap < Fraction(5, 100)
+    @given(growths.filter(lambda g: not isinstance(g, BlockStep)))
+    @settings(max_examples=200, deadline=None)
+    def test_slow_exactly_at_slope_one(self, g):
+        form = linearize(g)
+        assert (is_slow(g).verdict == "slow") == (form.a == 1)
+        # past the onset g gains exactly N over [N, 2N] iff its slope is 1
+        n = max(form.n_from, 1)
+        assert (g(2 * n) - g(n) == n) == (form.a == 1)
+
+    @given(growths, growths)
+    @settings(max_examples=200, deadline=None)
+    def test_slowness_closed_under_composition(self, g, h):
+        slopes = (linearize(g).a, linearize(h).a)
+        assert (is_slow(compose(g, h)).verdict == "slow") == (slopes == (1, 1))
+
+    def test_no_affine_form_rejected(self):
+        with pytest.raises(ValueError, match="no eventually affine form") as exc:
+            is_slow(_Square())
+        assert "\n" not in str(exc.value)
 
 
 class TestGrowthProfile:
@@ -382,6 +398,14 @@ class TestGrowthProfile:
         out = growth_profile(g, r, 400)
         if isinstance(out, int):
             assert any(g(m) == out for m in range(out + 1))
+
+    @given(st.one_of(growths, st.just(Infinity())),
+           st.one_of(st.integers(1, 60),
+                     st.fractions(min_value=1, max_value=60, max_denominator=20)),
+           st.integers(1, 2000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_n_bisection(self, g, r, n_max):
+        assert growth_profile(g, r, n_max) == reference_growth_profile(g, r, n_max)
 
     @pytest.mark.parametrize("f,g", [
         (Affine(1), Affine(2)),

@@ -12,8 +12,7 @@ import pytest
 from soficapprox.chunk import Chunk, induced_chunk, parse_chunk, parse_chunk_file
 from soficapprox.gadgets import three_cycle, three_cycle_chunk, three_cycle_squared
 from soficapprox.growth import (Affine, BlockStep, GrowthFn, Linear, Tabulated,
-                               compose as compose_growth, growth_profile, is_slow,
-                               max_m_with_value_at_most)
+                               compose as compose_growth, growth_profile, is_slow)
 from soficapprox.lazyperm import (
     AuditViolation,
     BoundWitness,
@@ -39,9 +38,9 @@ from soficapprox.permcore import Perm, hamming_distance, identity
 from soficapprox.profile import ProfileCertificate, disagreement_counts, measure, sofic_profile
 
 from conftest import DATA, data_path
-from oracles import (reference_audit, reference_blocksum_carrier, reference_gchunk_error,
-                     reference_measure, reference_realize, reference_supp_morphism,
-                     reference_supp_quality)
+from oracles import (max_m_with_value_at_most, reference_audit, reference_blocksum_carrier,
+                     reference_gchunk_error, reference_measure, reference_realize,
+                     reference_supp_morphism, reference_supp_quality)
 
 
 def pair_swap() -> LazyPerm:
