@@ -606,22 +606,27 @@ def growth_profile(g: GrowthFn, r, n_max: int) -> int | Exhausted:
     1 - m/g(m) is below 1/r.  g is monotone, so the profile is the least g(m)
     with 1 - m/g(m) < 1/r: g(m0) for the least such m0.  The scan over m stops
     once g(m) exceeds n_max, which g(m) > m makes happen by m = n_max.
+
+    An eventual slope a with 1 - 1/a >= 1/r decides the empty set up front:
+    g(m) >= a*m at every m, since Linear(a) is at least a*m, every other leaf
+    is at least m, and composition multiplies slopes.
     """
     r = quality_parameter(r)
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     if is_infinite(g):
         return Exhausted(n_max, note="g(m) <= n holds for no m: the defining set is empty")
+    form = linearize(g)
+    if form is not None and (form.a - 1) * r >= form.a:
+        return Exhausted(n_max, note=(
+            f"impossible for every n: g(m) <= n forces m <= n/{form.a}, "
+            f"so (n - m)/n >= {Fraction(form.a - 1, form.a)} >= 1/r"))
     m = 0
     while (gm := g(m)) <= n_max:
         if r * (gm - m) < gm:  # 1 - m/g(m) < 1/r, cleared of fractions
             return gm
         m += 1
-    note = ""
-    if isinstance(g, Linear) and Fraction(g.a - 1, g.a) >= 1 / r:
-        note = (f"impossible for every n: g(m) <= n forces m <= n/{g.a}, "
-                f"so (n - m)/n >= {Fraction(g.a - 1, g.a)} >= 1/r")
-    return Exhausted(n_max, note=note)
+    return Exhausted(n_max)
 
 
 def compare_pf(u: Mapping, v: Mapping, C, Cp, Cpp, sample_rs: Sequence) -> bool:

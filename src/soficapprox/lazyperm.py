@@ -19,19 +19,20 @@ order.  The gadgets' modified restrictions use the same rule.  The degree-n
 restriction of a carrier therefore equals the carrier except at its free
 points, the m < n it sends to n or beyond.  ``build_gchunk`` evaluates
 every carrier's forward map and the bound once on the audited prefix
-[0, H], and the g-chunk keeps those values in ``RestrictionTables``, which
-every degree 1..H reads; a degree past H is refused, since nothing checked
-the carriers there.  The table check composes the stored values as whole
-lists, evaluating a carrier again only at b-values past the prefix, once
-per point.
+[0, H], and the ``GChunk`` keeps those values, which every degree 1..H
+reads; a degree past H is refused, since nothing checked the carriers
+there.  The table check composes the stored values as whole lists,
+evaluating a carrier again only at b-values past the prefix, once per
+point.
 ``supp_quality`` and the ``property_profile`` scans read the defect,
 expansiveness and separation hypothesis of each restriction from its
-disagreement counts (as ``profile.disagreement_counts`` defines them): the
-carriers' own count below n, found by bisection in a sorted list of the
-points where they disagree, plus a correction at the few points a
-restriction moves off its carrier.  At a settled degree, where no carrier
-has a free point, there is no correction.  m* is a bisection in the stored
-bound values, which are monotone.
+disagreement counts (as ``profile.disagreement_counts`` defines them).  A
+pair counts the carriers' own disagreements below n, found by bisection in
+a sorted list of the points where they disagree, plus a correction at its
+free points.  A product counts only at free points, since the table check
+proved that the carriers compose exactly on [0, H].  At a settled degree,
+where no carrier has a free point, nothing is corrected and every product
+counts 0.  m* is a bisection in the stored bound values, which are monotone.
 
 ``realize`` assembles the block-direct-sum family out of profile
 certificates, choosing each multiplicity minimally so that every stage meets
@@ -246,25 +247,28 @@ class _CarrierTable(NamedTuple):
     pre_max: Sequence[int]    # running maxima of pre
 
 
-class RestrictionTables:
-    """What the degree-n supp restrictions of one g-chunk read, for n <= H.
+@dataclass(eq=False)
+class GChunk:
+    """A chunk whose elements are carried by lazy permutations bounded by g,
+    with the tables its degree-n supp restrictions read, for n <= H.
 
-    The degree-n restriction of a carrier rho equals rho except at its free
-    points D_n = {m < n : rho(m) >= n}, which go, in increasing order, to
-    R_n = {v < n : no m < n has rho(m) = v} in increasing order.  The tables
-    read only the forward values ``values`` (per element other than the
-    unit) and ``bound_values`` that ``build_gchunk`` audited on [0, H]; they
-    hold no carrier and evaluate nothing.  Per carrier they hold its forward
-    values, the preimage of each value below ``size`` (``size`` where there
-    is none) and running maxima of both, so that D_n and R_n lie in a window
-    found by bisection.  Per defined product other than a unit product, and
-    per distinct pair, they hold the sorted points below ``size`` where the
-    carriers themselves disagree.  The unit is the identity.
+    ``build_gchunk`` hands over the forward values ``values`` (per element
+    other than the unit) and ``bound_values`` it audited on [0, H]; the
+    queries evaluate nothing.  The degree-n restriction of a carrier rho
+    equals rho except at its free points D_n = {m < n : rho(m) >= n}, which
+    go, in increasing order, to R_n = {v < n : no m < n has rho(m) = v} in
+    increasing order.  Per carrier the tables hold its forward values, the
+    preimage of each value below ``size`` (``size`` where there is none) and
+    running maxima of both, so that D_n and R_n lie in a window found by
+    bisection.  Per distinct pair they hold the sorted points below ``size``
+    where the carriers themselves disagree.  The unit is the identity.
+    Products need no table: ``counts`` relies on the table check's proof that
+    the carriers compose exactly on [0, H], so it is correct only for tables
+    that passed it; ``images`` reads any tables.
 
     A degree is settled when no carrier has a free point there: each
     carrier's running maximum below n is below n, so every restriction is
-    its carrier and the counts are the carriers' own.  The tables mark every
-    settled degree up to ``size``.
+    its carrier.  The tables mark every settled degree up to ``size``.
 
     The first query builds the tables over its own n points; a later degree
     beyond them builds them once over [0, H].  A degree past H is refused.
@@ -272,13 +276,20 @@ class RestrictionTables:
     below n share an image.  m* is a bisection in the bound values.
     """
 
-    def __init__(self, chunk: Chunk, values: Mapping[str, Sequence[int]], bound_values: list):
-        self.chunk = chunk
-        self.values = values
-        self.bound_values = bound_values
-        self.horizon = len(bound_values) - 1
-        self.pairs = [(x, y) for i, x in enumerate(chunk.elements)
-                      for y in chunk.elements[i + 1:]]
+    chunk: Chunk
+    carriers: dict[str, LazyPerm]
+    bound: GrowthFn
+    horizon: int
+    values: Mapping[str, Sequence[int]] = field(repr=False)
+    bound_values: list = field(repr=False)
+
+    def __post_init__(self) -> None:
+        elements = self.chunk.elements
+        self.pairs = [(x, y) for i, x in enumerate(elements) for y in elements[i + 1:]]
+        # The unit products (e, b, b) and (a, e, a) count 0: the unit's
+        # restriction is the identity, so they agree everywhere at every degree.
+        self.products = [(i, a, b, ab) for i, ((a, b), ab) in enumerate(self.chunk.table.items())
+                         if not self.chunk.is_unit_product(a, b, ab)]
         self.size = 0
 
     def _grow(self, n: int) -> None:
@@ -299,15 +310,6 @@ class RestrictionTables:
             pre = array("q", map(preimage.get, ident, repeat(size)))
             tables[e] = _CarrierTable(vals, pre, list(accumulate(head, max)),
                                       array("q", accumulate(pre, max)))
-        # A point whose b-image lies beyond the tables counts as a disagreement
-        # here and in ``counts`` alike; it is a free point of b at every degree.
-        # The unit products (e, b, b) and (a, e, a) get None: the unit's
-        # restriction is the identity, so they agree everywhere at every degree.
-        self.product_points = [
-            None if self.chunk.is_unit_product(a, b, ab)
-            else array("q", compress(ident, map(ne, tables[ab].vals,
-                                                _composite(tables[a].vals, tables[b].vals, size))))
-            for (a, b), ab in self.chunk.table.items()]
         self.pair_points = [array("q", compress(ident, map(ne, tables[x].vals, tables[y].vals)))
                             for x, y in self.pairs]
         # settled[n]: the running maximum of every carrier below n is below n
@@ -344,31 +346,24 @@ class RestrictionTables:
     def counts(self, n: int) -> tuple[int, list[int], list[int]]:
         """``profile.disagreement_counts`` of the degree-n restrictions.
 
-        Each count is the carriers' count below n plus, at an unsettled
-        degree, a correction at the points some restriction moves off its
-        carrier: the free points of both members of a pair, and for a product
-        (a, b, ab) the free points of b and ab and the b-preimages of the
-        free points of a.  A unit product counts 0.
+        A pair counts the carriers' disagreements below n plus a correction
+        at the free points of either member.  A product (a, b, ab) counts
+        where its restrictions differ among the free points of b and ab: at
+        any other m, b(m) and ab(m) = a(b(m)) are below n, so no restriction
+        leaves its carrier there.  A settled degree or a unit product counts 0.
         """
         free = self._free(n)
-        products = [0 if points is None else bisect_left(points, n)
-                    for points in self.product_points]
+        products = [0] * len(self.chunk.table)
         pairs = [bisect_left(points, n) for points in self.pair_points]
         if free is None:
             return n, products, pairs
-        t, size = self.tables, self.size
-        for i, ((a, b), ab) in enumerate(self.chunk.table.items()):
-            if self.product_points[i] is None:
-                continue
+        t = self.tables
+        for i, a, b, ab in self.products:
             va, vb, vab = t[a].vals, t[b].vals, t[ab].vals
-            fa, fb, fab, pre_b = free[a], free[b], free[ab], t[b].pre
-            unsettled = fb.keys() | fab.keys()
-            unsettled.update(m for d in fa if (m := pre_b[d]) < n)
-            for m in unsettled:
-                v = vb[m]
-                w = fb.get(m, v)
-                products[i] += ((fab.get(m, vab[m]) != fa.get(w, va[w]))
-                                - (v >= size or vab[m] != va[v]))
+            fa, fb, fab = free[a], free[b], free[ab]
+            for m in fb.keys() | fab.keys():
+                w = fb.get(m, vb[m])
+                products[i] += fab.get(m, vab[m]) != fa.get(w, va[w])
         for i, (x, y) in enumerate(self.pairs):
             vx, vy, fx, fy = t[x].vals, t[y].vals, free[x], free[y]
             for m in fx.keys() | fy.keys():
@@ -393,17 +388,6 @@ def _composite(va: Sequence[int], vb: Sequence[int], size: int) -> Iterable:
     lookup = list(islice(va, size))
     lookup.append(None)
     return map(lookup.__getitem__, map(min, heads, repeat(size)))
-
-
-@dataclass(frozen=True)
-class GChunk:
-    """A chunk whose elements are carried by lazy permutations bounded by g."""
-
-    chunk: Chunk
-    carriers: dict[str, LazyPerm]
-    bound: GrowthFn
-    horizon: int
-    restrictions: RestrictionTables = field(repr=False, compare=False)
 
 
 def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn,
@@ -467,8 +451,7 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
             raise GChunkError(f"table says {a} * {b} = {c} but carriers disagree at {bad}")
 
     del values[chunk.unit]  # the tables take the unit to the identity at every degree
-    return GChunk(chunk, carriers, bound, horizon,
-                  RestrictionTables(chunk, values, bound_values))
+    return GChunk(chunk, carriers, bound, horizon, values, bound_values)
 
 
 def supp_morphism(gc: GChunk, n: int) -> dict[str, Perm]:
@@ -478,12 +461,17 @@ def supp_morphism(gc: GChunk, n: int) -> dict[str, Perm]:
     domain points are matched to leftover range points in increasing order.
     The unit goes to the identity.
     """
-    return {e: Perm(tuple(images)) for e, images in gc.restrictions.images(n).items()}
+    return {e: Perm(tuple(images)) for e, images in gc.images(n).items()}
 
 
 @dataclass(frozen=True)
 class SuppReport:
-    """Measured quality of the degree-n supp morphism against the g-bounds."""
+    """Measured quality of the degree-n supp morphism against the g-bounds.
+
+    ``defect_bound_holds`` is false only if the code is wrong: a product
+    counts only at free points of b or ab, and the audited bound leaves each
+    carrier at most n - m* of them.
+    """
 
     n: int
     r: Fraction
@@ -509,16 +497,16 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
     """The degree-n supp report.  Each condition is decided on the integer
     counts against the radius of 2r; the Fractions are only reported."""
     r, expansiveness_threshold = _supp_parameters(r)
-    counts = gc.restrictions.counts(n)
+    counts = gc.counts(n)
     _, products, pairs = counts
     radius = threshold_radius(n, r) // 2  # of 2r: floor(floor(n/r)/2) = floor(n/(2r))
-    m_star = gc.restrictions.m_star(n)
+    m_star = gc.m_star(n)
     defect_bound = bound_holds = None
     if m_star is not None:
         defect_bound = Fraction(2 * (n - m_star), n)
         bound_holds = max(products, default=0) <= 2 * (n - m_star)
     # Growth functions are monotone, so the closest pair decides the hypothesis.
-    hypothesis = not pairs or gc.restrictions.bound_values[min(pairs)] >= n
+    hypothesis = not pairs or gc.bound_values[min(pairs)] >= n
     gap_small = m_star is not None and n - m_star <= radius
     return SuppReport(
         n=n, r=r, m_star=m_star, quality=MorphismQuality.from_counts(*counts),
@@ -532,7 +520,7 @@ def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
 
 def supp_defect_holds(gc: GChunk, n: int, r: Fraction) -> bool:
     """Whether the degree-n supp morphism has defect at most 1/r."""
-    return max(gc.restrictions.counts(n)[1], default=0) <= threshold_radius(n, r)
+    return max(gc.counts(n)[1], default=0) <= threshold_radius(n, r)
 
 
 def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:

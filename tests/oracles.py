@@ -32,7 +32,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from soficapprox.growth import (INF, Compose, Exhausted, GrowthFn, Linear, Power, is_infinite,
+from soficapprox.growth import (INF, Compose, Exhausted, GrowthFn, Power, is_infinite, linearize,
                                 lt_eventually, quality_parameter)
 from soficapprox.lazyperm import AuditViolation, BoundWitness, LazyPerm, StageReport, SuppReport
 from soficapprox.permcore import (Perm, all_cycle_types, block_sum, compose,
@@ -314,9 +314,10 @@ def reference_growth_profile(g: GrowthFn, r, n_max: int):
         if Fraction(n - m, n) < 1 / r:
             return n
     note = ""
-    if isinstance(g, Linear) and Fraction(g.a - 1, g.a) >= 1 / r:
-        note = (f"impossible for every n: g(m) <= n forces m <= n/{g.a}, "
-                f"so (n - m)/n >= {Fraction(g.a - 1, g.a)} >= 1/r")
+    form = linearize(g)
+    if form is not None and Fraction(form.a - 1, form.a) >= 1 / r:
+        note = (f"impossible for every n: g(m) <= n forces m <= n/{form.a}, "
+                f"so (n - m)/n >= {Fraction(form.a - 1, form.a)} >= 1/r")
     return Exhausted(n_max, note=note)
 
 

@@ -389,6 +389,20 @@ class TestGrowthProfile:
         assert isinstance(out, Exhausted)
         assert "impossible" in out.note
 
+    @pytest.mark.parametrize("spec,a", [("power(linear:2,2)", 4),
+                                        ("compose(linear:2,affine:1)", 2)])
+    def test_slope_decides_the_note_for_every_kind(self, spec, a):
+        out = growth_profile(parse_growth(spec), 3, 5000)
+        assert out == Exhausted(5000, note=(
+            f"impossible for every n: g(m) <= n forces m <= n/{a}, "
+            f"so (n - m)/n >= {Fraction(a - 1, a)} >= 1/r"))
+
+    @given(growths, st.integers(0, 300))
+    @settings(max_examples=100)
+    def test_values_at_least_slope_times_point(self, g, m):
+        # the inequality the up-front note rests on
+        assert g(m) >= linearize(g).a * m
+
     def test_linear_feasible_for_small_r(self):
         assert growth_profile(Linear(2), Fraction(3, 2), 100) == 2
 
