@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Sweep sofic profiles of chunk files over a range of quality parameters.
 
+A file that cannot be read or parsed, or a bad parameter, prints one
+``error:`` line to stderr and exits 1.
+
 Example:
     python scripts/profile_sweep.py tests/data/z2.chunk tests/data/z3.chunk \
         --rs 2/1,3/1,4/1 --n-max 6
@@ -27,13 +30,22 @@ def main(argv=None):
         rs = [parse_rational(tok) for tok in args.rs.split(",")]
     except ValueError as exc:
         ap.error(f"--rs: {exc}")
+    try:
+        return sweep(args.chunks, rs, args.n_max, args.workers)
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def sweep(paths, rs, n_max, workers):
+    """Print one row of least degrees per chunk file, one column per r."""
     header = "chunk".ljust(28) + "".join(f"r={r}".rjust(10) for r in rs) + "    time"
     print(header)
     print("-" * len(header))
-    for path in args.chunks:
+    for path in paths:
         c = parse_chunk_file(path)
         start = time.perf_counter()
-        results = profile_table(c, rs, args.n_max, workers=args.workers)
+        results = profile_table(c, rs, n_max, workers=workers)
         elapsed = time.perf_counter() - start
         cells = []
         for res in results:

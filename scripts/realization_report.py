@@ -6,7 +6,9 @@ multiplicity, the running total degree, the block-sum quality, and the two
 block-end slowness quantities against their 1/n threshold.  The
 growth bound's own block checks follow, and the report ends by checking
 that the degree-n supp restrictions of the block-sum carriers reproduce
-every stage; the exit status is 1 when they do not.
+every stage; the exit status is 1 when they do not.  A file that cannot be
+read or parsed, or a bad parameter, prints one ``error:`` line to stderr and
+exits 1.
 
 Example:
     python scripts/realization_report.py tests/data/z3.chunk --depth 8 \
@@ -32,6 +34,16 @@ def main(argv=None):
     ap.add_argument("--emit", default=None)
     args = ap.parse_args(argv)
 
+    try:
+        return report(args)
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def report(args):
+    """Print the report; 0 when the supp restrictions reproduce every stage,
+    1 when they do not, 2 when a profile search is exhausted."""
     c = parse_chunk_file(args.chunk)
     certs = profile_table(c, range(2, args.depth + 1), args.n_max, workers=args.workers)
     for r, cert in enumerate(certs, start=2):

@@ -25,14 +25,17 @@ there.  The table check composes the stored values as whole lists,
 evaluating a carrier again only at b-values past the prefix, once per
 point.
 ``supp_quality`` and the ``property_profile`` scans read the defect,
-expansiveness and separation hypothesis of each restriction from its
-disagreement counts (as ``profile.disagreement_counts`` defines them).  A
-pair counts the carriers' own disagreements below n, found by bisection in
-a sorted list of the points where they disagree, plus a correction at its
-free points.  A product counts only at free points, since the table check
-proved that the carriers compose exactly on [0, H].  At a settled degree,
-where no carrier has a free point, nothing is corrected and every product
-counts 0.  m* is a bisection in the stored bound values, which are monotone.
+expansiveness and separation hypothesis of each restriction from two
+integers, ``GChunk.extremes``: the largest product count and the smallest
+pair count of its disagreement counts (as ``profile.disagreement_counts``
+defines them); no per-product or per-pair list is built.  A pair counts the
+carriers' own disagreements below n, found by bisection in a sorted list of
+the points where they disagree, plus a correction at its free points.  A
+product counts only at free points, since the table check proved that the
+carriers compose exactly on [0, H], so one whose factor and composite have
+none counts 0.  At a settled degree, where no carrier has a free point, the
+answer is 0 and the least of the pairs' bisections.  m* is a bisection in
+the stored bound values, which are monotone.
 
 ``realize`` assembles the block-direct-sum family out of profile
 certificates, choosing each multiplicity minimally so that every stage meets
@@ -57,7 +60,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validated
 from .growth import BlockStep, Exhausted, GrowthFn, growth_profile, quality_parameter
-from .permcore import Perm, block_sum, disagreements
+from .permcore import Perm, block_sum, block_sum_images, disagreements
 from .profile import MorphismQuality, ProfileCertificate, disagreement_counts, threshold_radius
 
 
@@ -262,9 +265,9 @@ class GChunk:
     running maxima of both, so that D_n and R_n lie in a window found by
     bisection.  Per distinct pair they hold the sorted points below ``size``
     where the carriers themselves disagree.  The unit is the identity.
-    Products need no table: ``counts`` relies on the table check's proof that
-    the carriers compose exactly on [0, H], so it is correct only for tables
-    that passed it; ``images`` reads any tables.
+    Products need no table: ``extremes`` relies on the table check's proof
+    that the carriers compose exactly on [0, H], so it is correct only for
+    tables that passed it; ``images`` reads any tables.
 
     A degree is settled when no carrier has a free point there: each
     carrier's running maximum below n is below n, so every restriction is
@@ -273,7 +276,7 @@ class GChunk:
     The first query builds the tables over its own n points; a later degree
     beyond them builds them once over [0, H].  A degree past H is refused.
     The audit proved every carrier injective on [0, H], so no two points
-    below n share an image.  m* is a bisection in the bound values.
+    below n share an image.
     """
 
     chunk: Chunk
@@ -288,23 +291,18 @@ class GChunk:
         self.pairs = [(x, y) for i, x in enumerate(elements) for y in elements[i + 1:]]
         # The unit products (e, b, b) and (a, e, a) count 0: the unit's
         # restriction is the identity, so they agree everywhere at every degree.
-        self.products = [(i, a, b, ab) for i, ((a, b), ab) in enumerate(self.chunk.table.items())
+        self.products = [(a, b, ab) for (a, b), ab in self.chunk.table.items()
                          if not self.chunk.is_unit_product(a, b, ab)]
         self.size = 0
 
     def _grow(self, n: int) -> None:
-        if n <= self.size:
-            return
+        """Build the tables for a degree n beyond ``size``."""
         if n > self.horizon:
             raise ValueError(f"degree {n} lies past the audited horizon {self.horizon}")
         size = self.horizon if self.size else n
         ident = range(size)
-        tables = self.tables = {}
-        for e in self.chunk.elements:
-            if e == self.chunk.unit:
-                tables[e] = _CarrierTable(ident, ident, ident, ident)
-                continue
-            vals = self.values[e]
+        tables = self.tables = {self.chunk.unit: _CarrierTable(ident, ident, ident, ident)}
+        for e, vals in self.values.items():
             head = vals[:size]
             preimage = dict(zip(head, ident))
             pre = array("q", map(preimage.get, ident, repeat(size)))
@@ -317,25 +315,27 @@ class GChunk:
             range(1, size + 1), map(max, ident, *(t.vals_max for t in tables.values())))]
         self.size = size
 
-    def _free(self, n: int) -> dict[str, dict[int, int]] | None:
-        """Per element, its free points at degree n mapped to their images;
-        None at a settled degree, where there are none."""
+    def _free(self, n: int) -> dict[str, dict[int, int]]:
+        """Per element with free points at degree n, those points mapped to
+        their images; empty at a settled degree.  The unit has none."""
         if n < 1:
             raise ValueError("degree must be positive")
-        self._grow(n)
-        if self.settled[n]:
-            return None
+        if n > self.size:
+            self._grow(n)
         free = {}
-        for e in self.chunk.elements:
-            t = self.tables[e]
-            free[e] = dict(zip(
-                [m for m in range(bisect_left(t.vals_max, n, 0, n), n) if t.vals[m] >= n],
-                [v for v in range(bisect_left(t.pre_max, n, 0, n), n) if t.pre[v] >= n]))
+        if self.settled[n]:
+            return free
+        for e in self.values:
+            vals, pre, vals_max, pre_max = self.tables[e]
+            if vals_max[n - 1] >= n:
+                free[e] = dict(zip(
+                    [m for m in range(bisect_left(vals_max, n, 0, n), n) if vals[m] >= n],
+                    [v for v in range(bisect_left(pre_max, n, 0, n), n) if pre[v] >= n]))
         return free
 
     def images(self, n: int) -> dict[str, list[int]]:
         """Image lists of the degree-n restrictions."""
-        free = self._free(n) or {}
+        free = self._free(n)
         out = {}
         for e in self.chunk.elements:
             out[e] = images = list(islice(self.tables[e].vals, n))
@@ -343,41 +343,56 @@ class GChunk:
                 images[m] = v
         return out
 
-    def counts(self, n: int) -> tuple[int, list[int], list[int]]:
-        """``profile.disagreement_counts`` of the degree-n restrictions.
+    def extremes(self, n: int) -> tuple[int, int | None]:
+        """The largest product count and the smallest pair count of
+        ``profile.disagreement_counts`` of the degree-n restrictions; the
+        second is None when the chunk has no pair.
 
         A pair counts the carriers' disagreements below n plus a correction
         at the free points of either member.  A product (a, b, ab) counts
         where its restrictions differ among the free points of b and ab: at
         any other m, b(m) and ab(m) = a(b(m)) are below n, so no restriction
-        leaves its carrier there.  A settled degree or a unit product counts 0.
+        leaves its carrier there.  A unit product counts 0, and so does
+        every product at a settled degree, where the answer is 0 and the
+        least of the pairs' bisections.
         """
         free = self._free(n)
-        products = [0] * len(self.chunk.table)
-        pairs = [bisect_left(points, n) for points in self.pair_points]
-        if free is None:
-            return n, products, pairs
-        t = self.tables
-        for i, a, b, ab in self.products:
-            va, vb, vab = t[a].vals, t[b].vals, t[ab].vals
-            fa, fb, fab = free[a], free[b], free[ab]
-            for m in fb.keys() | fab.keys():
-                w = fb.get(m, vb[m])
-                products[i] += fab.get(m, vab[m]) != fa.get(w, va[w])
-        for i, (x, y) in enumerate(self.pairs):
-            vx, vy, fx, fy = t[x].vals, t[y].vals, free[x], free[y]
-            for m in fx.keys() | fy.keys():
-                pairs[i] += (fx.get(m, vx[m]) != fy.get(m, vy[m])) - (vx[m] != vy[m])
-        return n, products, pairs
-
-    def m_star(self, n: int) -> int | None:
-        """Largest m with g(m) <= n, None when g(0) > n, for n <= H.
-
-        The bound is monotone with g(m) > m, so this is the bisection for
-        m* that ``tests/oracles.py`` keeps, read off the stored values.
-        """
-        m = bisect_right(self.bound_values, n, 0, n + 1) - 1
-        return m if m >= 0 else None
+        if not free:
+            return 0, min(map(bisect_left, self.pair_points, repeat(n))) if self.pairs else None
+        t, none = self.tables, {}
+        worst = 0
+        for a, b, ab in self.products:
+            fb, fab = free.get(b, none), free.get(ab, none)
+            if fb or fab:
+                va, vb, vab, fa = t[a].vals, t[b].vals, t[ab].vals, free.get(a, none)
+                k = 0
+                for m, w in fb.items():
+                    k += fab.get(m, vab[m]) != fa.get(w, va[w])
+                for m, u in fab.items():
+                    if m not in fb:
+                        w = vb[m]
+                        k += u != fa.get(w, va[w])
+                if k > worst:
+                    worst = k
+        closest = None
+        for (x, y), points in zip(self.pairs, self.pair_points):
+            k = bisect_left(points, n)
+            fx, fy = free.get(x, none), free.get(y, none)
+            if fx or fy:
+                vx, vy = t[x].vals, t[y].vals
+                # At a free point of one member only, that carrier's value is
+                # n or more and the other's is below n: the carriers disagree.
+                for m, u in fx.items():
+                    if m in fy:
+                        k += (u != fy[m]) - (vx[m] != vy[m])
+                    else:
+                        k -= u == vy[m]
+                for m, v in fy.items():
+                    if m not in fx:
+                        k -= v == vx[m]
+            if closest is None or k < closest:
+                closest = k
+        return worst, closest
 
 
 def _composite(va: Sequence[int], vb: Sequence[int], size: int) -> Iterable:
@@ -486,41 +501,47 @@ class SuppReport:
 
 
 @lru_cache(maxsize=16)
-def _supp_parameters(r) -> tuple[Fraction, Fraction]:
-    """r as a Fraction and the expansiveness threshold 1 - 1/(2r), built once
-    per r rather than at every degree of a scan."""
+def _supp_parameters(r) -> tuple[Fraction, Fraction, int, int]:
+    """r as a Fraction, the expansiveness threshold 1 - 1/(2r), and the
+    numerator and denominator of 1/(2r), built once per r rather than at
+    every degree of a scan."""
     r = quality_parameter(r)
-    return r, Fraction(2 * r.numerator - r.denominator, 2 * r.numerator)
+    num, den = r.denominator, 2 * r.numerator
+    return r, 1 - Fraction(num, den), num, den
+
+
+_ZERO = Fraction(0)
 
 
 def supp_quality(gc: GChunk, n: int, r) -> SuppReport:
-    """The degree-n supp report.  Each condition is decided on the integer
-    counts against the radius of 2r; the Fractions are only reported."""
-    r, expansiveness_threshold = _supp_parameters(r)
-    counts = gc.counts(n)
-    _, products, pairs = counts
-    radius = threshold_radius(n, r) // 2  # of 2r: floor(floor(n/r)/2) = floor(n/(2r))
-    m_star = gc.m_star(n)
-    defect_bound = bound_holds = None
-    if m_star is not None:
+    """The degree-n supp report.  Each condition is decided on the two
+    integers of ``GChunk.extremes`` against the radius of 2r; the Fractions
+    are only reported."""
+    r, expansiveness_threshold, num, den = _supp_parameters(r)
+    worst, closest = gc.extremes(n)
+    radius = n * num // den  # floor(n/(2r)), as threshold_radius(n, 2r)
+    # the largest m with g(m) <= n: g is monotone with g(m) > m
+    m_star = bisect_right(gc.bound_values, n, 0, n + 1) - 1
+    if m_star < 0:
+        m_star = defect_bound = bound_holds = None
+        gap_small = False
+    else:
         defect_bound = Fraction(2 * (n - m_star), n)
-        bound_holds = max(products, default=0) <= 2 * (n - m_star)
+        bound_holds = worst <= 2 * (n - m_star)
+        gap_small = n - m_star <= radius
     # Growth functions are monotone, so the closest pair decides the hypothesis.
-    hypothesis = not pairs or gc.bound_values[min(pairs)] >= n
-    gap_small = m_star is not None and n - m_star <= radius
-    return SuppReport(
-        n=n, r=r, m_star=m_star, quality=MorphismQuality.from_counts(*counts),
-        defect_bound=defect_bound, defect_bound_holds=bound_holds,
-        separation_hypothesis=hypothesis,
-        conclusion_expected=hypothesis and gap_small,
-        expansiveness_threshold=expansiveness_threshold,
-        expansiveness_ok=not pairs or min(pairs) >= n - radius,
-    )
+    hypothesis = closest is None or gc.bound_values[closest] >= n
+    quality = MorphismQuality(Fraction(worst, n) if worst else _ZERO,
+                              None if closest is None else Fraction(closest, n))
+    # positional, in field order: keyword arguments build the frozen report slower
+    return SuppReport(n, r, m_star, quality, defect_bound, bound_holds, hypothesis,
+                      hypothesis and gap_small, expansiveness_threshold,
+                      closest is None or closest >= n - radius)
 
 
 def supp_defect_holds(gc: GChunk, n: int, r: Fraction) -> bool:
     """Whether the degree-n supp morphism has defect at most 1/r."""
-    return max(gc.counts(n)[1], default=0) <= threshold_radius(n, r)
+    return gc.extremes(n)[0] <= threshold_radius(n, r)
 
 
 def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:
@@ -612,7 +633,7 @@ class Realization:
         directions once, and the identity from ``layout[-1]`` on."""
         if e not in self.chunk.elements:
             raise ValueError(f"element {e!r} not in chunk")
-        images = block_sum([(s[e], f_n) for s, f_n in zip(self.sigma, self.f)]).images
+        images = block_sum_images([(s[e], f_n) for s, f_n in zip(self.sigma, self.f)])
         return _tabulated(images, f"blocksum:depth={self.depth}")
 
     def exact_products(self) -> dict[tuple[str, str], str]:

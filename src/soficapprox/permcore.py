@@ -136,6 +136,13 @@ def block_sum(parts: Sequence[tuple[Perm, int]]) -> Perm:
     copies of ``perm``, in the given order.  Empty input gives the degree-0
     identity.
     """
+    return Perm(block_sum_images(parts))
+
+
+def block_sum_images(parts: Sequence[tuple[Perm, int]]) -> tuple[int, ...]:
+    """The one-line images of ``block_sum(parts)``, not wrapped in a ``Perm``:
+    the blocks of validated parts are a permutation, so callers that hold
+    ``Perm`` parts need no second check."""
     images: list[int] = []
     offset = 0
     for perm, mult in parts:
@@ -144,7 +151,7 @@ def block_sum(parts: Sequence[tuple[Perm, int]]) -> Perm:
         for _ in range(mult):
             images.extend(map(offset.__add__, perm.images))
             offset += perm.degree
-    return Perm(tuple(images))
+    return tuple(images)
 
 
 def cycle_type_representative(t: CycleType, n: int) -> Perm:

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import os
 import random
@@ -33,7 +34,7 @@ from soficapprox.lazyperm import (
     supp_quality,
 )
 from soficapprox.permcore import Perm, hamming_distance, identity
-from soficapprox.profile import ProfileCertificate, measure, sofic_profile
+from soficapprox.profile import ProfileCertificate, disagreement_counts, measure, sofic_profile
 
 from conftest import DATA, data_path
 from oracles import (max_m_with_value_at_most, reference_audit, reference_blocksum_carrier,
@@ -688,6 +689,97 @@ class TestRestrictionTables:
         assert gc.size == 90
         supp_quality(gc, 91, 2)
         assert gc.size == 200  # then the whole audited prefix
+
+
+def reference_extremes(gc, n):
+    """The worst product count and the closest pair count (None without a
+    pair) of the point-by-point restrictions."""
+    _, products, pairs = disagreement_counts(gc.chunk, reference_supp_morphism(gc, n))
+    return max(products, default=0), min(pairs, default=None)
+
+
+def single_element_gchunk(horizon):
+    return build_gchunk(Chunk(("1",), "1", {("1", "1"): "1"}), {}, Affine(1), horizon)
+
+
+def unit_products_gchunk(horizon):
+    """Two carriers whose only defined products are unit products."""
+    c = parse_chunk("unit 1\nelem h\nelem t\n1 * 1 = 1\n1 * h = h\nh * 1 = h\n"
+                    "1 * t = t\nt * 1 = t\n")
+    swap = finitary([40] + list(range(1, 40)) + [0])
+    return build_gchunk(c, {"h": three_cycle(), "t": swap}, Affine(40), horizon)
+
+
+def settled_factor_gchunk(horizon):
+    """a * b = c where b swaps the first two points of each block of four and
+    a reverses each block: at degree 4q + 2, b has no free point while a and
+    c have two, and their greedy completions disagree there."""
+    c = parse_chunk("unit 1\nelem a\nelem b\nelem c\n1 * 1 = 1\n1 * a = a\na * 1 = a\n"
+                    "1 * b = b\nb * 1 = b\n1 * c = c\nc * 1 = c\na * b = c\n")
+    span = range(horizon + 4 - horizon % 4)
+    a = [m - m % 4 + 3 - m % 4 for m in span]
+    b = [m ^ 1 if m % 4 < 2 else m for m in span]
+    carriers = {"a": finitary(a), "b": finitary(b), "c": finitary([a[v] for v in b])}
+    return build_gchunk(c, carriers, Affine(3), horizon)
+
+
+class TestExtremes:
+    """``GChunk.extremes`` against the max and min of the point-by-point
+    counts at every degree up to the horizon, in any order, each order on a
+    g-chunk of its own."""
+
+    CASES = ([(f"bounded-{seed}", lambda seed=seed: bounded_gchunk(seed, 129), {True, False})
+              for seed in range(5)]
+             + [("far-swap", lambda: far_swap_gchunk(519), {True, False}),
+                ("three-cycle", lambda: three_cycle_chunk(horizon=150), {True, False}),
+                ("single-element", lambda: single_element_gchunk(60), {True}),
+                ("unit-products", lambda: unit_products_gchunk(90), {True, False}),
+                ("settled-factor", lambda: settled_factor_gchunk(90), {True, False})])
+
+    @pytest.mark.parametrize("name,make,settled", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
+    def test_match_reference_in_any_order(self, name, make, settled, order):
+        gc, ref = make(), make()
+        seen = set()
+        for n in query_orders(range(1, gc.horizon + 1), seed=6)[order]:
+            got = gc.extremes(n)
+            assert got == reference_extremes(ref, n), n
+            assert type(got[0]) is int
+            seen.add(gc.settled[n])
+        assert seen == settled
+
+    def test_single_element_has_no_pair(self):
+        gc = single_element_gchunk(30)
+        assert {gc.extremes(n) for n in range(1, 31)} == {(0, None)}
+
+    def test_unit_products_count_zero(self):
+        gc = unit_products_gchunk(90)
+        got = {n: gc.extremes(n) for n in range(1, 91)}
+        assert {worst for worst, _ in got.values()} == {0}
+        # the unsettled degrees move the closest pair off the carriers' own count
+        assert any(not gc.settled[n] and closest != min(
+            bisect.bisect_left(points, n) for points in gc.pair_points)
+            for n, (_, closest) in got.items())
+
+    def test_product_counts_where_only_its_composite_is_free(self):
+        gc = settled_factor_gchunk(90)
+        for n in range(6, 91, 4):
+            assert gc.extremes(n)[0] == 2 == reference_extremes(gc, n)[0], n
+
+    def test_settled_degree_reads_the_pair_bisections(self):
+        gc = bounded_gchunk(3, 129)
+        gc.extremes(129)
+        for n in range(1, 130):
+            if gc.settled[n]:
+                assert gc.extremes(n) == (0, min(bisect.bisect_left(points, n)
+                                                 for points in gc.pair_points))
+
+    def test_degrees_outside_the_prefix_refused(self):
+        gc = three_cycle_chunk(horizon=40)
+        with pytest.raises(ValueError, match="^degree must be positive$"):
+            gc.extremes(0)
+        with pytest.raises(ValueError, match="^degree 41 lies past the audited horizon 40$"):
+            gc.extremes(41)
 
 
 class TestRealize:

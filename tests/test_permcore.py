@@ -9,6 +9,7 @@ from soficapprox.permcore import (
     Perm,
     all_cycle_types,
     block_sum,
+    block_sum_images,
     compose,
     cycle_type,
     cycle_type_representative,
@@ -122,6 +123,17 @@ class TestBlockSum:
         rights = [(pq[1], mult) for pq, mult in slots]
         composed = [(compose(pq[0], pq[1]), mult) for pq, mult in slots]
         assert block_sum(composed) == compose(block_sum(lefts), block_sum(rights))
+
+    @given(st.lists(st.tuples(perms(max_degree=5), st.integers(0, 3)), max_size=4))
+    def test_images_are_the_block_sums(self, parts):
+        images = block_sum_images(parts)
+        assert type(images) is tuple
+        assert images == block_sum(parts).images
+
+    def test_negative_multiplicity_rejected(self):
+        for build in (block_sum, block_sum_images):
+            with pytest.raises(ValueError, match="^negative multiplicity -1$"):
+                build([(identity(2), -1)])
 
 
 class TestCycleTypeRepresentative:

@@ -60,3 +60,24 @@ class TestRealizationReport:
         assert script.main([data_path("z3.chunk"), "--depth", "3"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "supp restrictions reproduce every stage: NO"
+
+
+BAD_INPUTS = [
+    ("profile_sweep", ["missing.chunk"]),
+    ("profile_sweep", [data_path("three.gchunk")]),
+    ("profile_sweep", [data_path("z2.chunk"), "--rs", "0"]),
+    ("profile_sweep", [data_path("z2.chunk"), "--n-max", "0"]),
+    ("realization_report", ["missing.chunk"]),
+    ("realization_report", [data_path("z2.chunk"), "--depth", "1"]),
+]
+
+
+@pytest.mark.parametrize("script,argv", BAD_INPUTS,
+                         ids=[f"{s}-{i}" for i, (s, _) in enumerate(BAD_INPUTS)])
+def test_bad_input_fails_in_one_line(script, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where no missing.chunk exists
+    assert load_script(script).main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
