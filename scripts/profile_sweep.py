@@ -35,6 +35,9 @@ def main(argv=None):
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def sweep(paths, rs, n_max, workers):

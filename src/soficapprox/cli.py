@@ -207,6 +207,8 @@ def load_realization(path: str) -> Realization:
             payload = json.load(fh)
         except RecursionError:
             raise ValueError(f"realization file {path!r} nests too deeply to parse") from None
+        except ValueError as exc:
+            raise ValueError(f"realization file {path!r} is not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != "realization-v1":
         raise ValueError(f"unrecognized realization file {path!r}")
     chunk_text, m, sigma = payload.get("chunk"), payload.get("m"), payload.get("sigma")
@@ -573,6 +575,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_DATA
 
 

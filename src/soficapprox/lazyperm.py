@@ -20,10 +20,10 @@ restriction of a carrier therefore equals the carrier except at its free
 points, the m < n it sends to n or beyond.  ``build_gchunk`` evaluates
 every carrier's forward map and the bound once on the audited prefix
 [0, H], and the ``GChunk`` keeps those values, which every degree 1..H
-reads; a degree past H is refused, since nothing checked the carriers
-there.  The table check composes the stored values as whole lists,
-evaluating a carrier again only at b-values past the prefix, once per
-point.
+reads; a degree past H (or a horizon past ``MAX_HORIZON``) is refused, since
+nothing checked the carriers there.  The table check composes the stored
+values as whole lists, evaluating a carrier again only at b-values past the
+prefix, once per point.
 ``supp_quality`` and the ``property_profile`` scans read the defect,
 expansiveness and separation hypothesis of each restriction from two
 integers, ``GChunk.extremes``: the largest product count and the smallest
@@ -37,6 +37,20 @@ none counts 0.  At a settled degree, where no carrier has a free point, the
 answer is 0 and the least of the pairs' bisections.  m* is a bisection in
 the stored bound values, which are monotone.
 
+Restriction commutes with inversion.  Where the table defines both
+x * y = e and y * x = e, the table check proved x o y = y o x = id on
+[0, H] and the audit proved both carriers injective there, so at every
+degree n <= H, D_n(y) = R_n(x) and R_n(y) = D_n(x): a point v < n with
+y(v) < n is x(y(v)), and a point v = x(m) with m < n has y(v) = m.  The
+greedy rule pairs both sides in increasing order, so y's restriction is the
+inverse of x's, and an involution fixes its free points.  The Hamming
+distance does not change when both arguments are inverted, so
+(a, b, ab) and (b^-1, a^-1, (ab)^-1) count alike, (x, y) and
+(x^-1, y^-1) count alike, and a product (x, y, e) of mutual inverses counts
+0.  A g-chunk therefore scans one carrier per inverse pair and counts one
+product and one pair per inverse orbit.  A single table entry proves
+nothing, and nothing is derived from it.
+
 ``realize`` assembles the block-direct-sum family out of profile
 certificates, choosing each multiplicity minimally so that every stage meets
 its quality thresholds and both block-end slowness inequalities.  A block
@@ -49,19 +63,25 @@ so each evaluation is one lookup.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, count, filterfalse, islice, repeat
 from operator import gt, le, ne
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validated
 from .growth import BlockStep, Exhausted, GrowthFn, growth_profile, quality_parameter
 from .permcore import Perm, block_sum, block_sum_images, disagreements
 from .profile import MorphismQuality, ProfileCertificate, disagreement_counts, threshold_radius
+
+
+# The longest audited prefix build_gchunk accepts.  A g-chunk keeps about 200
+# bytes per audited point per carrier (the values, the audit's lists and the
+# restriction tables): 0.42 GB at H = 10**6 for the two gadget carriers of a
+# three-cycle chunk, built in about 3.5 s (Python 3.11).
+MAX_HORIZON = 10**6
 
 
 class GChunkError(ValueError):
@@ -243,11 +263,18 @@ def _unit_audit(p: LazyPerm, points: range, bound_values: Sequence) -> AuditViol
     return None if n is None else AuditViolation("bound", n, n=n)
 
 
-class _CarrierTable(NamedTuple):
-    vals: Sequence[int]       # forward values, at least ``size`` of them
-    pre: Sequence[int]        # preimage of each value below size, else size
-    vals_max: Sequence[int]   # running maxima of vals
-    pre_max: Sequence[int]    # running maxima of pre
+class _ScanTable(NamedTuple):
+    """What the free-point scan of one carrier x reads, over [0, size).
+
+    ``back`` is >= n at v < n exactly when v is in R_n(x): x's preimage of
+    each value (``size`` where there is none), or, for x with an inverse
+    y != x, y's values, since R_n(x) = D_n(y).  An involution has none: its
+    R_n is its D_n.
+    """
+    vals: Sequence[int]              # x's forward values
+    vals_max: Sequence[int]          # running maxima of vals
+    back: Sequence[int] | None
+    back_max: Sequence[int] | None   # running maxima of back
 
 
 @dataclass(eq=False)
@@ -260,14 +287,28 @@ class GChunk:
     queries evaluate nothing.  The degree-n restriction of a carrier rho
     equals rho except at its free points D_n = {m < n : rho(m) >= n}, which
     go, in increasing order, to R_n = {v < n : no m < n has rho(m) = v} in
-    increasing order.  Per carrier the tables hold its forward values, the
-    preimage of each value below ``size`` (``size`` where there is none) and
-    running maxima of both, so that D_n and R_n lie in a window found by
-    bisection.  Per distinct pair they hold the sorted points below ``size``
-    where the carriers themselves disagree.  The unit is the identity.
-    Products need no table: ``extremes`` relies on the table check's proof
-    that the carriers compose exactly on [0, H], so it is correct only for
-    tables that passed it; ``images`` reads any tables.
+    increasing order.  The unit is the identity.
+
+    Where the table defines both x * y = e and y * x = e, y's restriction is
+    the inverse of x's at every degree (the lemma of the module docstring).
+    ``scans`` lists each carrier whose free points are scanned, the first of
+    its inverse pair in element order, with its inverse: itself for an
+    involution, which fixes its free points; None when the table proves no
+    inverse.  The inverse's free points are the scanned ones, turned round.
+    Per scanned carrier the tables hold running maxima of its values and of
+    a sequence that marks R_n (``_ScanTable``), so that D_n and R_n lie in a
+    window found by bisection.
+
+    ``products`` keeps one non-unit product per inverse orbit
+    {(a, b, ab), (b^-1, a^-1, (ab)^-1)}, the first in table order, and
+    drops the products (x, y, e) of mutual inverses, which count 0.
+    ``pairs`` keeps one distinct pair per orbit {(x, y), (x^-1, y^-1)}, the
+    first in element order, and per kept pair the tables hold the sorted
+    points below ``size`` where the carriers themselves disagree.  Products
+    need no table: ``extremes`` relies on the table check's proof that the
+    carriers compose exactly on [0, H].  Both ``extremes`` and ``images``
+    rely on its proof of the inverses, so they are correct only for tables
+    that passed it.
 
     A degree is settled when no carrier has a free point there: each
     carrier's running maximum below n is below n, so every restriction is
@@ -287,58 +328,91 @@ class GChunk:
     bound_values: list = field(repr=False)
 
     def __post_init__(self) -> None:
-        elements = self.chunk.elements
-        self.pairs = [(x, y) for i, x in enumerate(elements) for y in elements[i + 1:]]
-        # The unit products (e, b, b) and (a, e, a) count 0: the unit's
-        # restriction is the identity, so they agree everywhere at every degree.
-        self.products = [(a, b, ab) for (a, b), ab in self.chunk.table.items()
-                         if not self.chunk.is_unit_product(a, b, ab)]
+        elements, unit, table = self.chunk.elements, self.chunk.unit, self.chunk.table
+        self.vals = {unit: range(self.horizon + 1), **self.values}
+        # Both x * y = e and y * x = e prove y the inverse of x; cancellation
+        # makes it unique.  The unit's restriction is the identity.
+        inverse = {unit: unit}
+        inverse.update((x, y) for (x, y), c in table.items()
+                       if c == unit and table.get((y, x)) == unit)
+        self.scans: list[tuple[str, str | None]] = []
+        for x in self.values:
+            if x not in (y for _, y in self.scans):
+                self.scans.append((x, inverse.get(x)))
+        # the unit products (e, b, b) and (a, e, a) count 0 like (x, x^-1, e)
+        self.products, twins = [], set()
+        for (a, b), ab in table.items():
+            if (self.chunk.is_unit_product(a, b, ab) or (ab == unit and inverse.get(a) == b)
+                    or (a, b, ab) in twins):
+                continue
+            self.products.append((a, b, ab))
+            if a in inverse and b in inverse and ab in inverse:
+                twins.add((inverse[b], inverse[a], inverse[ab]))
+        self.pairs, twins = [], set()
+        for i, x in enumerate(elements):
+            for y in elements[i + 1:]:
+                if (x, y) in twins:
+                    continue
+                self.pairs.append((x, y))
+                if x in inverse and y in inverse:
+                    twins.update(((inverse[x], inverse[y]), (inverse[y], inverse[x])))
         self.size = 0
 
     def _grow(self, n: int) -> None:
-        """Build the tables for a degree n beyond ``size``."""
+        """Build the tables for a degree n outside 1..``size``."""
+        if n < 1:
+            raise ValueError("degree must be positive")
         if n > self.horizon:
             raise ValueError(f"degree {n} lies past the audited horizon {self.horizon}")
         size = self.horizon if self.size else n
         ident = range(size)
-        tables = self.tables = {self.chunk.unit: _CarrierTable(ident, ident, ident, ident)}
-        for e, vals in self.values.items():
-            head = vals[:size]
-            preimage = dict(zip(head, ident))
-            pre = array("q", map(preimage.get, ident, repeat(size)))
-            tables[e] = _CarrierTable(vals, pre, list(accumulate(head, max)),
-                                      array("q", accumulate(pre, max)))
-        self.pair_points = [array("q", compress(ident, map(ne, tables[x].vals, tables[y].vals)))
+        self.tables = {}
+        for x, y in self.scans:
+            head = self.vals[x][:size]
+            if y == x:
+                back = None
+            elif y is None:
+                preimage = dict(zip(head, ident))
+                back = list(map(preimage.get, ident, repeat(size)))
+            else:
+                back = self.vals[y][:size]
+            self.tables[x] = _ScanTable(self.vals[x], list(accumulate(head, max)), back,
+                                        None if back is None else list(accumulate(back, max)))
+        self.pair_points = [list(compress(ident, map(ne, self.vals[x], self.vals[y])))
                             for x, y in self.pairs]
-        # settled[n]: the running maximum of every carrier below n is below n
-        self.settled = [False] + [top < n for n, top in zip(
-            range(1, size + 1), map(max, ident, *(t.vals_max for t in tables.values())))]
+        # settled[n]: the running maximum of every carrier below n is below
+        # n; an inverse has free points exactly where its partner has
+        tops = map(max, zip(ident, *(t.vals_max for t in self.tables.values())))
+        self.settled = [False] + list(map(gt, range(1, size + 1), tops))
         self.size = size
 
     def _free(self, n: int) -> dict[str, dict[int, int]]:
-        """Per element with free points at degree n, those points mapped to
-        their images; empty at a settled degree.  The unit has none."""
-        if n < 1:
-            raise ValueError("degree must be positive")
-        if n > self.size:
-            self._grow(n)
+        """Per element with free points at a degree n in 1..``size``, those
+        points mapped to their images; empty at a settled degree.  The unit
+        has none.  The inverse y of a scanned carrier x maps R_n(x) back to
+        D_n(x), and an involution fixes its free points."""
         free = {}
-        if self.settled[n]:
-            return free
-        for e in self.values:
-            vals, pre, vals_max, pre_max = self.tables[e]
+        for x, y in self.scans:
+            vals, vals_max, back, back_max = self.tables[x]
             if vals_max[n - 1] >= n:
-                free[e] = dict(zip(
-                    [m for m in range(bisect_left(vals_max, n, 0, n), n) if vals[m] >= n],
-                    [v for v in range(bisect_left(pre_max, n, 0, n), n) if pre[v] >= n]))
+                dom = [m for m in range(bisect_left(vals_max, n, 0, n), n) if vals[m] >= n]
+                if x == y:
+                    free[x] = dict(zip(dom, dom))
+                    continue
+                rng = [v for v in range(bisect_left(back_max, n, 0, n), n) if back[v] >= n]
+                free[x] = dict(zip(dom, rng))
+                if y is not None:
+                    free[y] = dict(zip(rng, dom))
         return free
 
     def images(self, n: int) -> dict[str, list[int]]:
         """Image lists of the degree-n restrictions."""
+        if not 0 < n <= self.size:
+            self._grow(n)
         free = self._free(n)
         out = {}
         for e in self.chunk.elements:
-            out[e] = images = list(islice(self.tables[e].vals, n))
+            out[e] = images = list(islice(self.vals[e], n))
             for m, v in free.get(e, {}).items():
                 images[m] = v
         return out
@@ -352,19 +426,21 @@ class GChunk:
         at the free points of either member.  A product (a, b, ab) counts
         where its restrictions differ among the free points of b and ab: at
         any other m, b(m) and ab(m) = a(b(m)) are below n, so no restriction
-        leaves its carrier there.  A unit product counts 0, and so does
-        every product at a settled degree, where the answer is 0 and the
-        least of the pairs' bisections.
+        leaves its carrier there.  A dropped product counts 0 or as the one
+        kept from its orbit, and a dropped pair as the one kept from its
+        orbit.  At a settled degree every product counts 0, and the answer is
+        read before any free point: 0 and the least of the pairs' bisections.
         """
-        free = self._free(n)
-        if not free:
+        if not 0 < n <= self.size:
+            self._grow(n)
+        if self.settled[n]:
             return 0, min(map(bisect_left, self.pair_points, repeat(n))) if self.pairs else None
-        t, none = self.tables, {}
+        free, t, none = self._free(n), self.vals, {}
         worst = 0
         for a, b, ab in self.products:
             fb, fab = free.get(b, none), free.get(ab, none)
             if fb or fab:
-                va, vb, vab, fa = t[a].vals, t[b].vals, t[ab].vals, free.get(a, none)
+                va, vb, vab, fa = t[a], t[b], t[ab], free.get(a, none)
                 k = 0
                 for m, w in fb.items():
                     k += fab.get(m, vab[m]) != fa.get(w, va[w])
@@ -379,7 +455,7 @@ class GChunk:
             k = bisect_left(points, n)
             fx, fy = free.get(x, none), free.get(y, none)
             if fx or fy:
-                vx, vy = t[x].vals, t[y].vals
+                vx, vy = t[x], t[y]
                 # At a free point of one member only, that carrier's value is
                 # n or more and the other's is below n: the carriers disagree.
                 for m, u in fx.items():
@@ -393,16 +469,6 @@ class GChunk:
             if closest is None or k < closest:
                 closest = k
         return worst, closest
-
-
-def _composite(va: Sequence[int], vb: Sequence[int], size: int) -> Iterable:
-    """a's values at b's values on [0, size), None where b's value is size or more."""
-    heads = vb[:size]
-    if max(heads, default=0) < size:
-        return map(va.__getitem__, heads)
-    lookup = list(islice(va, size))
-    lookup.append(None)
-    return map(lookup.__getitem__, map(min, heads, repeat(size)))
 
 
 def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn,
@@ -427,6 +493,8 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
     validated(chunk)
     if horizon < 1:
         raise ValueError("horizon must be positive")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon {horizon} exceeds the largest audited prefix, {MAX_HORIZON}")
     carriers = dict(carriers)
     carriers.setdefault(chunk.unit, identity_lazy())
     missing = [e for e in chunk.elements if e not in carriers]
@@ -455,12 +523,15 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
         if b == chunk.unit:
             continue  # a * e = a: b's values are the points themselves
         vb, known = values[b], past[a]
-        composite = list(_composite(values[a], vb, horizon + 1))
-        # the None points: a's values at b-values past the horizon, each evaluated once
+        # a's values at the b-values past the horizon, each evaluated once, go
+        # after a's values on [0, H], and those b-values index them instead
+        lookup, heads = list(values[a]), list(vb)
         for m in compress(count(), map(gt, vb, repeat(horizon))):
             if vb[m] not in known:
                 known[vb[m]] = carriers[a].forward(vb[m])
-            composite[m] = known[vb[m]]
+            heads[m] = len(lookup)
+            lookup.append(known[vb[m]])
+        composite = list(map(lookup.__getitem__, heads))
         if any(map(ne, composite, values[c])):
             bad = next(m for m, (u, w) in enumerate(zip(composite, values[c])) if u != w)
             raise GChunkError(f"table says {a} * {b} = {c} but carriers disagree at {bad}")

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -401,7 +402,9 @@ class TestRealizeCommand:
         (lambda payload: {**payload, "m": [0], "sigma": [{"1": [], "h": [], "h2": []}]},
          "has degree 0, below 1"),
         (lambda payload: "[" * 200_000, "nests too deeply to parse"),
-    ], ids=["m-text", "sigma-number", "top-level-list", "degree-zero", "deep-nesting"])
+        (lambda payload: "not json", "real.json' is not JSON: Expecting value"),
+    ], ids=["m-text", "sigma-number", "top-level-list", "degree-zero", "deep-nesting",
+            "not-json"])
     def test_hostile_realization_file_one_line(self, capsys, tmp_path, edit, message):
         emitted = tmp_path / "real.json"
         run(capsys, "realize", "--chunk", data_path("z3.chunk"),
@@ -417,6 +420,41 @@ class TestRealizeCommand:
                              "--r", "2")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def limited_memory():
+    """Cap the child's address space, so that a size that would exhaust the
+    memory fails in it at once."""
+    limit = 600 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+HUGE_SIZES = {
+    "supp-horizon": ("supp", "--gchunk", "z3table.gchunk", "--n", "2", "--r", "2",
+                     "--horizon", "99999999999999999999"),
+    "supp-degree": ("supp", "--gchunk", data_path("three.gchunk"), "--n", "100000000",
+                    "--r", "2"),
+    "example-1e8": ("gadget", "example", "--n", "100000000"),
+    "example-1e11": ("gadget", "example", "--n", "100000000000"),
+    "stages": ("gadget", "stages", "--trace", "1,0,1", "--horizon", "99999999999"),
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_SIZES.values(), ids=HUGE_SIZES.keys())
+def test_huge_sizes_fail_in_one_line(argv, tmp_path):
+    (tmp_path / "z3table.gchunk").write_text(
+        f"chunk {data_path('z3.chunk')}\ncarrier h = table:[1 2 0]\n"
+        "carrier h2 = table:[2 0 1]\nbound = affine:2\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "soficapprox.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=limited_memory, check=False)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    if argv[0] == "supp":
+        assert "exceeds the largest audited prefix, 1000000" in done.stderr
+    else:
+        assert done.stderr == "error: out of memory\n"
 
 
 class TestGadgetCommands:

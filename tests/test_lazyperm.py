@@ -14,6 +14,7 @@ from soficapprox.gadgets import three_cycle, three_cycle_chunk, three_cycle_squa
 from soficapprox.growth import (Affine, BlockStep, GrowthFn, Linear, Tabulated,
                                compose as compose_growth, growth_profile, is_slow)
 from soficapprox.lazyperm import (
+    MAX_HORIZON,
     AuditViolation,
     BoundWitness,
     GChunk,
@@ -364,6 +365,16 @@ class TestGChunkBuild:
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = a\n")
         with pytest.raises(ValueError, match="^chunk fails validation: left cancellation"):
             build_gchunk(c, {"a": pair_swap()}, Affine(1), 50)
+
+    def test_horizon_past_the_cap_refused_before_any_evaluation(self, z3):
+        bound = CountingBound(Affine(2))
+        h, h_calls = counting(three_cycle())
+        h2, h2_calls = counting(three_cycle_squared())
+        for horizon in (MAX_HORIZON + 1, 10**20):
+            with pytest.raises(ValueError, match=f"^horizon {horizon} exceeds the largest "
+                                                 f"audited prefix, {MAX_HORIZON}$"):
+                build_gchunk(z3, {"h": h, "h2": h2}, bound, horizon)
+        assert (bound.calls, sum(h_calls.values()), sum(h2_calls.values())) == (0, 0, 0)
 
     def test_unbounded_carrier_rejected(self):
         c = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\na * a = 1\n")
@@ -734,7 +745,9 @@ class TestExtremes:
                 ("three-cycle", lambda: three_cycle_chunk(horizon=150), {True, False}),
                 ("single-element", lambda: single_element_gchunk(60), {True}),
                 ("unit-products", lambda: unit_products_gchunk(90), {True, False}),
-                ("settled-factor", lambda: settled_factor_gchunk(90), {True, False})])
+                ("settled-factor", lambda: settled_factor_gchunk(90), {True, False}),
+                ("involution", lambda: z2_pair_swap_gchunk(90), {True, False}),
+                ("order-three", lambda: order_three_gchunk(0, 90), {True, False})])
 
     @pytest.mark.parametrize("name,make,settled", CASES, ids=[c[0] for c in CASES])
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated"])
@@ -780,6 +793,175 @@ class TestExtremes:
             gc.extremes(0)
         with pytest.raises(ValueError, match="^degree 41 lies past the audited horizon 40$"):
             gc.extremes(41)
+
+
+def order_three_gchunk(seed, horizon):
+    """r fixes some points and turns blocks of three, each one way or the
+    other, so that r * r = s is its inverse; bounded by n + 2."""
+    rng = random.Random(seed)
+    images = []
+    while len(images) <= horizon:
+        start = len(images)
+        turn = rng.choice((0, 1, 2))
+        images += [start] if turn == 0 else [start + (i + turn) % 3 for i in range(3)]
+    table = {("1", "1"): "1", ("1", "r"): "r", ("r", "1"): "r", ("1", "s"): "s",
+             ("s", "1"): "s", ("r", "r"): "s", ("s", "s"): "r", ("r", "s"): "1",
+             ("s", "r"): "1"}
+    return build_gchunk(Chunk(("1", "r", "s"), "1", table),
+                        {"r": finitary(images), "s": finitary(inverse_list(images))},
+                        Affine(2), horizon)
+
+
+def partial_group_gchunk(seed, horizon):
+    """A cyclic group of order 3 to 6 acting on blocks of as many points by
+    rotation, or the symmetric group on three points acting on blocks of
+    three, each block relabelled at random, over part of the group table:
+    every unit product and each other product with probability 1/2.  So
+    some products and pairs have their inverse twin in the table and some
+    do not, and some inverse pairs are defined one way only."""
+    rng = random.Random(seed)
+    if seed % 2:
+        k = 3
+        group = sorted(itertools.permutations(range(k)))
+    else:
+        k = rng.randint(3, 6)
+        group = [tuple((i + t) % k for i in range(k)) for t in range(k)]
+    names = {g: f"g{i}" if i else "1" for i, g in enumerate(group)}  # group[0] is the identity
+    table = {}
+    for a in group:
+        for b in group:
+            if names[a] == "1" or names[b] == "1" or rng.random() < 0.5:
+                table[(names[a], names[b])] = names[tuple(a[i] for i in b)]
+    labels = [rng.sample(range(k), k) for _ in range(horizon // k + 1)]
+    carriers = {}
+    for g in group[1:]:
+        images = []
+        for start, label in zip(itertools.count(0, k), labels):
+            back = inverse_list(label)
+            images += [start + label[g[back[i]]] for i in range(k)]
+        carriers[names[g]] = finitary(images)
+    return build_gchunk(Chunk(tuple(names.values()), "1", table), carriers, Affine(k), horizon)
+
+
+def one_sided_gchunk(horizon, order=("x", "y")):
+    """x * y = 1 holds on [0, horizon] but y * x = 1 does not: x is the
+    three-cycle h of blocks except that it also sends w = horizon + 3 to
+    1 = x(0), and y is h's inverse after swapping 1 with h(w), which lies
+    past the horizon.  So y's restrictions are not the inverses of x's."""
+    h, w = three_cycle(), horizon + 3
+    hw = h(w)
+    x = LazyPerm(lambda m: 1 if m == w else h.forward(m), h.backward, "x")
+    y = LazyPerm(lambda m: w if m == 1 else 0 if m == hw else h.backward(m),
+                 lambda m: 1 if m == w else hw if m == 0 else h.forward(m), "y")
+    table = {("1", "1"): "1", ("1", "x"): "x", ("x", "1"): "x", ("1", "y"): "y",
+             ("y", "1"): "y", ("x", "y"): "1"}
+    return build_gchunk(Chunk(("1",) + order, "1", table), {"x": x, "y": y}, Affine(w + 2),
+                        horizon)
+
+
+def inverse_orbits(gc):
+    """The inverse orbits {(a, b, ab), (b^-1, a^-1, (ab)^-1)} of the products
+    that may count above 0, and {{x, y}, {x^-1, y^-1}} of the distinct
+    pairs, found from the table alone."""
+    table, unit = gc.chunk.table, gc.chunk.unit
+    inv = {unit: unit}
+    inv.update((x, y) for (x, y), c in table.items() if c == unit and table.get((y, x)) == unit)
+    products = {(a, b, ab) for (a, b), ab in table.items()
+                if not gc.chunk.is_unit_product(a, b, ab) and not (ab == unit and inv.get(a) == b)}
+    product_orbits = set()
+    for a, b, ab in products:
+        twin = (inv[b], inv[a], inv[ab]) if {a, b, ab} <= inv.keys() else (a, b, ab)
+        product_orbits.add(frozenset({(a, b, ab), twin} & products))
+    pair_orbits = set()
+    for x, y in itertools.combinations(gc.chunk.elements, 2):
+        twin = {inv[x], inv[y]} if {x, y} <= inv.keys() else {x, y}
+        pair_orbits.add(frozenset({frozenset((x, y)), frozenset(twin)}))
+    return product_orbits, pair_orbits
+
+
+def kept_once_per_orbit(kept, orbits):
+    """Whether ``kept`` holds exactly one member of each orbit and nothing else."""
+    return len(kept) == len(orbits) and all(
+        sum(p in orbit for p in kept) == 1 for orbit in orbits)
+
+
+def inverse_pairs(gc):
+    table, unit = gc.chunk.table, gc.chunk.unit
+    return [(x, y) for (x, y), c in table.items()
+            if c == unit and table.get((y, x)) == unit and unit not in (x, y)]
+
+
+class TestInverseRestrictions:
+    """Where the table defines x * y = e and y * x = e, y's degree-n
+    restriction is the inverse of x's, and a g-chunk reads it off x's."""
+
+    MAKERS = ([lambda seed=seed: bounded_gchunk(seed, 129) for seed in range(10)]
+              + [lambda: three_cycle_chunk(horizon=150)])
+
+    @pytest.mark.parametrize("make", MAKERS, ids=[f"bounded-{s}" for s in range(10)]
+                             + ["three-cycle"])
+    def test_restriction_of_an_inverse_is_the_inverse(self, make):
+        gc = make()
+        pairs = inverse_pairs(gc)
+        assert pairs
+        for n in range(1, gc.horizon + 1):
+            images, ref = gc.images(n), reference_supp_morphism(gc, n)
+            assert images == {e: list(p.images) for e, p in ref.items()}, n
+            for x, y in pairs:
+                assert images[y] == inverse_list(images[x]), (n, x, y)
+
+    @pytest.mark.parametrize("make", [lambda: z2_pair_swap_gchunk(99),
+                                      lambda: bounded_gchunk(2, 129),
+                                      lambda: bounded_gchunk(31, 129),
+                                      lambda: far_swap_gchunk(519)],
+                             ids=["pair-swap", "bounded-2", "bounded-31", "far-swap"])
+    def test_involution_fixes_its_free_points(self, make):
+        gc = make()
+        involutions = [x for x, y in inverse_pairs(gc) if x == y]
+        assert involutions
+        moved = 0
+        for n in range(1, gc.horizon + 1):
+            images, ref = gc.images(n), reference_supp_morphism(gc, n)
+            for x in involutions:
+                assert images[x] == list(ref[x].images), (n, x)
+                free = [m for m in range(n) if gc.carriers[x](m) >= n]
+                assert [images[x][m] for m in free] == free, (n, x)
+                moved += len(free)
+        assert moved  # some degree has free points
+
+    def test_orbits_counted_once(self):
+        gc = three_cycle_chunk(horizon=60)
+        assert gc.scans == [("h", "h2")]
+        # (h2, h2, h) is the twin of (h, h, h2); (h, h2, 1) and (h2, h, 1) count 0
+        assert gc.products == [("h", "h", "h2")]
+        assert gc.pairs == [("1", "h"), ("h", "h2")]  # (1, h2) is the twin of (1, h)
+        gc = z2_pair_swap_gchunk(60)
+        assert (gc.scans, gc.products, gc.pairs) == ([("a", "a")], [], [("1", "a")])
+
+    @pytest.mark.parametrize("order", [("x", "y"), ("y", "x")], ids=["xy", "yx"])
+    @pytest.mark.parametrize("queries", ["ascending", "descending", "shuffled", "repeated"])
+    def test_one_table_entry_derives_nothing(self, order, queries):
+        gc, ref = one_sided_gchunk(40, order), one_sided_gchunk(40, order)
+        assert gc.scans == [(order[0], None), (order[1], None)]
+        assert ("x", "y", "1") in gc.products
+        assert len(gc.pairs) == 3
+        differ = 0
+        for n in query_orders(range(1, 41), seed=7)[queries]:
+            assert gc.extremes(n) == reference_extremes(ref, n), n
+            sigma = reference_supp_morphism(ref, n)
+            assert supp_morphism(gc, n) == sigma, n
+            differ += sigma["y"].images != tuple(inverse_list(list(sigma["x"].images)))
+        assert differ  # the lemma's conclusion fails here, so nothing may use it
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_partial_group_tables_match_reference(self, seed):
+        gc = partial_group_gchunk(seed, 60)
+        product_orbits, pair_orbits = inverse_orbits(gc)
+        assert kept_once_per_orbit(gc.products, product_orbits)
+        assert kept_once_per_orbit([frozenset(q) for q in gc.pairs], pair_orbits)
+        for n in range(1, 61):
+            assert gc.extremes(n) == reference_extremes(gc, n), n
+            assert supp_morphism(gc, n) == reference_supp_morphism(gc, n), n
 
 
 class TestRealize:

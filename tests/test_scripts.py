@@ -81,3 +81,15 @@ def test_bad_input_fails_in_one_line(script, argv, tmp_path, monkeypatch, capsys
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("script", ["profile_sweep", "realization_report"])
+def test_out_of_memory_fails_in_one_line(script, capsys):
+    module = load_script(script)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    module.profile_table = exhausted
+    assert module.main([data_path("z3.chunk")]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
