@@ -17,6 +17,13 @@ from .growth import Affine
 from .lazyperm import GChunk, LazyPerm, build_gchunk, identity_lazy
 
 
+# The most points ``example_check`` (its degree n) and ``stage_construction``
+# (its horizon) allocate; larger sizes are refused before any allocation.  At
+# the cap ``example_check`` peaks at about 0.11 GB in 1.0 s and
+# ``stage_construction`` at about 56 MB in 0.2 s (Python 3.11).
+MAX_SIZE = 10**6
+
+
 def _greedy_completion(rule: Callable[[int], int | None], n: int, what: str) -> tuple[int, ...]:
     """Images of a permutation of 0..n-1 that sends m to rule(m) wherever that
     is a point below n; the other points, in increasing order, go to the
@@ -102,6 +109,8 @@ def example_check(n: int) -> ExampleReport:
     """Verify |m* - |Fix(sigma(h)^-2 sigma(h^2))|| <= 5 at degree n >= 33."""
     if n < 33:
         raise ValueError(f"degree {n} too small, need n >= 33")
+    if n > MAX_SIZE:
+        raise ValueError(f"degree {n} exceeds the largest gadget size, {MAX_SIZE}")
     c = 31
     m_star = n - c  # largest m with m + c <= n
     sh = _example_sigma_h(n)
@@ -265,6 +274,8 @@ def stage_construction(trace: StageTrace | Sequence[bool], horizon: int) -> tupl
     """
     if horizon < 3 or horizon % 3:
         raise ValueError("horizon must be a positive multiple of 3")
+    if horizon > MAX_SIZE:
+        raise ValueError(f"horizon {horizon} exceeds the largest gadget size, {MAX_SIZE}")
     if not isinstance(trace, StageTrace):
         trace = StageTrace(tuple(bool(f) for f in trace))
 

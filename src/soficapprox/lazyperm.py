@@ -1,29 +1,37 @@
 """Evaluable permutations of the naturals with growth-bound certificates.
 
 A ``LazyPerm`` carries total forward and backward evaluators plus a text
-descriptor.  Nothing here can verify bijectivity of a black-box function on
-all of the naturals; ``audit`` checks that both maps take values in the
-naturals, injectivity, the inverse round trips, and the two-sided growth
-bound on an explicit horizon H and says so in the witness it returns.  It
-evaluates the forward map on [0, H] and the backward map at those values,
-where it must give the points back; a backward value at a point of the
-forward image is then deduced, not evaluated, and both maps are evaluated
-again only at the points of [0, H] off the image.  ``build_gchunk`` checks
-the unit's carrier once: the identity in both directions on [0, H], and
-g(n) >= n there, which is all a full audit of it would find.
+descriptor, and, for a carrier that is a finite table (``finitary`` and a
+realization's block sums), the table itself.  Nothing here can verify
+bijectivity of a black-box function on all of the naturals; ``audit`` checks
+that both maps take values in the naturals, injectivity, the inverse round
+trips, and the two-sided growth bound on an explicit horizon H and says so in
+the witness it returns.  A table proves the first three on all of the
+naturals: its images are a permutation of [0, len) and its second list is
+their inverse exactly when the images lie in [0, len) and the second list
+takes each image back to its point, two whole-list passes.  Its values on
+[0, H] are then slices, and only the bound is checked.  A carrier without a
+table, or whose table fails that proof, is evaluated: the forward map on
+[0, H] and the backward map at those values, where it must give the points
+back; a backward value at a point of the forward image is then deduced, not
+evaluated, and both maps are evaluated again only at the points of [0, H]
+off the image.  ``build_gchunk`` checks a unit carrier the caller names
+once: the identity in both directions on [0, H], and g(n) >= n there, which
+is all a full audit of it would find; the identity it supplies itself needs
+only g(n) >= n.
 
 ``supp_morphism`` restricts carriers to a finite prefix and completes the
 partial injection to a permutation by the greedy rule: unmatched domain
 points, in increasing order, go to unmatched range points in increasing
 order.  The gadgets' modified restrictions use the same rule.  The degree-n
 restriction of a carrier therefore equals the carrier except at its free
-points, the m < n it sends to n or beyond.  ``build_gchunk`` evaluates
-every carrier's forward map and the bound once on the audited prefix
-[0, H], and the ``GChunk`` keeps those values, which every degree 1..H
-reads; a degree past H (or a horizon past ``MAX_HORIZON``) is refused, since
-nothing checked the carriers there.  The table check composes the stored
-values as whole lists, evaluating a carrier again only at b-values past the
-prefix, once per point.
+points, the m < n it sends to n or beyond.  ``build_gchunk`` reads every
+carrier's forward values and the bound's once on the audited prefix [0, H]
+(``LazyPerm.values``, ``GrowthFn.values``), and the ``GChunk`` keeps them,
+which every degree 1..H reads; a degree past H (or a horizon past
+``MAX_HORIZON``) is refused, since nothing checked the carriers there.  The
+table check composes the stored values as whole lists, evaluating a carrier
+again only at b-values past the prefix, once per point.
 ``supp_quality`` and the ``property_profile`` scans read the defect,
 expansiveness and separation hypothesis of each restriction from two
 integers, ``GChunk.extremes``: the largest product count and the smallest
@@ -73,7 +81,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validated
 from .growth import BlockStep, Exhausted, GrowthFn, growth_profile, quality_parameter
-from .permcore import Perm, block_sum, block_sum_images, disagreements
+from .permcore import Perm, block_sum, block_sum_images, disagreements, inverse
 from .profile import MorphismQuality, ProfileCertificate, disagreement_counts, threshold_radius
 
 
@@ -90,17 +98,33 @@ class GChunkError(ValueError):
 
 @dataclass(frozen=True)
 class LazyPerm:
-    """A permutation of the naturals given by forward/backward evaluators."""
+    """A permutation of the naturals given by forward/backward evaluators.
+
+    ``table``, when present, is the pair (images, preimages) the evaluators
+    look up: the forward map sends m < len(images) to images[m], the backward
+    map v < len(preimages) to preimages[v], and both fix every larger point.
+    ``audit`` checks a table in whole-list passes rather than evaluating.
+    """
 
     forward: Callable[[int], int]
     backward: Callable[[int], int]
     descriptor: str
+    table: tuple[Sequence[int], Sequence[int]] | None = field(default=None, repr=False,
+                                                              compare=False)
 
     def __call__(self, m: int) -> int:
         return self.forward(m)
 
     def __repr__(self) -> str:
         return f"LazyPerm({self.descriptor})"
+
+    def values(self, h: int) -> list[int]:
+        """The forward values at 0, ..., h: a slice of the table, or each
+        point evaluated once."""
+        if self.table is None:
+            return list(map(self.forward, range(h + 1)))
+        images = self.table[0]
+        return [*islice(images, h + 1), *range(len(images), h + 1)]
 
 
 def identity_lazy() -> LazyPerm:
@@ -113,23 +137,26 @@ def finitary(images: Sequence[int]) -> LazyPerm:
     n = len(images)
     if sorted(images) != list(range(n)):
         raise ValueError(f"prefix {images!r} is not a permutation of 0..{n - 1}")
-    return _tabulated(images, f"table:[{' '.join(map(str, images))}]+id")
+    return _tabulated(images, tuple(sorted(range(n), key=images.__getitem__)),
+                      f"table:[{' '.join(map(str, images))}]+id")
 
 
-def _tabulated(images: tuple[int, ...], descriptor: str) -> LazyPerm:
-    """``finitary(images)`` of a permutation ``images`` under another
-    descriptor: both directions are tabulated once, and each evaluation is
-    one lookup."""
-    n = len(images)
-    back = tuple(sorted(range(n), key=images.__getitem__))
+def _tabulated(images: Sequence[int], preimages: Sequence[int], descriptor: str) -> LazyPerm:
+    """The carrier that looks up ``images`` forward and ``preimages``
+    backward and fixes every point past them, keeping both as its table;
+    ``audit`` checks that they are a permutation and its inverse."""
+    n, k = len(images), len(preimages)
     return LazyPerm(
         lambda m: images[m] if m < n else m,
-        lambda m: back[m] if m < n else m,
+        lambda m: preimages[m] if m < k else m,
         descriptor,
+        (images, preimages),
     )
 
 
 def compose_lazy(p: LazyPerm, q: LazyPerm) -> LazyPerm:
+    """p after q.  The composite keeps no table, so it is audited by
+    evaluation."""
     return LazyPerm(
         lambda m: p.forward(q.forward(m)),
         lambda m: q.backward(p.backward(m)),
@@ -138,7 +165,9 @@ def compose_lazy(p: LazyPerm, q: LazyPerm) -> LazyPerm:
 
 
 def inverse_lazy(p: LazyPerm) -> LazyPerm:
-    return LazyPerm(p.backward, p.forward, f"({p.descriptor})^-1")
+    """p with its two maps, and the two lists of its table, swapped."""
+    return LazyPerm(p.backward, p.forward, f"({p.descriptor})^-1",
+                    None if p.table is None else p.table[::-1])
 
 
 @dataclass(frozen=True)
@@ -173,20 +202,62 @@ def audit(p: LazyPerm, g: GrowthFn, horizon: int) -> BoundWitness | AuditViolati
     trips, and rho(m) <= g(n) for all m <= n <= horizon.
 
     The bound is two-sided (forward and backward).  Violations are data; the
-    first one found is returned, in that order of checks.  The forward map is
-    evaluated at every point of [0, horizon], the backward map at every
-    forward value, and both again only at the points of [0, horizon] outside
-    the forward image (see ``_audit``).
+    first one found is returned, in that order of checks.  A carrier whose
+    table is a permutation with its inverse is a permutation of the naturals,
+    so only the bound is left to check, on values read off the table.  Any
+    other carrier's forward map is evaluated at every point of [0, horizon],
+    its backward map at every forward value, and both again only at the
+    points of [0, horizon] outside the forward image (see ``_audit``).
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    violation = _audit(p, list(map(p.forward, range(horizon + 1))), g.values(horizon))
+    violation = _audit(p, p.values(horizon), g.values(horizon))
     return BoundWitness(g, horizon) if violation is None else violation
 
 
 def _audit(p: LazyPerm, fwd: list[int], bound_values: Sequence) -> AuditViolation | None:
     """The first violation of ``audit`` given the forward values ``fwd`` on
-    [0, H] and the bound values on the same points, or None.
+    [0, H] (``p.values(H)``) and the bound values on the same points, or
+    None.  The backward values on [0, H] come off p's table when
+    ``_table_backward`` proves it, and from ``_evaluated_backward`` otherwise."""
+    bwd = _table_backward(p, len(fwd))
+    if bwd is None:
+        bwd = _evaluated_backward(p, fwd)
+        if isinstance(bwd, AuditViolation):
+            return bwd
+    floor = _suffix_minima(bound_values)
+    f_excess = _first_excess(fwd, bound_values, floor)
+    b_excess = _first_excess(bwd, bound_values, floor)
+    if f_excess is not None and (b_excess is None or f_excess[1] <= b_excess[1]):
+        return AuditViolation("bound", *f_excess, side="forward")
+    if b_excess is not None:
+        return AuditViolation("bound", *b_excess, side="backward")
+    return None
+
+
+def _table_backward(p: LazyPerm, size: int) -> list[int] | None:
+    """p's backward values on [0, size) read off its table, or None when p
+    has no table or the table is not a permutation with its inverse.
+
+    The images are a permutation of [0, len) with inverse ``preimages`` when
+    they lie in [0, len) and preimages[images[m]] = m at every m: that makes
+    them injective, hence onto [0, len).  p is then a permutation of the
+    naturals, so every check of ``audit`` but the bound holds at every point.
+    """
+    if p.table is None:
+        return None
+    images, preimages = p.table
+    n = len(images)
+    if (len(preimages) != n or (n and (min(images) < 0 or max(images) >= n))
+            or list(map(preimages.__getitem__, images)) != list(range(n))):
+        return None
+    return [*islice(preimages, size), *range(n, size)]
+
+
+def _evaluated_backward(p: LazyPerm, fwd: list[int]) -> list[int] | AuditViolation:
+    """p's backward values on [0, H] from its evaluators, given its forward
+    values ``fwd`` there, or the first violation of the range, injectivity
+    and round-trip checks.
 
     The backward map is evaluated at each forward value, where it must give
     back the point.  A backward value at a point v = fwd[m] of the image is
@@ -222,14 +293,7 @@ def _audit(p: LazyPerm, fwd: list[int], bound_values: Sequence) -> AuditViolatio
     del bwd[size - len(off):]
     for v, u in zip(off, off_back):
         bwd.insert(v, u)
-    floor = _suffix_minima(bound_values)
-    f_excess = _first_excess(fwd, bound_values, floor)
-    b_excess = _first_excess(bwd, bound_values, floor)
-    if f_excess is not None and (b_excess is None or f_excess[1] <= b_excess[1]):
-        return AuditViolation("bound", *f_excess, side="forward")
-    if b_excess is not None:
-        return AuditViolation("bound", *b_excess, side="backward")
-    return None
+    return bwd
 
 
 def _suffix_minima(bound_values: Sequence) -> Sequence:
@@ -253,12 +317,18 @@ def _first_excess(values: list[int], bound_values: Sequence,
     return values.index(peaks[n]), n
 
 
-def _unit_audit(p: LazyPerm, points: range, bound_values: Sequence) -> AuditViolation | None:
+def _unit_audit(p: LazyPerm | None, points: range,
+                bound_values: Sequence) -> AuditViolation | None:
     """``_audit`` of a carrier whose forward map is the identity on ``points``:
-    its backward map must be the identity there too, and g(n) >= n."""
-    m = next(compress(points, map(ne, map(p.backward, points), points)), None)
-    if m is not None:
-        return AuditViolation("roundtrip", m)
+    its backward map must be the identity there too, and g(n) >= n.  The
+    identity ``build_gchunk`` supplies for an unnamed unit (p None) needs only
+    the second."""
+    if p is not None:
+        bwd = _table_backward(p, len(points))
+        m = next(compress(points, map(ne, map(p.backward, points) if bwd is None else bwd,
+                                      points)), None)
+        if m is not None:
+            return AuditViolation("roundtrip", m)
     n = next(compress(points, map(gt, points, bound_values)), None)
     return None if n is None else AuditViolation("bound", n, n=n)
 
@@ -476,67 +546,74 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
     """Validate the chunk, audit every carrier and the table consistency,
     then assemble the g-chunk.
 
-    The unit's carrier defaults to the identity and must evaluate as such on
-    the horizon; its backward map must too, and the bound must satisfy
-    g(n) >= n there, which is all its audit would check.  Every other carrier
-    gets the checks of ``audit``, so a carrier with a value outside the
-    naturals is rejected.  Where the table defines a*b = c, the carriers of
-    a and b must compose to the carrier of c pointwise on the audited prefix;
-    a product a*e = a holds there once the unit is checked.
+    The unit's carrier defaults to the identity, which needs only g(n) >= n
+    on the horizon.  A unit carrier the caller names must evaluate as the
+    identity there, and so must its backward map, which is all its audit
+    would check besides that bound.  Every other carrier gets the checks of
+    ``audit``, so a carrier with a value outside the naturals is rejected.
+    Where the table defines a*b = c, the carriers of a and b must compose to
+    the carrier of c pointwise on the audited prefix; a product a*e = a holds
+    there once the unit is checked, and so does e*b = b for the identity
+    supplied here.
 
-    Each carrier's forward map and the bound are evaluated once per point of
-    the horizon (the bound by ``GrowthFn.values``); the audits, the table
-    check and the g-chunk's restriction tables read those values.  The
-    backward maps are evaluated as ``audit`` says, and a carrier's forward map
-    again only at b-values past the horizon, once per point.
+    Each carrier's forward values on the horizon are read once, by
+    ``LazyPerm.values`` (a slice of a table, or one evaluation per point),
+    and the bound's by ``GrowthFn.values``; the audits, the table check and
+    the g-chunk's restriction tables read those values.  The backward values
+    come as ``audit`` says, and a carrier's forward map is evaluated again
+    only at b-values past the horizon, once per point.
     """
     validated(chunk)
     if horizon < 1:
         raise ValueError("horizon must be positive")
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} exceeds the largest audited prefix, {MAX_HORIZON}")
+    unit = chunk.unit
+    supplied = unit not in carriers
     carriers = dict(carriers)
-    carriers.setdefault(chunk.unit, identity_lazy())
+    carriers.setdefault(unit, identity_lazy())
     missing = [e for e in chunk.elements if e not in carriers]
     if missing:
         raise GChunkError(f"no carrier for elements {missing}")
 
     points = range(horizon + 1)
-    moved = next(compress(points, map(ne, map(carriers[chunk.unit].forward, points), points)),
-                 None)
-    if moved is not None:
-        raise GChunkError(f"unit carrier moves {moved}")
-    values: dict[str, Sequence[int]] = {chunk.unit: points}  # the unit's, as just checked
+    if not supplied:
+        moved = next(compress(points, map(ne, carriers[unit].values(horizon), points)), None)
+        if moved is not None:
+            raise GChunkError(f"unit carrier moves {moved}")
+    values: dict[str, Sequence[int]] = {unit: list(points)}  # supplied, or as just checked
     bound_values = bound.values(horizon)
 
     for e in chunk.elements:
-        if e == chunk.unit:
-            violation = _unit_audit(carriers[e], points, bound_values)
+        if e == unit:
+            violation = _unit_audit(None if supplied else carriers[e], points, bound_values)
         else:
-            values[e] = list(map(carriers[e].forward, points))
+            values[e] = carriers[e].values(horizon)
             violation = _audit(carriers[e], values[e], bound_values)
         if violation is not None:
             raise GChunkError(f"carrier of {e!r}: {violation}")
 
     past: dict[str, dict[int, int]] = {e: {} for e in chunk.elements}  # values past H
+    beyond = {e: max(v) > horizon for e, v in values.items()}
     for (a, b), c in chunk.table.items():
-        if b == chunk.unit:
-            continue  # a * e = a: b's values are the points themselves
-        vb, known = values[b], past[a]
-        # a's values at the b-values past the horizon, each evaluated once, go
-        # after a's values on [0, H], and those b-values index them instead
-        lookup, heads = list(values[a]), list(vb)
-        for m in compress(count(), map(gt, vb, repeat(horizon))):
-            if vb[m] not in known:
-                known[vb[m]] = carriers[a].forward(vb[m])
-            heads[m] = len(lookup)
-            lookup.append(known[vb[m]])
-        composite = list(map(lookup.__getitem__, heads))
-        if any(map(ne, composite, values[c])):
-            bad = next(m for m, (u, w) in enumerate(zip(composite, values[c])) if u != w)
+        if b == unit or (a == unit and supplied):
+            continue  # e's values are the points, and a supplied e fixes every point
+        va, vb = values[a], values[b]
+        if beyond[b]:
+            # a's values at the b-values past the horizon, each evaluated
+            # once, go after a's values on [0, H], and those b-values index
+            # them instead
+            known, va, vb = past[a], list(va), list(vb)
+            for m in compress(count(), map(gt, vb, repeat(horizon))):
+                if vb[m] not in known:
+                    known[vb[m]] = carriers[a].forward(vb[m])
+                va.append(known[vb[m]])
+                vb[m] = len(va) - 1
+        if list(map(va.__getitem__, vb)) != values[c]:
+            bad = next(compress(count(), map(ne, map(va.__getitem__, vb), values[c])))
             raise GChunkError(f"table says {a} * {b} = {c} but carriers disagree at {bad}")
 
-    del values[chunk.unit]  # the tables take the unit to the identity at every degree
+    del values[unit]  # the tables take the unit to the identity at every degree
     return GChunk(chunk, carriers, bound, horizon, values, bound_values)
 
 
@@ -701,11 +778,14 @@ class Realization:
 
     def carrier(self, e: str) -> LazyPerm:
         """The block sum of every stage's image of ``e``, tabulated in both
-        directions once, and the identity from ``layout[-1]`` on."""
+        directions once (the inverse is the block sum of the stage inverses),
+        and the identity from ``layout[-1]`` on."""
         if e not in self.chunk.elements:
             raise ValueError(f"element {e!r} not in chunk")
-        images = block_sum_images([(s[e], f_n) for s, f_n in zip(self.sigma, self.f)])
-        return _tabulated(images, f"blocksum:depth={self.depth}")
+        stages = [(s[e], f_n) for s, f_n in zip(self.sigma, self.f)]
+        return _tabulated(block_sum_images(stages),
+                          block_sum_images([(inverse(p), f_n) for p, f_n in stages]),
+                          f"blocksum:depth={self.depth}")
 
     def exact_products(self) -> dict[tuple[str, str], str]:
         """Pairs whose carriers compose to another carrier exactly.

@@ -454,7 +454,8 @@ def test_huge_sizes_fail_in_one_line(argv, tmp_path):
     if argv[0] == "supp":
         assert "exceeds the largest audited prefix, 1000000" in done.stderr
     else:
-        assert done.stderr == "error: out of memory\n"
+        # the size is the last argument; refused before anything is allocated
+        assert done.stderr.endswith(f" {argv[-1]} exceeds the largest gadget size, 1000000\n")
 
 
 class TestGadgetCommands:

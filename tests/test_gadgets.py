@@ -4,6 +4,7 @@ import random
 import pytest
 
 from soficapprox.gadgets import (
+    MAX_SIZE,
     StageTrace,
     _gamma_points,
     cube_of_transpositions_is_identity,
@@ -50,6 +51,12 @@ class TestExample:
     def test_small_degree_rejected(self):
         with pytest.raises(ValueError):
             example_check(32)
+
+    def test_degree_past_the_cap_refused(self):
+        for n in (MAX_SIZE + 1, 10**11):
+            with pytest.raises(ValueError, match=f"^degree {n} exceeds the largest gadget "
+                                                 f"size, {MAX_SIZE}$"):
+                example_check(n)
 
     @pytest.mark.parametrize("n", [33, 34, 35, 99, 100, 101, 250, 400])
     def test_deviation_small_across_residues(self, n):
@@ -184,6 +191,12 @@ class TestStages:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
             stage_construction(StageTrace(()), 31)
+
+    def test_horizon_past_the_cap_refused(self):
+        for horizon in (MAX_SIZE + 2, 99999999999):  # multiples of 3 past the cap
+            with pytest.raises(ValueError, match=f"^horizon {horizon} exceeds the largest "
+                                                 f"gadget size, {MAX_SIZE}$"):
+                stage_construction(StageTrace((True,)), horizon)
 
     def test_plain_sequence_accepted(self):
         _, outcome = stage_construction([1, 0, 1], 9)

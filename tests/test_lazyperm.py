@@ -34,7 +34,7 @@ from soficapprox.lazyperm import (
     supp_morphism,
     supp_quality,
 )
-from soficapprox.permcore import Perm, hamming_distance, identity
+from soficapprox.permcore import Perm, block_sum_images, hamming_distance, identity
 from soficapprox.profile import ProfileCertificate, disagreement_counts, measure, sofic_profile
 
 from conftest import DATA, data_path
@@ -178,11 +178,18 @@ def counting(p: LazyPerm) -> tuple[LazyPerm, dict[str, int]]:
                     p.descriptor), calls
 
 
-def tabled(forward: list[int], backward: list[int]) -> LazyPerm:
+def tabled(forward: list[int], backward: list[int], table: bool = False) -> LazyPerm:
     """Carrier acting by the two lists on their prefixes and as the identity
-    beyond; the lists need not be inverse to each other."""
+    beyond; the lists need not be inverse to each other.  With ``table`` the
+    carrier keeps them as its table, as ``finitary`` carriers do."""
     return LazyPerm(lambda m: forward[m] if m < len(forward) else m,
-                    lambda m: backward[m] if m < len(backward) else m, "planted")
+                    lambda m: backward[m] if m < len(backward) else m, "planted",
+                    (tuple(forward), tuple(backward)) if table else None)
+
+
+def evaluators(p: LazyPerm) -> LazyPerm:
+    """``p`` without its table: audited by evaluation."""
+    return LazyPerm(p.forward, p.backward, p.descriptor)
 
 
 def block_shuffle(rng: random.Random, c: int, start: int, stop: int) -> list[int]:
@@ -222,21 +229,25 @@ class Dip(GrowthFn):
 PLANTED = ["none", "injectivity", "roundtrip-forward", "roundtrip-backward",
            "forward-bound-0", "forward-bound-H", "forward-bound", "backward-bound-0",
            "backward-bound-H", "backward-bound", "unit-backward", "unit-past-H", "dip",
-           "table-past-H"]
+           "table-past-H", "inverse-past-H", "image-past-table"]
 
 
-def planted_case(kind: str, seed: int):
+def planted_case(kind: str, seed: int, table: bool = False):
     """(chunk, carriers, bound, horizon, the planted violation or None) for a
     random carrier bounded by n + c with one violation of ``kind`` planted.
     The carrier shuffles blocks of [0, H) and of [H, span) separately, so H
-    starts a block and some points of [0, H] have preimages past H."""
+    starts a block and some points of [0, H] have preimages past H.  With
+    ``table`` every carrier keeps its two lists as its table."""
+    def carrier(forward, backward):
+        return tabled(forward, backward, table)
+
     rng = random.Random(seed)
     c, horizon = rng.randint(1, 5), rng.randint(20, 60)
     images = (block_shuffle(rng, c, 0, horizon)
               + block_shuffle(rng, c, horizon, horizon + rng.randint(2, 3 * c + 2)))
     chunk = parse_chunk("unit 1\nelem a\n1 * 1 = 1\n1 * a = a\na * 1 = a\n")
     bound, back, want = Affine(c), None, None
-    unit = identity_lazy()
+    unit = carrier([], []) if table else identity_lazy()
     if kind == "injectivity":
         j = rng.randint(1, horizon)
         back = inverse_list(images)
@@ -277,10 +288,10 @@ def planted_case(kind: str, seed: int):
         k1, k2 = sorted(rng.sample(range(horizon + 1), 2))
         unit_back = list(range(horizon + 1))
         unit_back[k1], unit_back[k2] = k2, k1
-        unit = tabled([], unit_back)
+        unit = carrier([], unit_back)
         want = AuditViolation("roundtrip", k1)
     elif kind == "unit-past-H":  # the unit moves a's image of H, so 1 * a = a fails there
-        unit = tabled(list(range(images[horizon])) + [images[horizon] + 1], [])
+        unit = carrier(list(range(images[horizon])) + [images[horizon] + 1], [])
     elif kind == "dip":  # the unit fails at k, and every other carrier by k
         k = rng.randint(0, horizon)
         bound, want = Dip(c, k), AuditViolation("bound", k, n=k)
@@ -299,12 +310,26 @@ def planted_case(kind: str, seed: int):
         square = [images[v] for v in images]
         broken = list(images)
         broken[horizon + 1] = horizon + 7
-        carriers = {"1": unit, "h": tabled(broken, inverse_list(images)),
-                    "h2": tabled(square, inverse_list(square))}
+        carriers = {"1": unit, "h": carrier(broken, inverse_list(images)),
+                    "h2": carrier(square, inverse_list(square))}
         return chunk, carriers, Affine(2), horizon, None
+    elif kind == "inverse-past-H":
+        # the inverse list is right on [0, H] only: the backward map at H's
+        # image H + 1 gives another point
+        images.append(len(images))
+        back = inverse_list(images)
+        back[horizon + 1], back[-1] = back[-1], back[horizon + 1]
+        want = AuditViolation("roundtrip", horizon)
+    elif kind == "image-past-table":
+        # j goes to the first point past the list, which the identity there
+        # also takes; the inverse list does not send it back
+        j = rng.randrange(horizon)
+        back = inverse_list(images)
+        images[j] = len(images)
+        want = AuditViolation("roundtrip", j)
     if back is None:
         back = inverse_list(images)
-    return chunk, {"1": unit, "a": tabled(images, back)}, bound, horizon, want
+    return chunk, {"1": unit, "a": carrier(images, back)}, bound, horizon, want
 
 
 class TestAuditAgainstReference:
@@ -315,7 +340,16 @@ class TestAuditAgainstReference:
     @pytest.mark.parametrize("kind", PLANTED)
     @pytest.mark.parametrize("seed", range(6))
     def test_same_first_violation(self, kind, seed):
-        chunk, carriers, bound, horizon, planted = planted_case(kind, seed)
+        self.check(kind, *planted_case(kind, seed))
+
+    @pytest.mark.parametrize("kind", PLANTED)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_first_violation_through_tables(self, kind, seed):
+        case = planted_case(kind, seed, table=True)
+        assert all(p.table is not None for p in case[1].values())
+        self.check(kind, *case)
+
+    def check(self, kind, chunk, carriers, bound, horizon, planted):
         for e in chunk.elements:
             got, want = audit(carriers[e], bound, horizon), reference_audit(carriers[e], bound,
                                                                             horizon)
@@ -381,6 +415,83 @@ class TestGChunkBuild:
         wide = finitary((9, 1, 2, 3, 4, 5, 6, 7, 8, 0))
         with pytest.raises(GChunkError):
             build_gchunk(c, {"a": wide}, Affine(2), 50)
+
+
+class TestTablePath:
+    """Table carriers are audited from their tables and built as their
+    evaluators would be."""
+
+    @pytest.mark.parametrize("name, depth", [("z3", 24), ("klein", 16)])
+    def test_blocksum_gchunk_matches_the_block_walk(self, name, depth, request):
+        chunk = request.getfixturevalue(name)
+        real = realize(chunk, [sofic_profile(chunk, r, 6) for r in range(2, depth + 1)])
+        horizon = max(1000, 2 * real.layout[-1])  # as ``sofic supp`` at the last degree
+        others = [e for e in chunk.elements if e != chunk.unit]
+        tabled_gc = build_gchunk(chunk, {e: real.carrier(e) for e in others}, real.g, horizon)
+        walked_gc = build_gchunk(chunk, {e: LazyPerm(*reference_blocksum_carrier(real, e),
+                                                     "walk") for e in others},
+                                 real.g, horizon)
+        assert tabled_gc.values == walked_gc.values
+        assert tabled_gc.bound_values == walked_gc.bound_values
+        for n in range(1, horizon + 1):
+            assert tabled_gc.extremes(n) == walked_gc.extremes(n), n
+            assert tabled_gc.images(n) == walked_gc.images(n), n
+
+    def test_table_carriers_evaluated_only_past_the_horizon(self, z3):
+        # block three-cycles whose table ends past H, with H inside a block:
+        # h * h reads h at the b-values past H
+        horizon = 31
+        h_images = block_sum_images([(Perm((1, 2, 0)), 12)])
+        called = {"h forward": [], "h backward": [], "h2 forward": [], "h2 backward": []}
+
+        def recording(name, table):
+            def side(which, values):
+                def call(m):
+                    called[f"{name} {which}"].append(m)
+                    return values[m] if m < len(values) else m
+                return call
+            return LazyPerm(side("forward", table[0]), side("backward", table[1]), name, table)
+
+        h_table = (h_images, tuple(inverse_list(list(h_images))))
+        carriers = {"h": recording("h", h_table), "h2": recording("h2", h_table[::-1])}
+        build_gchunk(z3, carriers, Affine(2), horizon)
+        assert called["h forward"] and called["h2 forward"]
+        assert all(m > horizon for m in called["h forward"] + called["h2 forward"])
+        assert called["h backward"] == called["h2 backward"] == []
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run()
+        except GChunkError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_inverse_and_composite_build_like_their_evaluators(self, z3, seed):
+        # h a block three-cycle table, h2 its inverse or its square, each
+        # against copies of the same maps without tables, under bounds that
+        # hold and bounds that fail
+        rng = random.Random(seed)
+        perms = [Perm((0,)), Perm((1, 2, 0)), Perm((2, 0, 1))]
+        h = finitary(block_sum_images([(rng.choice(perms), 1) for _ in range(rng.randint(5, 30))]))
+        horizon = rng.randint(4, 120)
+        inverse, square = inverse_lazy(h), compose_lazy(h, h)
+        assert inverse.table == h.table[::-1] and square.table is None
+        for h2 in (inverse, square):
+            for bound in (Affine(1), Affine(2), Linear(2), Dip(2, rng.randint(0, horizon))):
+                for p in (h, h2):
+                    assert audit(p, bound, horizon) == audit(evaluators(p), bound, horizon)
+                tabled_gc = self.outcome(lambda: build_gchunk(z3, {"h": h, "h2": h2},
+                                                              bound, horizon))
+                plain_gc = self.outcome(lambda: build_gchunk(
+                    z3, {"h": evaluators(h), "h2": evaluators(h2)}, bound, horizon))
+                if isinstance(plain_gc, str):
+                    assert tabled_gc == plain_gc
+                    continue
+                assert tabled_gc.values == plain_gc.values
+                for n in range(1, horizon + 1):
+                    assert tabled_gc.extremes(n) == plain_gc.extremes(n)
+                    assert tabled_gc.images(n) == plain_gc.images(n)
 
 
 class TestSuppMorphism:
