@@ -81,7 +81,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validated
 from .growth import BlockStep, Exhausted, GrowthFn, growth_profile, quality_parameter
-from .permcore import Perm, block_sum, block_sum_images, disagreements, inverse
+from .permcore import Perm, block_sum, block_sum_images, disagreements
 from .profile import MorphismQuality, ProfileCertificate, disagreement_counts, threshold_radius
 
 
@@ -137,20 +137,20 @@ def finitary(images: Sequence[int]) -> LazyPerm:
     n = len(images)
     if sorted(images) != list(range(n)):
         raise ValueError(f"prefix {images!r} is not a permutation of 0..{n - 1}")
-    return _tabulated(images, tuple(sorted(range(n), key=images.__getitem__)),
-                      f"table:[{' '.join(map(str, images))}]+id")
+    return _tabulated(images, f"table:[{' '.join(map(str, images))}]+id")
 
 
-def _tabulated(images: Sequence[int], preimages: Sequence[int], descriptor: str) -> LazyPerm:
-    """The carrier that looks up ``images`` forward and ``preimages``
-    backward and fixes every point past them, keeping both as its table;
-    ``audit`` checks that they are a permutation and its inverse."""
-    n, k = len(images), len(preimages)
+def _tabulated(images: tuple[int, ...], descriptor: str) -> LazyPerm:
+    """``finitary(images)`` of a permutation ``images`` under another
+    descriptor: both directions are tabulated once, and each evaluation is
+    one lookup.  The carrier keeps the two tuples as its table."""
+    n = len(images)
+    back = tuple(sorted(range(n), key=images.__getitem__))
     return LazyPerm(
         lambda m: images[m] if m < n else m,
-        lambda m: preimages[m] if m < k else m,
+        lambda m: back[m] if m < n else m,
         descriptor,
-        (images, preimages),
+        (images, back),
     )
 
 
@@ -324,9 +324,7 @@ def _unit_audit(p: LazyPerm | None, points: range,
     identity ``build_gchunk`` supplies for an unnamed unit (p None) needs only
     the second."""
     if p is not None:
-        bwd = _table_backward(p, len(points))
-        m = next(compress(points, map(ne, map(p.backward, points) if bwd is None else bwd,
-                                      points)), None)
+        m = next(compress(points, map(ne, map(p.backward, points), points)), None)
         if m is not None:
             return AuditViolation("roundtrip", m)
     n = next(compress(points, map(gt, points, bound_values)), None)
@@ -778,14 +776,11 @@ class Realization:
 
     def carrier(self, e: str) -> LazyPerm:
         """The block sum of every stage's image of ``e``, tabulated in both
-        directions once (the inverse is the block sum of the stage inverses),
-        and the identity from ``layout[-1]`` on."""
+        directions once, and the identity from ``layout[-1]`` on."""
         if e not in self.chunk.elements:
             raise ValueError(f"element {e!r} not in chunk")
-        stages = [(s[e], f_n) for s, f_n in zip(self.sigma, self.f)]
-        return _tabulated(block_sum_images(stages),
-                          block_sum_images([(inverse(p), f_n) for p, f_n in stages]),
-                          f"blocksum:depth={self.depth}")
+        images = block_sum_images([(s[e], f_n) for s, f_n in zip(self.sigma, self.f)])
+        return _tabulated(images, f"blocksum:depth={self.depth}")
 
     def exact_products(self) -> dict[tuple[str, str], str]:
         """Pairs whose carriers compose to another carrier exactly.

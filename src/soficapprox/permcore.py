@@ -142,23 +142,15 @@ def block_sum(parts: Sequence[tuple[Perm, int]]) -> Perm:
 def block_sum_images(parts: Sequence[tuple[Perm, int]]) -> tuple[int, ...]:
     """The one-line images of ``block_sum(parts)``, not wrapped in a ``Perm``:
     the blocks of validated parts are a permutation, so callers that hold
-    ``Perm`` parts need no second check.
-
-    Copy k of a degree-d part at ``offset`` sends offset + kd + j to
-    offset + kd + perm(j), so position j of every copy is one arithmetic
-    progression, written as one slice: the work per part is one step per
-    point of ``perm``, not one per copy."""
+    ``Perm`` parts need no second check."""
     images: list[int] = []
     offset = 0
     for perm, mult in parts:
         if mult < 0:
             raise ValueError(f"negative multiplicity {mult}")
-        d = perm.degree
-        block = [0] * (d * mult)
-        for j, v in enumerate(perm.images):
-            block[j::d] = range(offset + v, offset + v + d * mult, d)
-        images += block
-        offset += d * mult
+        for _ in range(mult):
+            images.extend(map(offset.__add__, perm.images))
+            offset += perm.degree
     return tuple(images)
 
 

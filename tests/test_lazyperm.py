@@ -356,16 +356,20 @@ class TestAuditAgainstReference:
             assert got == want, e
             if e == ("1" if kind in ("dip", "unit-backward") else "a"):
                 assert (want if isinstance(want, AuditViolation) else None) == planted
-        for elements in (chunk.elements, chunk.elements[::-1]):  # the unit first and last
-            reordered = Chunk(elements, chunk.unit, chunk.table)
-            message = reference_gchunk_error(reordered, carriers, bound, horizon)
+        given = [carriers]
+        if kind not in ("unit-backward", "unit-past-H"):
+            # the unit carrier is the identity, so build_gchunk may supply it
+            given.append({e: p for e, p in carriers.items() if e != chunk.unit})
+        for named, elements in itertools.product(given, (chunk.elements, chunk.elements[::-1])):
+            reordered = Chunk(elements, chunk.unit, chunk.table)  # the unit first and last
+            message = reference_gchunk_error(reordered, named, bound, horizon)
             if kind == "none":
                 assert message is None
-                build_gchunk(reordered, carriers, bound, horizon)
+                build_gchunk(reordered, named, bound, horizon)
                 continue
             assert message is not None
             with pytest.raises(GChunkError) as info:
-                build_gchunk(reordered, carriers, bound, horizon)
+                build_gchunk(reordered, named, bound, horizon)
             assert str(info.value) == message
         if kind == "unit-backward":
             assert message == f"carrier of '1': {planted}"

@@ -130,15 +130,6 @@ class TestBlockSum:
         assert type(images) is tuple
         assert images == block_sum(parts).images
 
-    @given(st.lists(st.tuples(perms(max_degree=6), st.integers(0, 5)), max_size=5))
-    def test_images_copy_by_copy(self, parts):
-        want, offset = [], 0
-        for perm, mult in parts:
-            for _ in range(mult):
-                want += [offset + v for v in perm.images]
-                offset += perm.degree
-        assert block_sum_images(parts) == tuple(want)
-
     def test_negative_multiplicity_rejected(self):
         for build in (block_sum, block_sum_images):
             with pytest.raises(ValueError, match="^negative multiplicity -1$"):
