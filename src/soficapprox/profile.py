@@ -26,11 +26,13 @@ Each depth draws its candidates, in lex order, from one of three pools:
 - an element that occurs once in a product whose other two members are
   assigned (a ball triple) lies in a Hamming ball: bi-invariance of the
   metric turns that product's defect test into "within the radius of one
-  centre permutation".  A ball of radius 0 or 1 is its centre alone.  That
-  centre, the members of a ball that is small beside S_n (fewer than
-  n!/2048 members: radius 2 at n = 9) and every ball from n = 10 on are
-  listed support by support and checked one at a time; any other ball is
-  cut out of an S_n bitset as below;
+  centre permutation", so no member needs that test again.  A ball of
+  radius 0 or 1 is its centre alone, since no two permutations differ in
+  exactly one point: the depth is forced, and its one candidate is the
+  centre, checked against the other tests.  The members of a ball that is
+  small beside S_n (fewer than n!/2048 members: radius 2 at n = 9) and of
+  every ball from n = 10 on are listed support by support and checked one
+  at a time; any other ball is cut out of an S_n bitset as below;
 - every other depth takes an S_n bitset: per point x and value v, one
   integer has bit i set iff the lex rank-i permutation maps x to v.
   Counting set bits across such integers, a whole word of candidates at a
@@ -69,7 +71,6 @@ backs ``profile --r`` and ``--emit-cert``, claims minimality.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -421,7 +422,10 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     count the length of its full pool when it fails, and the witness image's
     place in that pool when it succeeds.  Past depth 0 the full pool is S_n
     in lex order, so that is ``n!`` or the lex rank plus one, whatever part
-    of the pool the call actually tries.
+    of the pool the call actually tries.  A depth whose ball has radius 0 or
+    1 is forced: its one candidate is the ball centre from ``_ball_centre``,
+    checked against the separation tests and the depth's other products,
+    and the call adds ``n!`` unless that centre completes a witness.
     """
     order, triples_at, balls_at = _search_plan(c)
     ident = tuple(range(n))
@@ -432,13 +436,17 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     radius = threshold_radius(n, r)
     full = factorial(n)
     bitsets = n * n * full <= 8 * _MASK_TABLE_BYTES
-    # a ball of radius 0 or 1 is one candidate, and a small ball in a large
-    # S_n is cheaper to check than to cut out of a bitset
-    ball_bitsets = (radius >= 2 and n * n * full <= 8 * _BALL_MASK_TABLE_BYTES
+    # a small ball in a large S_n is cheaper to check than to cut out of a
+    # bitset (a ball of radius 0 or 1 is forced and draws no pool)
+    ball_bitsets = (n * n * full <= 8 * _BALL_MASK_TABLE_BYTES
                     and full <= _RANKS_PER_BALL_MEMBER * _ball_size(n, radius))
     first = first_candidates
     if first is None:
         first = [cycle_type_representative(t, n).images for t in all_cycle_types(n)]
+    # Every member of a ball passes the ball triple's defect test, so a
+    # checked depth tests the other products only.
+    checks_at = [[t for t in triples if ball is None or t != ball[1:]]
+                 for triples, ball in zip(triples_at, balls_at)]
     f: list[tuple[int, ...]] = [ident] * (len(order) + 1)
     # allowed[k]: the ranks that pass the separation tests against f[:k], or
     # None until a bitset pool needs it after f[k - 1] is placed.  Placing
@@ -476,15 +484,24 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
 
     def extend(new: int) -> bool:
         nonlocal nodes
+        ball = balls_at[new - 1]
+        if ball is not None and radius <= 1:
+            # forced: the ball is its centre alone
+            role, a, b, ab = ball
+            drawn, checked = (_ball_centre(role, f[a], f[b], f[ab]),), True
+        else:
+            drawn, checked = pool(new)
+        checks = checks_at[new - 1]
         earlier = f[:new]
-        triples = triples_at[new - 1]
-        drawn, checked = pool(new)
         for cand in drawn:
             f[new] = cand
+            # Products first: at the forced depth of {0,1,6,8,9} in Z12 at
+            # r = 4, degree 7, each of the 1.2 M centres fails a product test
+            # and 49% fail a separation test.
             if checked and not (
-                    all(sum(map(eq, g, cand)) <= radius for g in earlier)
-                    and all(sum(map(ne, f[ab], _compose(f[a], f[b]))) <= radius
-                            for a, b, ab in triples)):
+                    all(sum(map(ne, f[ab], map(f[a].__getitem__, f[b]))) <= radius
+                        for a, b, ab in checks)
+                    and all(sum(map(eq, g, cand)) <= radius for g in earlier)):
                 continue
             allowed[new + 1] = None
             if new == len(order) or extend(new + 1):
@@ -505,12 +522,16 @@ def _search_degree(c: Chunk, r: Fraction, n: int, workers: int) -> tuple[dict[st
     cands = [cycle_type_representative(t, n).images for t in all_cycle_types(n)]
     if workers <= 1 or not order or len(cands) <= 1:
         return _backtrack(c, r, n, cands)
+    # Imported here: with the logging module it pulls in, it would add about
+    # 4 ms to the start of every process, though most search at one worker.
+    from concurrent.futures import ProcessPoolExecutor
+
     # Split the canonical first-element candidates across workers.  Results are
     # consumed in candidate order, so the reported witness and node totals are
     # identical to the sequential search.  The pool starts all its workers at
     # the first task, so it gets no more than there are candidates.
     nodes = 0
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cands))) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(cands))) as pool:
         for witness, sub_nodes in pool.map(_backtrack, repeat(c), repeat(r), repeat(n),
                                            ([cand] for cand in cands)):
             nodes += sub_nodes

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficapprox import cli
+from soficapprox.chunk import format_chunk
 from soficapprox.cli import (
     emit_certificate,
     emit_realization,
@@ -606,6 +607,23 @@ class TestCertificateReplay:
                             str(cert_path))
         assert code == code2 == 0
         assert out == plain + "replay ok: every recorded degree exhausts in its recorded node count\n"
+
+    def test_z7_certificate_replays_and_reemits(self, capsys, tmp_path):
+        # Emitted by the search that drew every ball of radius 0 or 1 as a
+        # one-member pool: at r = 7 every ball depth of degrees 1..7 has
+        # radius at most 1, so this pins its forced depths to those records.
+        path = data_path("z7.cert")
+        code, out, _ = run(capsys, "cert", "verify", "--replay", path)
+        assert code == 0
+        assert out.endswith("replay ok: every recorded degree exhausts in its recorded node count\n")
+        _, c = load_certificate(path)
+        chunk = tmp_path / "z7.chunk"
+        chunk.write_text(format_chunk(c))
+        again = tmp_path / "z7.cert"
+        assert main(["profile", "--chunk", str(chunk), "--r", "7", "--emit-cert", str(again)]) == 0
+        capsys.readouterr()
+        with open(path, "rb") as fh:
+            assert again.read_bytes() == fh.read()
 
     def test_plain_verify_does_not_check_node_counts(self, capsys, cert_path):
         cert_path.write_text(cert_path.read_text().replace("infeasible 1 nodes 1",

@@ -1,5 +1,9 @@
+import concurrent.futures
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 from operator import ne
@@ -7,7 +11,7 @@ from operator import ne
 import pytest
 
 from soficapprox import profile
-from soficapprox.chunk import Chunk, induced_chunk
+from soficapprox.chunk import Chunk, induced_chunk, validate
 from soficapprox.cli import main
 from soficapprox.permcore import (Perm, compose, hamming_distance, identity, inverse,
                                   transposition)
@@ -237,11 +241,20 @@ class TestSoficProfile:
         assert main(argv) == 0
         sequential = capsys.readouterr().out
         assert sequential.startswith("prof = 4\n")
-        monkeypatch.setattr(profile.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         assert main(["--workers", str(workers)] + argv) == 0
         assert capsys.readouterr().out == sequential
         # one pool per degree 2..4, with at most p(n) = 2, 3, 5 candidates
         assert sizes == pool_sizes
+
+    def test_one_worker_never_imports_the_pool(self):
+        script = ("import sys; from soficapprox.cli import main; "
+                  f"main(['profile', '--chunk', {data_path('klein.chunk')!r}, '--r', '3']); "
+                  "print('concurrent.futures' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(profile.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert done.stdout.startswith("prof = 4\n") and done.stdout.endswith("\nFalse\n")
 
 
 class TestOracleEquivalence:
@@ -601,6 +614,51 @@ class TestReferenceSearch:
         listing = all_perms(n)
         assert [_lex_rank(p.images) for p in listing] == [listing.index(p) for p in listing]
         assert len(listing) == factorial(n)
+
+
+def forced_chunks(rng, count):
+    """Random partial tables of subgroups of Z_m with at least one ball
+    triple: each non-unit product is kept with probability 0.7."""
+    chunks = []
+    while len(chunks) < count:
+        m = rng.randint(4, 12)
+        c = cyclic_chunk(m, [0] + rng.sample(range(1, m), rng.randint(3, 4)))
+        keep = {k: v for k, v in c.table.items() if c.is_unit_product(*k, v) or rng.random() < 0.7}
+        c = Chunk(c.elements, c.unit, keep)
+        if validate(c).ok and any(_search_plan(c)[2]):
+            chunks.append(c)
+    return chunks
+
+
+class TestForcedDepths:
+    """A ball of radius 0 or 1 is its centre alone, so its depth places
+    that centre or fails: same witness and nodes as the full-pool search."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_partial_tables_match_reference(self, seed):
+        chunks = forced_chunks(random.Random(seed), 14)
+        balls = [_search_plan(c)[2] for c in chunks]
+        assert {ball[0] for plan in balls for ball in plan if ball} == {0, 1, 2}
+        assert any(x and y for plan in balls for x, y in zip(plan, plan[1:]))  # two in a row
+        assert any(plan[-1] for plan in balls)  # a forced last depth
+        outcomes = set()
+        for c in chunks:
+            # radius 0 at r = n + 1 and radius 1 at r = n; degree 5 at
+            # radius 1 costs the reference seconds on some tables
+            for n, r in [(n, Fraction(n + 1)) for n in range(2, 6)] + \
+                        [(n, Fraction(n)) for n in range(2, 5)]:
+                got = _backtrack(c, r, n)
+                assert got == reference_backtrack(c, r, n), (c, r, n)
+                outcomes.add((threshold_radius(n, r), got[0] is not None))
+        assert outcomes == {(0, False), (0, True), (1, False), (1, True)}
+
+    def test_z12_records_below_degree_7(self):
+        c = cyclic_chunk(12, [0, 1, 6, 8, 9])
+        assert _search_plan(c)[2] == [None, None, None, (2, 1, 3, 4)]  # 9 = 1 + 8, forced
+        found = sofic_profile(c, 4, 6)
+        assert isinstance(found, Exhausted)
+        assert found.records == tuple(DegreeRecord(d, k) for d, k in enumerate(
+            (1, 4, 9, 1493, 262207, 10540091), start=1))
 
 
 def passes_checks(f, new, triples, radius, min_sep, cand):
