@@ -247,30 +247,40 @@ def parse_gchunk_file(path: str, horizon: int) -> GChunk:
 
     Carrier kinds: ``gadget:NAME``, ``table:[images]`` (identity beyond the
     listed prefix), ``blocksum:PATH`` (an emitted realization, element matched
-    by name).  The unit's carrier defaults to the identity.
+    by name).  The unit's carrier defaults to the identity.  The chunk, the
+    bound and each element's carrier are given once.
     """
     base = os.path.dirname(os.path.abspath(path))
     chunk_obj: Chunk | None = None
     carrier_specs: list[tuple[int, str, str]] = []
     bound: GrowthFn | None = None
+    given: dict[str, int] = {}  # the line of each statement, by what it gives
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            head, _, spec = line.partition("=")
             if line.startswith("chunk "):
+                key = "chunk"
+            elif line.startswith("carrier "):
+                name = head[len("carrier "):].strip()
+                key = f"carrier of {name!r}"
+            elif head.strip() == "bound":
+                key = "bound"
+            else:
+                raise ChunkParseError(lineno, f"cannot parse statement {line!r}")
+            if key in given:
+                raise ChunkParseError(lineno, f"{key} already given on line {given[key]}")
+            given[key] = lineno
+            if key == "chunk":
                 rel = line[len("chunk "):].strip()
                 target = rel if os.path.isabs(rel) else os.path.join(base, rel)
                 chunk_obj = parse_chunk_file(target)
-            elif line.startswith("carrier "):
-                body = line[len("carrier "):]
-                name, _, spec = body.partition("=")
-                carrier_specs.append((lineno, name.strip(), spec.strip()))
-            elif line.startswith("bound"):
-                _, _, spec = line.partition("=")
+            elif key == "bound":
                 bound = parse_growth(spec.strip())
             else:
-                raise ChunkParseError(lineno, f"cannot parse statement {line!r}")
+                carrier_specs.append((lineno, name, spec.strip()))
     if chunk_obj is None:
         raise ValueError(f"{path}: no chunk statement")
     if bound is None:
@@ -544,7 +554,11 @@ def _cmd_gadget_encode(args) -> int:
 
 
 def _cmd_gadget_stages(args) -> int:
-    flags = tuple(tok.strip() not in ("0", "") for tok in args.trace.split(","))
+    tokens = [tok.strip() for tok in args.trace.split(",")]
+    bad = next((tok for tok in tokens if tok not in ("0", "1")), None)
+    if bad is not None:
+        raise ValueError(f"--trace flags must be 0 or 1, got {bad!r}")
+    flags = tuple(tok == "1" for tok in tokens)
     _, outcome = gadgets.stage_construction(gadgets.StageTrace(flags), args.horizon)
     print(f"fired = {outcome.fired}")
     print(f"prefix_end = {outcome.prefix_end}")

@@ -1,24 +1,21 @@
 """Evaluable permutations of the naturals with growth-bound certificates.
 
 A ``LazyPerm`` carries total forward and backward evaluators plus a text
-descriptor, and, for a carrier that is a finite table (``finitary`` and a
-realization's block sums), the table itself.  Nothing here can verify
-bijectivity of a black-box function on all of the naturals; ``audit`` checks
-that both maps take values in the naturals, injectivity, the inverse round
-trips, and the two-sided growth bound on an explicit horizon H and says so in
-the witness it returns.  A table proves the first three on all of the
-naturals: its images are a permutation of [0, len) and its second list is
-their inverse exactly when the images lie in [0, len) and the second list
-takes each image back to its point, two whole-list passes.  Its values on
-[0, H] are then slices, and only the bound is checked.  A carrier without a
-table, or whose table fails that proof, is evaluated: the forward map on
-[0, H] and the backward map at those values, where it must give the points
-back; a backward value at a point of the forward image is then deduced, not
-evaluated, and both maps are evaluated again only at the points of [0, H]
-off the image.  ``build_gchunk`` checks a unit carrier the caller names
-once: the identity in both directions on [0, H], and g(n) >= n there, which
-is all a full audit of it would find; the identity it supplies itself needs
-only g(n) >= n.
+descriptor, and, for a carrier that is a finite table (the identity, whose
+table is empty, ``finitary`` and a realization's block sums), the table
+itself.  Nothing here can verify bijectivity of a black-box function on all
+of the naturals; ``audit`` checks that both maps take values in the
+naturals, injectivity, the inverse round trips, and the two-sided growth
+bound on an explicit horizon H and says so in the witness it returns.  A
+table proves the first three on all of the naturals: its images are a
+permutation of [0, len) and its second list is their inverse exactly when
+the images lie in [0, len) and the second list takes each image back to its
+point, two whole-list passes.  Its values on [0, H] are then slices, and
+only the bound is checked.  A carrier without a table, or whose table fails
+that proof, is evaluated once at each point of [0, H] in each direction;
+each round trip reads one map's values at the other's through ``_read``,
+which evaluates a map again only at points past H, once each.
+``build_gchunk`` audits every carrier, the unit's included, the same way.
 
 ``supp_morphism`` restricts carriers to a finite prefix and completes the
 partial injection to a permutation by the greedy rule: unmatched domain
@@ -30,8 +27,7 @@ carrier's forward values and the bound's once on the audited prefix [0, H]
 (``LazyPerm.values``, ``GrowthFn.values``), and the ``GChunk`` keeps them,
 which every degree 1..H reads; a degree past H (or a horizon past
 ``MAX_HORIZON``) is refused, since nothing checked the carriers there.  The
-table check composes the stored values as whole lists, evaluating a carrier
-again only at b-values past the prefix, once per point.
+table check composes the stored values through the same ``_read``.
 ``supp_quality`` and the ``property_profile`` scans read the defect,
 expansiveness and separation hypothesis of each restriction from two
 integers, ``GChunk.extremes``: the largest product count and the smallest
@@ -75,7 +71,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, count, filterfalse, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import gt, le, ne
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -102,8 +98,9 @@ class LazyPerm:
 
     ``table``, when present, is the pair (images, preimages) the evaluators
     look up: the forward map sends m < len(images) to images[m], the backward
-    map v < len(preimages) to preimages[v], and both fix every larger point.
-    ``audit`` checks a table in whole-list passes rather than evaluating.
+    map v < len(preimages) to preimages[v], and both fix every larger point,
+    so the identity's table is empty.  ``audit`` proves a table in whole-list
+    passes and evaluates only a carrier without one, or whose table fails.
     """
 
     forward: Callable[[int], int]
@@ -128,7 +125,8 @@ class LazyPerm:
 
 
 def identity_lazy() -> LazyPerm:
-    return LazyPerm(lambda m: m, lambda m: m, "identity")
+    """The identity: a table carrier whose empty table fixes every point."""
+    return _tabulated((), "identity")
 
 
 def finitary(images: Sequence[int]) -> LazyPerm:
@@ -205,27 +203,29 @@ def audit(p: LazyPerm, g: GrowthFn, horizon: int) -> BoundWitness | AuditViolati
     first one found is returned, in that order of checks.  A carrier whose
     table is a permutation with its inverse is a permutation of the naturals,
     so only the bound is left to check, on values read off the table.  Any
-    other carrier's forward map is evaluated at every point of [0, horizon],
-    its backward map at every forward value, and both again only at the
-    points of [0, horizon] outside the forward image (see ``_audit``).
+    other carrier's two maps are evaluated once at each point of
+    [0, horizon], and each once more at each distinct value of the other map
+    past it (see ``_evaluated_backward``).
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    violation = _audit(p, p.values(horizon), g.values(horizon))
+    bound_values = g.values(horizon)
+    violation = _audit(p, p.values(horizon), bound_values, _suffix_minima(bound_values))
     return BoundWitness(g, horizon) if violation is None else violation
 
 
-def _audit(p: LazyPerm, fwd: list[int], bound_values: Sequence) -> AuditViolation | None:
+def _audit(p: LazyPerm, fwd: list[int], bound_values: Sequence,
+           floor: Sequence) -> AuditViolation | None:
     """The first violation of ``audit`` given the forward values ``fwd`` on
-    [0, H] (``p.values(H)``) and the bound values on the same points, or
-    None.  The backward values on [0, H] come off p's table when
-    ``_table_backward`` proves it, and from ``_evaluated_backward`` otherwise."""
+    [0, H] (``p.values(H)``), the bound values on the same points and their
+    ``_suffix_minima``, or None.  The backward values on [0, H] come off p's
+    table when ``_table_backward`` proves it, and from ``_evaluated_backward``
+    otherwise."""
     bwd = _table_backward(p, len(fwd))
     if bwd is None:
         bwd = _evaluated_backward(p, fwd)
         if isinstance(bwd, AuditViolation):
             return bwd
-    floor = _suffix_minima(bound_values)
     f_excess = _first_excess(fwd, bound_values, floor)
     b_excess = _first_excess(bwd, bound_values, floor)
     if f_excess is not None and (b_excess is None or f_excess[1] <= b_excess[1]):
@@ -255,45 +255,54 @@ def _table_backward(p: LazyPerm, size: int) -> list[int] | None:
 
 
 def _evaluated_backward(p: LazyPerm, fwd: list[int]) -> list[int] | AuditViolation:
-    """p's backward values on [0, H] from its evaluators, given its forward
-    values ``fwd`` there, or the first violation of the range, injectivity
-    and round-trip checks.
+    """p's backward values on [0, H], each point evaluated once, given its
+    forward values ``fwd`` there, or the first violation of the range,
+    injectivity and round-trip checks.
 
-    The backward map is evaluated at each forward value, where it must give
-    back the point.  A backward value at a point v = fwd[m] of the image is
-    then known to be m, so the backward round trip evaluates both maps only at
-    the points of [0, H] off the image.  Every check runs in builtins over
-    whole sequences; a point-by-point scan runs only to name a violation
-    known to exist.
+    The backward map must take each forward value back to its point.  A
+    repeated forward value breaks that, so injectivity is looked at only
+    once this round trip fails.  When every forward value lies in [0, H],
+    fwd is a permutation of [0, H] with the backward values as its inverse,
+    so the backward round trip holds; otherwise the forward map must take
+    each backward value back to its point.  Each round trip reads one map's
+    values at the other's through ``_read``.
     """
     size = len(fwd)
     if min(fwd) < 0:
         return AuditViolation("range", next(m for m, v in enumerate(fwd) if v < 0))
-    if len(set(fwd)) < size:
-        seen: set[int] = set()
-        for m, v in enumerate(fwd):
-            if v in seen:
-                return AuditViolation("injectivity", m)
-            seen.add(v)
-    m = next(compress(count(), map(ne, map(p.backward, fwd), count())), None)
+    bwd = inverse_lazy(p).values(size - 1)
+    points = list(range(size))
+    m = _first_difference(_read(bwd, p.backward, fwd), points)
     if m is not None:
+        seen: set[int] = set()
+        for k, v in enumerate(fwd):
+            if v in seen:
+                return AuditViolation("injectivity", k)
+            seen.add(v)
         return AuditViolation("roundtrip", m)
-    # an injective fwd with every value below size takes every point of [0, H]
-    off = list(filterfalse(set(fwd).__contains__, range(size))) if max(fwd) >= size else []
-    off_back = list(map(p.backward, off))
-    if off and min(off_back) < 0:
-        return AuditViolation("range", next(v for v, u in zip(off, off_back) if u < 0),
-                              side="backward")
-    v = next(compress(off, map(ne, map(p.forward, off_back), off)), None)
-    if v is not None:
-        return AuditViolation("roundtrip", v, side="backward")
-    # The points sorted by their values: the first size - len(off) are the
-    # preimages of [0, H] without the off points, in order.
-    bwd = sorted(range(size), key=fwd.__getitem__)
-    del bwd[size - len(off):]
-    for v, u in zip(off, off_back):
-        bwd.insert(v, u)
+    if max(fwd) >= size:
+        if min(bwd) < 0:
+            return AuditViolation("range", next(v for v, u in enumerate(bwd) if u < 0),
+                                  side="backward")
+        v = _first_difference(_read(fwd, p.forward, bwd), points)
+        if v is not None:
+            return AuditViolation("roundtrip", v, side="backward")
     return bwd
+
+
+def _read(known: Sequence[int], fn: Callable[[int], int], points: list[int]) -> list[int]:
+    """fn at each of ``points``, which are naturals: ``known`` holds fn's
+    values on a prefix, and fn is evaluated once at each distinct point past
+    it."""
+    size, past = len(known), {}
+    return [known[v] if v < size else past[v] if v in past else past.setdefault(v, fn(v))
+            for v in points]
+
+
+def _first_difference(xs: list[int], ys: list[int]) -> int | None:
+    """The first m with xs[m] != ys[m], or None; a scan runs only once the
+    lists are known to differ."""
+    return None if xs == ys else next(compress(count(), map(ne, xs, ys)))
 
 
 def _suffix_minima(bound_values: Sequence) -> Sequence:
@@ -315,20 +324,6 @@ def _first_excess(values: list[int], bound_values: Sequence,
     peaks = list(accumulate(values, max))
     n = next(n for n, (v, gn) in enumerate(zip(peaks, bound_values)) if v > gn)
     return values.index(peaks[n]), n
-
-
-def _unit_audit(p: LazyPerm | None, points: range,
-                bound_values: Sequence) -> AuditViolation | None:
-    """``_audit`` of a carrier whose forward map is the identity on ``points``:
-    its backward map must be the identity there too, and g(n) >= n.  The
-    identity ``build_gchunk`` supplies for an unnamed unit (p None) needs only
-    the second."""
-    if p is not None:
-        m = next(compress(points, map(ne, map(p.backward, points), points)), None)
-        if m is not None:
-            return AuditViolation("roundtrip", m)
-    n = next(compress(points, map(gt, points, bound_values)), None)
-    return None if n is None else AuditViolation("bound", n, n=n)
 
 
 class _ScanTable(NamedTuple):
@@ -544,22 +539,21 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
     """Validate the chunk, audit every carrier and the table consistency,
     then assemble the g-chunk.
 
-    The unit's carrier defaults to the identity, which needs only g(n) >= n
-    on the horizon.  A unit carrier the caller names must evaluate as the
-    identity there, and so must its backward map, which is all its audit
-    would check besides that bound.  Every other carrier gets the checks of
-    ``audit``, so a carrier with a value outside the naturals is rejected.
-    Where the table defines a*b = c, the carriers of a and b must compose to
-    the carrier of c pointwise on the audited prefix; a product a*e = a holds
-    there once the unit is checked, and so does e*b = b for the identity
-    supplied here.
+    The unit's carrier defaults to ``identity_lazy()``, and its forward
+    values on the horizon must be the points.  Then every carrier, the
+    unit's included, gets the checks of ``audit`` in element order.  Where
+    the table defines a*b = c, the carriers of a and b must compose to the
+    carrier of c pointwise on the audited prefix.  That holds for a*e = a,
+    and for e*b = b unless a b-value passes the horizon, so those are not
+    composed.
 
     Each carrier's forward values on the horizon are read once, by
     ``LazyPerm.values`` (a slice of a table, or one evaluation per point),
     and the bound's by ``GrowthFn.values``; the audits, the table check and
-    the g-chunk's restriction tables read those values.  The backward values
-    come as ``audit`` says, and a carrier's forward map is evaluated again
-    only at b-values past the horizon, once per point.
+    the g-chunk's restriction tables read those values.  The table check
+    reads a's values at b's through ``_read``, so a's forward map is
+    evaluated again only at b-values past the horizon, once per point and
+    product.
     """
     validated(chunk)
     if horizon < 1:
@@ -567,48 +561,30 @@ def build_gchunk(chunk: Chunk, carriers: Mapping[str, LazyPerm], bound: GrowthFn
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} exceeds the largest audited prefix, {MAX_HORIZON}")
     unit = chunk.unit
-    supplied = unit not in carriers
     carriers = dict(carriers)
     carriers.setdefault(unit, identity_lazy())
     missing = [e for e in chunk.elements if e not in carriers]
     if missing:
         raise GChunkError(f"no carrier for elements {missing}")
 
-    points = range(horizon + 1)
-    if not supplied:
-        moved = next(compress(points, map(ne, carriers[unit].values(horizon), points)), None)
-        if moved is not None:
-            raise GChunkError(f"unit carrier moves {moved}")
-    values: dict[str, Sequence[int]] = {unit: list(points)}  # supplied, or as just checked
+    values = {unit: carriers[unit].values(horizon)}
+    moved = _first_difference(values[unit], list(range(horizon + 1)))
+    if moved is not None:
+        raise GChunkError(f"unit carrier moves {moved}")
     bound_values = bound.values(horizon)
-
+    floor = _suffix_minima(bound_values)
     for e in chunk.elements:
-        if e == unit:
-            violation = _unit_audit(None if supplied else carriers[e], points, bound_values)
-        else:
+        if e not in values:
             values[e] = carriers[e].values(horizon)
-            violation = _audit(carriers[e], values[e], bound_values)
+        violation = _audit(carriers[e], values[e], bound_values, floor)
         if violation is not None:
             raise GChunkError(f"carrier of {e!r}: {violation}")
 
-    past: dict[str, dict[int, int]] = {e: {} for e in chunk.elements}  # values past H
-    beyond = {e: max(v) > horizon for e, v in values.items()}
     for (a, b), c in chunk.table.items():
-        if b == unit or (a == unit and supplied):
-            continue  # e's values are the points, and a supplied e fixes every point
-        va, vb = values[a], values[b]
-        if beyond[b]:
-            # a's values at the b-values past the horizon, each evaluated
-            # once, go after a's values on [0, H], and those b-values index
-            # them instead
-            known, va, vb = past[a], list(va), list(vb)
-            for m in compress(count(), map(gt, vb, repeat(horizon))):
-                if vb[m] not in known:
-                    known[vb[m]] = carriers[a].forward(vb[m])
-                va.append(known[vb[m]])
-                vb[m] = len(va) - 1
-        if list(map(va.__getitem__, vb)) != values[c]:
-            bad = next(compress(count(), map(ne, map(va.__getitem__, vb), values[c])))
+        if b == unit or (a == unit and max(values[b]) <= horizon):
+            continue  # the unit's values are the points of [0, H]
+        bad = _first_difference(_read(values[a], carriers[a].forward, values[b]), values[c])
+        if bad is not None:
             raise GChunkError(f"table says {a} * {b} = {c} but carriers disagree at {bad}")
 
     del values[unit]  # the tables take the unit to the identity at every degree

@@ -77,7 +77,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, compress, permutations, repeat
 from math import comb, factorial
 from operator import eq, ne, or_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .chunk import Chunk, validated
 from .growth import Exhausted, quality_parameter
@@ -411,21 +411,22 @@ def _lex_rank(p: tuple[int, ...]) -> int:
 
 
 def _backtrack(c: Chunk, r: Fraction, n: int,
-               first_candidates: list[tuple[int, ...]] | None = None
+               first_candidates: Sequence[tuple[int, ...]] | None = None
                ) -> tuple[dict[str, Perm] | None, int]:
     """Exhaustive search at one degree.  Returns (witness or None, nodes).
 
     ``c`` must pass ``chunk.validate``, as every public entry checks, since
     the bitset pools rely on it (see ``_product_set``).
     ``first_candidates`` are image tuples for the first non-unit element; the
-    default is the cycle-type representatives.  Each call adds to the node
-    count the length of its full pool when it fails, and the witness image's
-    place in that pool when it succeeds.  Past depth 0 the full pool is S_n
-    in lex order, so that is ``n!`` or the lex rank plus one, whatever part
-    of the pool the call actually tries.  A depth whose ball has radius 0 or
-    1 is forced: its one candidate is the ball centre from ``_ball_centre``,
-    checked against the separation tests and the depth's other products,
-    and the call adds ``n!`` unless that centre completes a witness.
+    default, ``_first_candidates(n)``, is the cycle-type representatives.
+    Each call adds to the node count the length of its full pool when it
+    fails, and the witness image's place in that pool when it succeeds.
+    Past depth 0 the full pool is S_n in lex order, so that is ``n!`` or the
+    lex rank plus one, whatever part of the pool the call actually tries.  A
+    depth whose ball has radius 0 or 1 is forced: its one candidate is the
+    ball centre from ``_ball_centre``, checked against the separation tests
+    and the depth's other products, and the call adds ``n!`` unless that
+    centre completes a witness.
     """
     order, triples_at, balls_at = _search_plan(c)
     ident = tuple(range(n))
@@ -440,9 +441,7 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     # bitset (a ball of radius 0 or 1 is forced and draws no pool)
     ball_bitsets = (n * n * full <= 8 * _BALL_MASK_TABLE_BYTES
                     and full <= _RANKS_PER_BALL_MEMBER * _ball_size(n, radius))
-    first = first_candidates
-    if first is None:
-        first = [cycle_type_representative(t, n).images for t in all_cycle_types(n)]
+    first = _first_candidates(n) if first_candidates is None else first_candidates
     # Every member of a ball passes the ball triple's defect test, so a
     # checked depth tests the other products only.
     checks_at = [[t for t in triples if ball is None or t != ball[1:]]
@@ -517,9 +516,16 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     return witness, nodes
 
 
+@lru_cache(maxsize=None)
+def _first_candidates(n: int) -> tuple[tuple[int, ...], ...]:
+    """The first non-unit element's candidates at degree n: the images of
+    the cycle-type representatives, in the order of ``all_cycle_types``."""
+    return tuple(cycle_type_representative(t, n).images for t in all_cycle_types(n))
+
+
 def _search_degree(c: Chunk, r: Fraction, n: int, workers: int) -> tuple[dict[str, Perm] | None, int]:
     order = [e for e in c.elements if e != c.unit]
-    cands = [cycle_type_representative(t, n).images for t in all_cycle_types(n)]
+    cands = _first_candidates(n)
     if workers <= 1 or not order or len(cands) <= 1:
         return _backtrack(c, r, n, cands)
     # Imported here: with the logging module it pulls in, it would add about

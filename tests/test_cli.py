@@ -270,6 +270,22 @@ class TestSuppCommand:
         assert (code, out) == (1, "")
         assert err == "error: chunk fails validation: h * 1 = undef (expected h)\n"
 
+    @pytest.mark.parametrize("extra, message", [
+        ("chunk z3.chunk", "line 6: chunk already given on line 2"),
+        ("carrier h = gadget:threecycle2", "line 6: carrier of 'h' already given on line 3"),
+        ("bound = affine:1", "line 6: bound already given on line 5"),
+        ("boundary = affine:31", "line 6: cannot parse statement 'boundary = affine:31'"),
+    ], ids=["chunk", "carrier", "bound", "boundary"])
+    def test_repeated_statement_rejected_in_one_line(self, capsys, tmp_path, extra, message):
+        with open(data_path("three.gchunk"), encoding="utf-8") as fh:
+            text = fh.read()
+        spec = tmp_path / "repeated.gchunk"
+        spec.write_text(text.replace("chunk z3.chunk", f"chunk {data_path('z3.chunk')}")
+                        + extra + "\n")
+        code, out, err = run(capsys, "supp", "--gchunk", str(spec), "--n", "9", "--r", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("n, horizon, code", [(22, 20, 1), (99, 98, 1), (99, 99, 0)])
     def test_degree_past_the_horizon_rejected_in_one_line(self, capsys, n, horizon, code):
         got, out, err = run(capsys, "supp", "--gchunk", data_path("three.gchunk"),
@@ -481,6 +497,13 @@ class TestGadgetCommands:
         assert "fired = 4" in out
         assert "prefix_end = 12" in out
         assert "involution_on_prefix = true" in out
+
+    @pytest.mark.parametrize("trace, bad", [("1,x,2", "x"), ("1,,0", ""), ("", ""),
+                                            ("1,true", "true")])
+    def test_stages_refuses_a_flag_other_than_0_or_1(self, capsys, trace, bad):
+        code, out, err = run(capsys, "gadget", "stages", "--trace", trace, "--horizon", "30")
+        assert (code, out) == (1, "")
+        assert err == f"error: --trace flags must be 0 or 1, got {bad!r}\n"
 
 
 class TestCertificatePersistence:

@@ -162,6 +162,12 @@ class TestAudit:
             carrier, calls = counting(finitary(images))
             run(carrier)
             assert calls == {"forward": horizon + 1, "backward": horizon + 1}
+        # an evaluator carrier whose values pass the horizon: each map runs
+        # once more at each distinct value of the other past it, here the
+        # forward map's 31 -> 32 and the backward map's 30 -> 32
+        carrier, calls = counting(three_cycle())
+        assert isinstance(audit(carrier, Affine(2), 31), BoundWitness)
+        assert calls == {"forward": 33, "backward": 33}
 
 
 def counting(p: LazyPerm) -> tuple[LazyPerm, dict[str, int]]:
