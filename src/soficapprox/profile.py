@@ -58,6 +58,23 @@ candidates are tried but not which one completes a witness, nor this count,
 which each call adds in closed form: ``n!`` or the witness image's lex rank
 plus one.
 
+The same conjugation invariance lets the second element skip subtrees
+without changing this count.  Conjugating by a permutation s that commutes
+with the first image f1 fixes the unit's and f1's images and preserves every
+distance and product, so it maps the second depth's pool onto itself, and
+the subtree below a candidate g onto the subtree below s g s^-1, call for
+call.  Every call of a failed subtree adds ``n!``, so the subtrees of g's
+orbit under the centralizer C(f1) all fail in the same count.  When a
+candidate's subtree fails, each orbit-mate is therefore entered in a memo
+with that count, and on reaching it the search adds the count instead of
+placing it.  The lex-first witness lies below the lex-first member of the
+first orbit that does not fail, which is searched as before, so witnesses
+and node counts are unchanged.  This applies at the second depth when it
+draws a pool (a forced ball centre has no mates) and is not the last; the
+deeper depths would need the generators of C(f1) ∩ C(f2) and beyond.
+C(f1) is the product over cycle lengths k of C_k wreath S_{m_k}, with m_k
+cycles of length k, and ``_centralizer_gens`` lists generators for it.
+
 Every caller that needs several r (``sofic realize``, ``profile --all-r``
 and both scripts) shares one sweep, ``profile_table``.  An assignment that
 meets the 1/r' thresholds meets the 1/r ones for every r < r', so the sweep
@@ -185,16 +202,20 @@ def measure(c: Chunk, f: Mapping[str, Perm]) -> MorphismQuality:
 
 
 def _search_plan(c: Chunk) -> tuple[tuple[str, ...], list[list[tuple[int, int, int]]],
-                                    list[tuple[int, int, int, int] | None]]:
+                                    list[tuple[int, int, int, int] | None],
+                                    list[list[tuple[int, int, int]]]]:
     """Assignment order and, per depth, what that depth makes checkable.
 
     Elements are numbered 0 for the unit and ``i + 1`` for ``order[i]``; the
     element at depth ``i`` is number ``i + 1``.  Per depth the plan lists the
     product triples ``(a, b, ab)`` that become fully checkable there, other
-    than the unit products (e, b, b) and (a, e, a), and the ball triple: the
+    than the unit products (e, b, b) and (a, e, a); the ball triple: the
     first of them in which the new element occurs exactly once, as
     ``(role, a, b, ab)`` where ``role`` is the new element's place (0 left
-    factor, 1 right factor, 2 product), or None if there is none.
+    factor, 1 right factor, 2 product), or None if there is none; and the
+    triples a candidate not taken from a bitset is checked on: all but the
+    ball triple, which every member of the ball passes.  The plan depends
+    on the chunk alone, so a search builds it once for all its degrees.
     """
     order = tuple(e for e in c.elements if e != c.unit)
     number = {e: i + 1 for i, e in enumerate(order)}
@@ -207,7 +228,9 @@ def _search_plan(c: Chunk) -> tuple[tuple[str, ...], list[list[tuple[int, int, i
         triples_at[max(triple) - 1].append(triple)
     balls_at = [next(((t.index(new), *t) for t in triples if t.count(new) == 1), None)
                 for new, triples in enumerate(triples_at, start=1)]
-    return order, triples_at, balls_at
+    checks_at = [[t for t in triples if ball is None or t != ball[1:]]
+                 for triples, ball in zip(triples_at, balls_at)]
+    return order, triples_at, balls_at, checks_at
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -219,6 +242,54 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     for x, v in enumerate(p):
         out[v] = x
     return tuple(out)
+
+
+@lru_cache(maxsize=None)  # called with the first candidates only
+def _centralizer_gens(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Generators of the centralizer of ``p`` in S_n: each cycle of length
+    at least 2 as a permutation, and for each two consecutive cycles of one
+    length, the involution swapping them point for point in cycle order."""
+    n = len(p)
+    seen = [False] * n
+    cycles = []
+    for x in range(n):
+        cycle = []
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = p[x]
+        if cycle:
+            cycles.append(cycle)
+    cycles.sort(key=len)
+    gens = []
+    for cycle in cycles:
+        if len(cycle) > 1:
+            g = list(range(n))
+            for x in cycle:
+                g[x] = p[x]
+            gens.append(tuple(g))
+    for u, v in zip(cycles, cycles[1:]):
+        if len(u) == len(v):
+            g = list(range(n))
+            for x, y in zip(u, v):
+                g[x], g[y] = y, x
+            gens.append(tuple(g))
+    return tuple(gens)
+
+
+def _conjugates(g: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The orbit of ``g`` under conjugation by the group ``gens`` generate."""
+    pairs = [(s, _inverse(s)) for s in gens]
+    orbit = {g}
+    todo = [g]
+    while todo:
+        h = todo.pop()
+        for s, s_inv in pairs:
+            k = tuple(map(s.__getitem__, map(h.__getitem__, s_inv)))  # s h s^-1
+            if k not in orbit:
+                orbit.add(k)
+                todo.append(k)
+    return orbit
 
 
 def _ball_centre(role: int, fa: tuple[int, ...], fb: tuple[int, ...],
@@ -411,8 +482,8 @@ def _lex_rank(p: tuple[int, ...]) -> int:
 
 
 def _backtrack(c: Chunk, r: Fraction, n: int,
-               first_candidates: Sequence[tuple[int, ...]] | None = None
-               ) -> tuple[dict[str, Perm] | None, int]:
+               first_candidates: Sequence[tuple[int, ...]] | None = None,
+               plan: tuple | None = None) -> tuple[dict[str, Perm] | None, int]:
     """Exhaustive search at one degree.  Returns (witness or None, nodes).
 
     ``c`` must pass ``chunk.validate``, as every public entry checks, since
@@ -426,9 +497,12 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     depth whose ball has radius 0 or 1 is forced: its one candidate is the
     ball centre from ``_ball_centre``, checked against the separation tests
     and the depth's other products, and the call adds ``n!`` unless that
-    centre completes a witness.
+    centre completes a witness.  The second depth skips the conjugates of
+    each candidate whose subtree failed, adding that subtree's count for
+    each, as the module docstring explains.  ``plan`` is
+    ``_search_plan(c)``, built here when not given.
     """
-    order, triples_at, balls_at = _search_plan(c)
+    order, triples_at, balls_at, checks_at = _search_plan(c) if plan is None else plan
     ident = tuple(range(n))
     if not order:
         # Single-element chunk: the unit assignment is the whole witness.
@@ -442,10 +516,6 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     ball_bitsets = (n * n * full <= 8 * _BALL_MASK_TABLE_BYTES
                     and full <= _RANKS_PER_BALL_MEMBER * _ball_size(n, radius))
     first = _first_candidates(n) if first_candidates is None else first_candidates
-    # Every member of a ball passes the ball triple's defect test, so a
-    # checked depth tests the other products only.
-    checks_at = [[t for t in triples if ball is None or t != ball[1:]]
-                 for triples, ball in zip(triples_at, balls_at)]
     f: list[tuple[int, ...]] = [ident] * (len(order) + 1)
     # allowed[k]: the ranks that pass the separation tests against f[:k], or
     # None until a bitset pool needs it after f[k - 1] is placed.  Placing
@@ -484,15 +554,25 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     def extend(new: int) -> bool:
         nonlocal nodes
         ball = balls_at[new - 1]
-        if ball is not None and radius <= 1:
+        forced = ball is not None and radius <= 1
+        if forced:
             # forced: the ball is its centre alone
             role, a, b, ab = ball
             drawn, checked = (_ball_centre(role, f[a], f[b], f[ab]),), True
         else:
             drawn, checked = pool(new)
+        # skipped[g]: the count of a failed subtree whose root is conjugate
+        # to g under C(f[1]), for each g still ahead in the pool
+        skipped: dict[tuple[int, ...], int] | None = \
+            {} if new == 2 and not forced and new < len(order) else None
         checks = checks_at[new - 1]
         earlier = f[:new]
         for cand in drawn:
+            if skipped:
+                count = skipped.pop(cand, 0)
+                if count:
+                    nodes += count
+                    continue
             f[new] = cand
             # Products first: at the forced depth of {0,1,6,8,9} in Z12 at
             # r = 4, degree 7, each of the 1.2 M centres fails a product test
@@ -503,9 +583,14 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
                     and all(sum(map(eq, g, cand)) <= radius for g in earlier)):
                 continue
             allowed[new + 1] = None
+            before = nodes
             if new == len(order) or extend(new + 1):
                 nodes += (first.index(cand) if new == 1 else _lex_rank(cand)) + 1
                 return True
+            if skipped is not None:
+                mates = _conjugates(cand, _centralizer_gens(f[1]))
+                mates.discard(cand)
+                skipped.update(dict.fromkeys(mates, nodes - before))
         nodes += len(first) if new == 1 else full
         return False
 
@@ -523,11 +608,12 @@ def _first_candidates(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cycle_type_representative(t, n).images for t in all_cycle_types(n))
 
 
-def _search_degree(c: Chunk, r: Fraction, n: int, workers: int) -> tuple[dict[str, Perm] | None, int]:
-    order = [e for e in c.elements if e != c.unit]
+def _search_degree(c: Chunk, r: Fraction, n: int, workers: int,
+                   plan: tuple | None = None) -> tuple[dict[str, Perm] | None, int]:
+    plan = _search_plan(c) if plan is None else plan
     cands = _first_candidates(n)
-    if workers <= 1 or not order or len(cands) <= 1:
-        return _backtrack(c, r, n, cands)
+    if workers <= 1 or not plan[0] or len(cands) <= 1:
+        return _backtrack(c, r, n, cands, plan)
     # Imported here: with the logging module it pulls in, it would add about
     # 4 ms to the start of every process, though most search at one worker.
     from concurrent.futures import ProcessPoolExecutor
@@ -539,7 +625,7 @@ def _search_degree(c: Chunk, r: Fraction, n: int, workers: int) -> tuple[dict[st
     nodes = 0
     with ProcessPoolExecutor(max_workers=min(workers, len(cands))) as pool:
         for witness, sub_nodes in pool.map(_backtrack, repeat(c), repeat(r), repeat(n),
-                                           ([cand] for cand in cands)):
+                                           ([cand] for cand in cands), repeat(plan)):
             nodes += sub_nodes
             if witness is not None:
                 return witness, nodes
@@ -557,17 +643,17 @@ def _checked(c: Chunk, rs: Iterable, n_max: int) -> list[Fraction]:
 
 
 def _least_degree(c: Chunk, r: Fraction, n_from: int, n_max: int, workers: int,
-                  memo: dict[tuple[int, int], tuple[dict[str, Perm] | None, int]]
-                  ) -> ProfileCertificate | Exhausted:
+                  memo: dict[tuple[int, int], tuple[dict[str, Perm] | None, int]],
+                  plan: tuple) -> ProfileCertificate | Exhausted:
     """Least feasible degree from ``n_from`` to ``n_max``, with a record of
     each degree searched below it.  Degree outcomes are read from and added
     to ``memo`` under (n, radius), all that ``_backtrack`` reads of r: its
-    separation threshold is n - radius."""
+    separation threshold is n - radius.  ``plan`` is ``_search_plan(c)``."""
     records: list[DegreeRecord] = []
     for n in range(n_from, n_max + 1):
         key = (n, threshold_radius(n, r))
         if key not in memo:
-            memo[key] = _search_degree(c, r, n, workers)
+            memo[key] = _search_degree(c, r, n, workers, plan)
         witness, nodes = memo[key]
         if witness is not None:
             return ProfileCertificate(r, n, witness, measure(c, witness), tuple(records))
@@ -583,7 +669,7 @@ def sofic_profile(c: Chunk, r, n_max: int, *, workers: int = 1) -> ProfileCertif
     both thresholds degenerate.
     """
     (r,) = _checked(c, [r], n_max)
-    return _least_degree(c, r, 1, n_max, workers, {})
+    return _least_degree(c, r, 1, n_max, workers, {}, _search_plan(c))
 
 
 def replay_records(c: Chunk, r, records, *, workers: int = 1) -> None:
@@ -592,8 +678,9 @@ def replay_records(c: Chunk, r, records, *, workers: int = 1) -> None:
     or the chunk does not pass ``chunk.validate``, checked before any search."""
     validated(c)
     r = quality_parameter(r)
+    plan = _search_plan(c)
     for rec in records:
-        witness, nodes = _search_degree(c, r, rec.degree, workers)
+        witness, nodes = _search_degree(c, r, rec.degree, workers, plan)
         if witness is not None:
             raise ValueError(f"degree {rec.degree} is feasible, but is recorded as infeasible")
         if nodes != rec.nodes:
@@ -609,11 +696,12 @@ def profile_table(c: Chunk, rs, n_max: int, *,
     outcomes.  Once one r is exhausted at ``n_max``, every larger r is too.
     """
     rs = _checked(c, rs, n_max)
+    plan = _search_plan(c)
     memo: dict = {}
     least: dict[Fraction, ProfileCertificate | Exhausted] = {}
     n_from = 1
     for r in sorted(set(rs)):
-        found = _least_degree(c, r, n_from, n_max, workers, memo)
+        found = _least_degree(c, r, n_from, n_max, workers, memo, plan)
         if isinstance(found, Exhausted):
             least[r] = Exhausted(n_max)
             n_from = n_max + 1

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from soficapprox import profile
 from soficapprox.chunk import parse_chunk_file
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -39,3 +40,13 @@ def z4trace():
 @pytest.fixture
 def klein():
     return parse_chunk_file(data_path("klein.chunk"))
+
+
+@pytest.fixture
+def orbit_sizes(monkeypatch):
+    """The size of every orbit the search walks, in call order."""
+    sizes = []
+    conjugates = profile._conjugates
+    monkeypatch.setattr(profile, "_conjugates",
+                        lambda g, gens: sizes.append(len(orbit := conjugates(g, gens))) or orbit)
+    return sizes

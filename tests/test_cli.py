@@ -622,6 +622,23 @@ class TestCertificateParseErrors:
         assert "chunk fails validation: h * 1 = undef" in err
 
 
+def replays_and_reemits(capsys, tmp_path, name, r):
+    """The checked-in certificate ``name`` replays, and profiling its chunk
+    at ``r`` emits it again byte for byte."""
+    path = data_path(name)
+    code, out, _ = run(capsys, "cert", "verify", "--replay", path)
+    assert code == 0
+    assert out.endswith("replay ok: every recorded degree exhausts in its recorded node count\n")
+    _, c = load_certificate(path)
+    chunk = tmp_path / "replayed.chunk"
+    chunk.write_text(format_chunk(c))
+    again = tmp_path / name
+    assert main(["profile", "--chunk", str(chunk), "--r", r, "--emit-cert", str(again)]) == 0
+    capsys.readouterr()
+    with open(path, "rb") as fh:
+        assert again.read_bytes() == fh.read()
+
+
 class TestCertificateReplay:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_replay_accepts_genuine_records(self, capsys, cert_path, workers):
@@ -635,18 +652,17 @@ class TestCertificateReplay:
         # Emitted by the search that drew every ball of radius 0 or 1 as a
         # one-member pool: at r = 7 every ball depth of degrees 1..7 has
         # radius at most 1, so this pins its forced depths to those records.
-        path = data_path("z7.cert")
-        code, out, _ = run(capsys, "cert", "verify", "--replay", path)
-        assert code == 0
-        assert out.endswith("replay ok: every recorded degree exhausts in its recorded node count\n")
-        _, c = load_certificate(path)
-        chunk = tmp_path / "z7.chunk"
-        chunk.write_text(format_chunk(c))
-        again = tmp_path / "z7.cert"
-        assert main(["profile", "--chunk", str(chunk), "--r", "7", "--emit-cert", str(again)]) == 0
-        capsys.readouterr()
-        with open(path, "rb") as fh:
-            assert again.read_bytes() == fh.read()
+        replays_and_reemits(capsys, tmp_path, "z7.cert", "7")
+
+    def test_z16_trace_certificate_replays_through_orbit_counts(self, capsys, tmp_path,
+                                                                orbit_sizes):
+        # {0,2,4,7,9,14} in Z16 at r = 3, declared as 2, 7, 4, 9, 14 so that
+        # the second element has no ball triple and draws a bitset pool at
+        # every degree: emitted by the search that explored every subtree of
+        # the second depth, its records must replay when failed subtrees
+        # count for their conjugates.
+        replays_and_reemits(capsys, tmp_path, "z16trace.cert", "3")
+        assert max(orbit_sizes) > 1
 
     def test_plain_verify_does_not_check_node_counts(self, capsys, cert_path):
         cert_path.write_text(cert_path.read_text().replace("infeasible 1 nodes 1",

@@ -13,8 +13,8 @@ import pytest
 from soficapprox import profile
 from soficapprox.chunk import Chunk, induced_chunk, validate
 from soficapprox.cli import main
-from soficapprox.permcore import (Perm, compose, hamming_distance, identity, inverse,
-                                  transposition)
+from soficapprox.permcore import (Perm, all_cycle_types, compose, cycle_type_representative,
+                                  hamming_distance, identity, inverse, transposition)
 from soficapprox.profile import (
     DegreeRecord,
     Exhausted,
@@ -316,7 +316,8 @@ def searched(monkeypatch):
     calls = []
     search = profile._search_degree
     monkeypatch.setattr(profile, "_search_degree",
-                        lambda c, r, n, workers: calls.append((r, n)) or search(c, r, n, workers))
+                        lambda c, r, n, workers, plan: calls.append((r, n))
+                        or search(c, r, n, workers, plan))
     return calls
 
 
@@ -661,6 +662,113 @@ class TestForcedDepths:
             (1, 4, 9, 1493, 262207, 10540091), start=1))
 
 
+def closure(gens, n):
+    """The group that ``gens`` generate in S_n, as image tuples."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[x] for x in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return group
+
+
+# The symmetries of a square as permutations of its corners, the rotations first.
+DIHEDRAL4 = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2),
+             (0, 3, 2, 1), (2, 1, 0, 3), (1, 0, 3, 2), (3, 2, 1, 0)]
+
+
+def dihedral4_chunk(indices):
+    names = {p: f"d{i}" for i, p in enumerate(DIHEDRAL4)}
+    back = {v: k for k, v in names.items()}
+    return induced_chunk([f"d{i}" for i in indices], "d0",
+                         lambda a, b: names[tuple(back[a][x] for x in back[b])])
+
+
+def partial_traces(rng, count):
+    """Random partial traces with three non-unit elements, of Z_m and of D4
+    in turn; each non-unit product is kept with probability 0.7."""
+    chunks = []
+    while len(chunks) < count:
+        if len(chunks) % 2:
+            c = dihedral4_chunk([0] + rng.sample(range(1, 8), 3))
+        else:
+            m = rng.randint(5, 16)
+            c = cyclic_chunk(m, [0] + rng.sample(range(1, m), 3))
+        keep = {k: v for k, v in c.table.items() if c.is_unit_product(*k, v) or rng.random() < 0.7}
+        c = Chunk(c.elements, c.unit, keep)
+        if validate(c).ok:
+            chunks.append(c)
+    return chunks
+
+
+class TestOrbitCounts:
+    """The second depth adds a failed subtree's count for each of its root's
+    conjugates under the centralizer of the first image, without searching
+    them: same witness and nodes as the full-pool search."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_centralizer_gens_generate_the_centralizer(self, n):
+        everything = list(itertools.permutations(range(n)))
+        for t in all_cycle_types(n):
+            c = cycle_type_representative(t, n).images
+            gens = profile._centralizer_gens(c)
+            assert all(tuple(s[x] for x in c) == tuple(c[x] for x in s) for s in gens), c
+            group = closure(gens, n)
+            order = 1
+            for k in set(t.parts):
+                m_k = t.parts.count(k)
+                order *= k ** m_k * factorial(m_k)
+            assert len(group) == order, c
+            if n <= 5:
+                assert group == {s for s in everything
+                                 if tuple(s[x] for x in c) == tuple(c[x] for x in s)}, c
+
+    def test_conjugates_are_the_orbit(self):
+        rng = random.Random(5)
+        everything = list(itertools.permutations(range(5)))
+        for t in all_cycle_types(5):
+            c = cycle_type_representative(t, 5).images
+            group = closure(profile._centralizer_gens(c), 5)
+            for g in rng.sample(everything, 6):
+                orbit = {tuple(s[g[x]] for x in profile._inverse(s)) for s in group}
+                assert profile._conjugates(g, profile._centralizer_gens(c)) == orbit, (c, g)
+
+    def test_random_partial_traces_match_reference(self, monkeypatch, orbit_sizes):
+        # 30 traces, at r = 3 and 4 and every degree up to 6: about 650,000
+        # reference nodes; the first two also on two workers at r = 3
+        kinds = dict.fromkeys(["forced", "free", "ball", "checked ball"], 0)
+        orbits = dict.fromkeys(kinds, 0)
+        chunks = partial_traces(random.Random(24), 30)
+        for c in chunks:
+            ball = _search_plan(c)[2][1]
+            for r in map(Fraction, (3, 4)):
+                for n in range(1, 7):
+                    want = reference_backtrack(c, r, n)
+                    radius = threshold_radius(n, r)
+                    kind = "free" if ball is None else "forced" if radius <= 1 else "ball"
+                    orbit_sizes.clear()
+                    assert _backtrack(c, r, n) == want, (c, r, n)
+                    if c in chunks[:2] and r == 3:
+                        assert _search_degree(c, r, n, 2) == want, (c, n)
+                    kinds[kind] += 1
+                    orbits[kind] += any(size > 1 for size in orbit_sizes)
+                    if kind == "ball":
+                        # with no ranks allowed per ball member, the ball
+                        # is listed and checked instead of cut out of a bitset
+                        with monkeypatch.context() as m:
+                            m.setattr(profile, "_RANKS_PER_BALL_MEMBER", 0)
+                            orbit_sizes.clear()
+                            assert _backtrack(c, r, n) == want, (c, r, n)
+                        kinds["checked ball"] += 1
+                        orbits["checked ball"] += any(size > 1 for size in orbit_sizes)
+        assert all(kinds.values()) and orbits["forced"] == 0
+        assert orbits["free"] and orbits["ball"] and orbits["checked ball"], orbits
+
+
 def passes_checks(f, new, triples, radius, min_sep, cand):
     """``_backtrack``'s checks on ``cand`` as the image of element ``new``."""
     g = f[:new] + [cand]
@@ -813,7 +921,8 @@ class TestBitsetPool:
             assert not any((a == 0 and b == ab) or (b == 0 and a == ab) for a, b, ab in triples)
         assert sum(map(len, _search_plan(klein)[1])) == 9  # 16 products less 7 unit products
         loose = Chunk(("1", "a", "b"), "1", {("1", "a"): "b", ("a", "1"): "a", ("a", "a"): "a"})
-        assert _search_plan(loose)[1:] == ([[(1, 1, 1)], [(0, 1, 2)]], [None, (2, 0, 1, 2)])
+        assert _search_plan(loose)[1:] == ([[(1, 1, 1)], [(0, 1, 2)]], [None, (2, 0, 1, 2)],
+                                           [[(1, 1, 1)], []])
 
 
 # Rows of the ROADMAP baseline table at r = 3, whose ball depths draw decided
