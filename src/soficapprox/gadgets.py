@@ -9,7 +9,6 @@ the gadgets come from are only ever checked on explicit horizons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .chunk import Chunk
@@ -146,13 +145,14 @@ def delta() -> LazyPerm:
 
 
 def _delta_power(point: int, i: int) -> int:
-    step = _delta_forward if i >= 0 else _delta_backward
-    for _ in range(abs(i)):
-        point = step(point)
-    return point
+    """delta^i(point), in closed form: delta moves each point one place along
+    ..., 5, 3, 1, 0, 2, 4, ..., where 2t sits at place t and 2t + 1 at place
+    -t - 1, so delta^i(point) is the point at its place plus i."""
+    place = point // 2 if point % 2 == 0 else -(point // 2) - 1
+    place += i
+    return 2 * place if place >= 0 else -2 * place - 1
 
 
-@lru_cache(maxsize=None)
 def _gamma_points(j: int) -> tuple[int, int, int, int]:
     """Support points of the marker transpositions through j.
 

@@ -454,6 +454,10 @@ HUGE_SIZES = {
     "example-1e8": ("gadget", "example", "--n", "100000000"),
     "example-1e11": ("gadget", "example", "--n", "100000000000"),
     "stages": ("gadget", "stages", "--trace", "1,0,1", "--horizon", "99999999999"),
+    "encode-n": ("gadget", "encode", "--rho", "(0 1)", "--k", "1", "--n", "99999999999",
+                 "--horizon", "5"),
+    "encode-k": ("gadget", "encode", "--rho", "(0 1)", "--k", "99999999999", "--n", "1",
+                 "--horizon", "5"),
 }
 
 
@@ -470,6 +474,9 @@ def test_huge_sizes_fail_in_one_line(argv, tmp_path):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     if argv[0] == "supp":
         assert "exceeds the largest audited prefix, 1000000" in done.stderr
+    elif argv[1] == "encode":
+        # the markers through a point are found in closed form, not stepped to
+        assert done.stderr == "error: horizon 5 too small, need points up to 100000000003\n"
     else:
         # the size is the last argument; refused before anything is allocated
         assert done.stderr.endswith(f" {argv[-1]} exceeds the largest gadget size, 1000000\n")

@@ -6,6 +6,7 @@ import pytest
 from soficapprox.gadgets import (
     MAX_SIZE,
     StageTrace,
+    _delta_power,
     _gamma_points,
     cube_of_transpositions_is_identity,
     delta,
@@ -102,6 +103,17 @@ class TestGammaPairs:
             pts = _gamma_points(j)
             assert len(set(pts)) == 4
             assert pts[0] == j
+
+    def test_delta_power_matches_stepping(self):
+        d = delta()
+        for x in range(201):
+            forward = backward = x
+            for i in range(201):
+                assert _delta_power(x, i) == forward and _delta_power(x, -i) == backward, (x, i)
+                forward, backward = d(forward), d.backward(backward)
+
+    def test_common_point_is_the_index(self):
+        assert all(_gamma_points(j)[0] == j for j in range(10**4 + 1))
 
 
 class TestTranspositionCriterion:

@@ -925,6 +925,96 @@ class TestBitsetPool:
                                            [[(1, 1, 1)], []])
 
 
+def at_least_by_popcount(k, sets, width):
+    """Bits below ``width`` set in at least ``k`` of ``sets``, one bit at a time."""
+    columns = zip(*(format(s, f"0{width}b").encode() for s in sets))
+    return int("".join("1" if col.count(ord("1")) >= k else "0" for col in columns), 2)
+
+
+class TestAtLeast:
+    """``_at_least`` skips the counters that can no longer reach k; it must
+    still mark exactly the bits set in at least k of the sets."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_popcount(self, n):
+        width = factorial(n)
+        masks = _rank_masks(n)
+        rng = random.Random(400 + n)
+        for k in range(1, n + 2):
+            random_sets = [rng.getrandbits(width) for _ in range(n)]
+            mask_rows = [masks[x][rng.randrange(n)] for x in range(n)]
+            image_rows = [masks[x][v] for x, v in enumerate(rng.sample(range(n), n))]
+            for sets in (random_sets, mask_rows, image_rows):
+                got = profile._at_least(k, sets)
+                assert got == at_least_by_popcount(k, sets, width), (n, k, sets)
+                assert k <= n or got == 0  # a k above the number of sets marks nothing
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    def test_matches_popcount_at_degree_9(self, k):
+        masks = _rank_masks(9)
+        rng = random.Random(409 + k)
+        sets = [masks[x][v] for x, v in enumerate(rng.sample(range(9), 9))]
+        assert profile._at_least(k, sets) == at_least_by_popcount(k, sets, factorial(9))
+
+    def test_schedule_drops_counters_that_cannot_reach_k(self):
+        # n = 9, r = 3: a product test needs 6 of 9 agreements
+        schedule = profile._counter_schedule(9, 6)
+        assert sum(2 * len(steps) + first for steps, first in schedule) == 44  # 69 unpruned
+        assert schedule[-1] == ((5,), False)  # only the counter of k - 1 is read
+
+
+def lifetime_traces(rng, count):
+    """Partial traces of Z_m and D4 with a triple whose deepest member other
+    than its new element is placed at least two depths above it, and a
+    product at every depth past the first, which keeps the reference quick."""
+    chunks = []
+    while len(chunks) < count:
+        c = partial_traces(rng, 2)[len(chunks) % 2]  # of Z_m and of D4 in turn
+        triples_at = _search_plan(c)[1]
+        if all(triples_at[1:]) and any(
+                1 <= max((x for x in t if x != new), default=0) <= new - 2
+                for new, triples in enumerate(triples_at, start=1) for t in triples):
+            chunks.append(c)
+    return chunks
+
+
+class TestProductSetLifetime:
+    """A product set is kept until its triple's deepest member other than
+    the new element is placed again: same witness and nodes as the full-pool
+    search, and no set built twice from the same images."""
+
+    def test_random_partial_traces_match_reference(self, monkeypatch):
+        built = []
+        product_set = profile._product_set
+
+        def spy(masks, f, new, t, radius):
+            owner = max(x for x in t if x != new)
+            built.append((new, t, tuple(f[:owner + 1])))
+            return product_set(masks, f, new, t, radius)
+
+        bitset_pool = profile._bitset_pool
+        monkeypatch.setattr(profile, "_product_set", spy)
+        chunks = lifetime_traces(random.Random(25), 8)
+        kept_builds = fresh_builds = 0
+        for c in chunks:
+            for r in map(Fraction, (3, 4)):
+                for n in range(1, 7):
+                    want = reference_backtrack(c, r, n)
+                    built.clear()
+                    assert _backtrack(c, r, n) == want, (c, r, n)
+                    assert len(set(built)) == len(built), (c, r, n)
+                    kept_builds += len(built)
+                    with monkeypatch.context() as m:
+                        # every set built afresh, as before the sets were kept
+                        m.setattr(profile, "_bitset_pool", lambda *args: bitset_pool(*args[:5]))
+                        built.clear()
+                        assert _backtrack(c, r, n) == want, (c, r, n)
+                        fresh_builds += len(built)
+                    if c in chunks[:3]:
+                        assert _search_degree(c, r, n, 2) == want, (c, r, n)
+        assert 0 < kept_builds < fresh_builds, (kept_builds, fresh_builds)
+
+
 # Rows of the ROADMAP baseline table at r = 3, whose ball depths draw decided
 # bitset pools from degree 6 on: the least degree, the lex ranks of the
 # witness images in element order, and the nodes of every degree below it.
