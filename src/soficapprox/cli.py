@@ -424,7 +424,13 @@ def _cmd_profile(args) -> int:
     if args.all_r:
         if args.emit_witness or args.emit_cert:
             raise ValueError("--emit-witness/--emit-cert need a single --r")
-        rs = [parse_rational(tok) for tok in args.all_r.split(",")]
+        rs = []
+        for tok in args.all_r.split(","):
+            try:
+                rs.append(parse_rational(tok))
+            except ValueError:
+                raise ValueError(f"--all-r takes P/Q values separated by commas, "
+                                 f"got {tok!r}") from None
         results = profile_table(c, rs, n_max, workers=args.workers)
         code = EXIT_OK
         for r, res in zip(rs, results):
@@ -436,6 +442,10 @@ def _cmd_profile(args) -> int:
         return code
     if args.r is None:
         raise ValueError("need --r or --all-r")
+    for flag, path in (("--emit-witness", args.emit_witness), ("--emit-cert", args.emit_cert)):
+        folder = os.path.dirname(path or "")
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"{flag} directory {folder!r} does not exist")
     result = sofic_profile(c, args.r, n_max, workers=args.workers)
     if isinstance(result, Exhausted):
         print(f"exhausted at n_max = {result.n_max}")

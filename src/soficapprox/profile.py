@@ -40,17 +40,22 @@ Each depth draws its candidates, in lex order, from one of three pools:
   every earlier image and the defect test of every product the depth makes
   checkable, so they are taken unchecked.  A product in which the new
   element occurs once is a ball, counted as agreements with its centre; the
-  only other shape a validated chunk has is a square a * a = c.  Each placed
-  image's separation set is built once, when a deeper pool first needs it,
-  and each product set once per placement of its triple's deepest member
-  other than the new element: that member owns a slot holding the set,
-  emptied when it is placed again, so every pool drawn below it in the
-  meantime reuses the set.  ``_at_least`` counts with k counters, where
-  counter j marks the bits set in more than j of the sets so far, and
-  updates counter j at the i-th of m sets only while j + 1 plus the
-  m - 1 - i sets still to come can reach k; that schedule is cached per
-  (m, k), and at n = 9, r = 3 it does 44 instead of 69 big-integer
-  operations per product test.
+  only other shape a validated chunk has is a square a * a = c.  Every such
+  set is an agreement set, the ranks that agree with one permutation in at
+  least k points (or whose square does), so it depends on (permutation, k,
+  square) alone: the separation set of an image g is the complement of g's
+  set at k = radius + 1, a ball's set is its centre's at k = n - radius,
+  and a square's is f(ab)'s as a square.  Each degree builds them through
+  one least-recently-used cache, held to what ``_MASK_TABLE_BYTES`` leaves
+  beside the masks (1,398 sets of 45 KB at n = 9), so a set is built again
+  only after the cache dropped it; the separation sets against each prefix
+  of placed images are and-ed once into a chain that every deeper pool
+  shares until one of those images moves.  ``_at_least`` counts with k
+  counters, where counter j marks the bits set in more than j of the sets
+  so far, and updates counter j at the i-th of m sets only while j + 1
+  plus the m - 1 - i sets still to come can reach k; that schedule is
+  cached per (m, k), and at n = 9, r = 3 it does 44 instead of 69
+  big-integer operations per product test.
   Above the degree where these integers outgrow ``_MASK_TABLE_BYTES``
   (n >= 11), a depth without a ball steps through all of S_n, one checked
   candidate at a time.
@@ -347,8 +352,9 @@ def _hamming_ball(centre: tuple[int, ...], radius: int) -> list[tuple[int, ...]]
     return members
 
 
-# The S_n bitsets of one degree take n * n * n! / 8 bytes.  Free depths at
-# degrees whose bitsets would exceed this enumerate S_n one candidate at a time.
+# The S_n bitsets of one degree take n * n * n! / 8 bytes, and its cached
+# agreement sets, n! / 8 bytes each, fill what they leave of this.  Free depths
+# at degrees whose bitsets would exceed it enumerate S_n one candidate at a time.
 _MASK_TABLE_BYTES = 64 << 20
 
 
@@ -434,56 +440,53 @@ def _square_agreements(masks: tuple[tuple[int, ...], ...], c: tuple[int, ...]) -
     return [reduce(or_, (masks[x][y] & masks[y][cx] for y in range(n))) for x, cx in enumerate(c)]
 
 
-def _separation_set(masks: tuple[tuple[int, ...], ...], g: tuple[int, ...], radius: int) -> int:
-    """Ranks whose permutation agrees with ``g`` in at most ``radius`` < n
-    points, that is, passes the separation test against it."""
-    return ~_at_least(radius + 1, [masks[x][v] for x, v in enumerate(g)])
+def _agreement_set(p: tuple[int, ...], k: int, square: bool) -> int:
+    """Ranks of S_n whose permutation agrees with ``p`` in at least ``k``
+    >= 1 points, or, when ``square``, whose square does."""
+    masks = _rank_masks(len(p))
+    sets = _square_agreements(masks, p) if square else [masks[x][v] for x, v in enumerate(p)]
+    return _at_least(k, sets)
 
 
-def _product_set(masks: tuple[tuple[int, ...], ...], f: list[tuple[int, ...]],
-                 new: int, triple: tuple[int, int, int], radius: int) -> int:
-    """Ranks whose permutation, as the image of element ``new``, passes the
-    defect test of ``triple``: f(ab) and f(a)f(b) agree in at least
-    ``n - radius`` >= 1 points.  Where the new element occurs once, agreeing
-    at x means agreeing with the ball centre at x, one mask per point.
+def _product_key(f: list[tuple[int, ...]], new: int, triple: tuple[int, int, int],
+                 radius: int) -> tuple[tuple[int, ...], int, bool]:
+    """The ``_agreement_set`` arguments of the ranks whose permutation, as
+    the image of element ``new``, passes the defect test of ``triple``:
+    f(ab) and f(a)f(b) agree in at least ``n - radius`` >= 1 points.  Where
+    the new element occurs once, agreeing at x means agreeing with the ball
+    centre at x.
 
     ``triple`` comes from ``_search_plan`` on a validated chunk, so a new
     element occurring twice makes it a square a * a = c with c != a: a * a = a,
     a * b = a and b * a = a (b != e) each contradict a * e = a = e * a by
     cancellation."""
     a, b, ab = triple
+    k = len(f[0]) - radius
     if triple.count(new) == 1:
-        centre = _ball_centre(triple.index(new), f[a], f[b], f[ab])
-        sets = [masks[x][v] for x, v in enumerate(centre)]
-    else:
-        sets = _square_agreements(masks, f[ab])
-    return _at_least(len(masks) - radius, sets)
+        return _ball_centre(triple.index(new), f[a], f[b], f[ab]), k, False
+    return f[ab], k, True
 
 
 def _bitset_pool(f: list[tuple[int, ...]], new: int, triples: list[tuple[int, int, int]],
                  radius: int, separated: int,
-                 kept: Sequence[dict[tuple[int, int, int], int]] | None = None
+                 agreements: Callable[[tuple[int, ...], int, bool], int]
                  ) -> Iterator[tuple[int, ...]]:
     """The permutations that pass ``_backtrack``'s checks as the image of
     element ``new``, in lex order, found on bitsets over the lex ranks of S_n.
 
     ``separated`` holds the ranks that pass every separation test against
     ``f[:new]``; a candidate agreeing with f(a)f(b) at fewer than
-    ``n - radius`` points fails that product's defect test.  ``kept`` has
-    per triple a dict that keeps its product set under the triple, which the
-    caller empties when an input image moves; without it each is built anew.
+    ``n - radius`` points fails that product's defect test.  ``agreements``
+    gives each product set: ``_agreement_set`` itself, or ``_backtrack``'s
+    cache of it, which builds a set again only after dropping it.
     """
     n = len(f[0])
-    masks = _rank_masks(n)
     live = separated
     if radius < n:
-        for t, store in zip(triples, kept or [{} for _ in triples]):
+        for t in triples:
             if not live:
                 break
-            s = store.get(t)
-            if s is None:
-                s = store[t] = _product_set(masks, f, new, t, radius)
-            live &= s
+            live &= agreements(*_product_key(f, new, t, radius))
     return _decode(live, n)
 
 
@@ -527,7 +530,7 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     """Exhaustive search at one degree.  Returns (witness or None, nodes).
 
     ``c`` must pass ``chunk.validate``, as every public entry checks, since
-    the bitset pools rely on it (see ``_product_set``).
+    the bitset pools rely on it (see ``_product_key``).
     ``first_candidates`` are image tuples for the first non-unit element; the
     default, ``_first_candidates(n)``, is the cycle-type representatives.
     Each call adds to the node count the length of its full pool when it
@@ -563,13 +566,9 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     # depths 1..new-1 were placed in order since any of them last changed, so
     # every entry up to allowed[new] is either None or built from the current f.
     allowed: list[int | None] = [None] * (len(order) + 2)
-    # kept[d]: by triple, the product sets of the deeper triples whose
-    # deepest member other than their new element is d, built from the
-    # current f[:d + 1]; placing f[d] empties it, as it resets allowed[d + 1]
-    kept: list[dict[tuple[int, int, int], int]] = [{} for _ in range(len(order) + 1)]
-    # kept_at[new - 1]: per triple of depth new, its dict in kept, listed
-    # when the depth first draws a bitset pool
-    kept_at: list[list[dict[tuple[int, int, int], int]] | None] = [None] * len(order)
+    # the agreement sets of this degree, n!/8 bytes each, in the room that
+    # _MASK_TABLE_BYTES leaves beside the masks; the least recently used go first
+    agreements = lru_cache(maxsize=max(0, 8 * _MASK_TABLE_BYTES // full - n * n))(_agreement_set)
     nodes = 0
 
     def separated(new: int) -> int:
@@ -578,11 +577,10 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
             k -= 1
         if allowed[0] is None:
             allowed[0] = _all_ranks(n)
-        masks = _rank_masks(n)
         for i in range(k, new):
             allowed[i + 1] = allowed[i]
             if radius < n:
-                allowed[i + 1] &= _separation_set(masks, f[i], radius)
+                allowed[i + 1] &= ~agreements(f[i], radius + 1, False)
         return allowed[new]
 
     def pool(new: int) -> tuple[Iterable[tuple[int, ...]], bool]:
@@ -592,11 +590,8 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
         if new == 1:
             return first, True
         if bitsets and (ball is None or ball_bitsets):
-            triples = triples_at[new - 1]
-            if kept_at[new - 1] is None:
-                kept_at[new - 1] = [kept[max((x for x in t if x != new), default=0)]
-                                    for t in triples]
-            return _bitset_pool(f, new, triples, radius, separated(new), kept_at[new - 1]), False
+            return _bitset_pool(f, new, triples_at[new - 1], radius, separated(new),
+                                agreements), False
         if ball is not None and radius < n:
             role, a, b, ab = ball
             return _hamming_ball(_ball_centre(role, f[a], f[b], f[ab]), radius), True
@@ -634,7 +629,6 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
                     and all(sum(map(eq, g, cand)) <= radius for g in earlier)):
                 continue
             allowed[new + 1] = None
-            kept[new].clear()
             before = nodes
             if new == len(order) or extend(new + 1):
                 nodes += (first.index(cand) if new == 1 else _lex_rank(cand)) + 1

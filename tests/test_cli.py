@@ -114,6 +114,25 @@ class TestProfileCommand:
                          "--chunk", data_path("z3.chunk"), "--r", "2/1")
         assert out1 == out2
 
+    @pytest.mark.parametrize("all_r, bad", [("3,,4", ""), (",", ""), ("3,x", "x"),
+                                            ("2,3/0", "3/0")])
+    def test_all_r_names_the_bad_token(self, capsys, all_r, bad):
+        code, out, err = run(capsys, "profile", "--chunk", data_path("z2.chunk"),
+                             "--all-r", all_r)
+        assert (code, out) == (1, "")
+        assert err == f"error: --all-r takes P/Q values separated by commas, got {bad!r}\n"
+
+    @pytest.mark.parametrize("flag", ["--emit-cert", "--emit-witness"])
+    def test_missing_emit_directory_fails_before_searching(self, capsys, monkeypatch,
+                                                           tmp_path, flag):
+        monkeypatch.setattr(cli, "sofic_profile", lambda *args, **kwargs: pytest.fail("searched"))
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, "profile", "--chunk", data_path("z2.chunk"), "--r", "2/1",
+                             flag, str(missing / "x.cert"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} directory {str(missing)!r} does not exist\n"
+        assert not missing.exists()
+
     def test_zero_workers_rejected(self, capsys):
         code, out, err = run(capsys, "--workers", "0", "profile",
                              "--chunk", data_path("z3.chunk"), "--r", "2/1")

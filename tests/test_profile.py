@@ -19,15 +19,15 @@ from soficapprox.profile import (
     DegreeRecord,
     Exhausted,
     ProfileCertificate,
+    _agreement_set,
     _backtrack,
     _bitset_pool,
     _decode,
     _hamming_ball,
     _lex_rank,
-    _product_set,
+    _product_key,
     _rank_masks,
     _search_degree,
-    _separation_set,
     _search_plan,
     decide_product,
     disagreement_counts,
@@ -818,12 +818,13 @@ class TestBitsetPool:
                 radius, min_sep = n * den // num, -(-n * (num - den) // num)
                 separated = (1 << len(everything)) - 1
                 for g in f[:new] if min_sep > 0 else ():
-                    separated &= _separation_set(_rank_masks(n), g, radius)
+                    # the separation set: agreeing with g in at most the radius
+                    separated &= ~_agreement_set(g, radius + 1, False)
                 for triples in [[]] + [[t] for t in shapes] + [rng.sample(shapes, 3)]:
                     want = [p for p in everything
                             if passes_checks(f, new, triples, radius, min_sep, p)]
-                    assert list(_bitset_pool(f, new, triples, radius, separated)) == want, \
-                        (f, triples, r)
+                    assert list(_bitset_pool(f, new, triples, radius, separated,
+                                             _agreement_set)) == want, (f, triples, r)
 
     def test_backtrack_matches_reference_on_sparse_traces(self):
         # five traces, three of them searched up to degree 6, with five free
@@ -865,7 +866,6 @@ class TestBitsetPool:
         # a triple in which the new element occurs once: the agreements with
         # the ball centre, one mask per point, are the agreements of the product
         everything = list(itertools.permutations(range(n)))
-        masks = _rank_masks(n)
         rng = random.Random(300 + n)
         new = 3
         shapes = [(3, 1, 2), (1, 3, 2), (1, 2, 3), (3, 2, 2), (0, 3, 1), (2, 0, 3)]
@@ -876,7 +876,21 @@ class TestBitsetPool:
                 for radius in range(n):
                     want = sum(1 << i for i, p in enumerate(everything)
                                if passes_checks(f, new, [t], radius, 0, p))
-                    assert _product_set(masks, f, new, t, radius) == want, (f, t, radius)
+                    assert _agreement_set(*_product_key(f, new, t, radius)) == want, \
+                        (f, t, radius)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_agreement_set_counts_agreements(self, n):
+        everything = list(itertools.permutations(range(n)))
+        rng = random.Random(500 + n)
+        for _ in range(3 if n < 7 else 1):
+            p = rng.choice(everything)
+            for k in range(1, n + 2):
+                for square in (False, True):
+                    want = sum(1 << i for i, q in enumerate(everything)
+                               if sum(q[q[x]] == v if square else q[x] == v
+                                      for x, v in enumerate(p)) >= k)
+                    assert _agreement_set(p, k, square) == want, (p, k, square)
 
     def test_masks_built_only_for_a_drawn_bitset_pool(self, monkeypatch):
         built = []
@@ -978,41 +992,44 @@ def lifetime_traces(rng, count):
     return chunks
 
 
-class TestProductSetLifetime:
-    """A product set is kept until its triple's deepest member other than
-    the new element is placed again: same witness and nodes as the full-pool
-    search, and no set built twice from the same images."""
+class TestAgreementCache:
+    """Each degree builds its agreement sets through one bounded cache: the
+    same witness and nodes as the reference, no set built twice while the
+    cache holds it, and the same again with room for one set only."""
 
     def test_random_partial_traces_match_reference(self, monkeypatch):
         built = []
-        product_set = profile._product_set
+        agreement_set = profile._agreement_set
 
-        def spy(masks, f, new, t, radius):
-            owner = max(x for x in t if x != new)
-            built.append((new, t, tuple(f[:owner + 1])))
-            return product_set(masks, f, new, t, radius)
+        def spy(p, k, square):
+            built.append((p, k, square))
+            return agreement_set(p, k, square)
 
-        bitset_pool = profile._bitset_pool
-        monkeypatch.setattr(profile, "_product_set", spy)
+        monkeypatch.setattr(profile, "_agreement_set", spy)
         chunks = lifetime_traces(random.Random(25), 8)
-        kept_builds = fresh_builds = 0
+        cached_builds = one_set_builds = 0
         for c in chunks:
             for r in map(Fraction, (3, 4)):
                 for n in range(1, 7):
                     want = reference_backtrack(c, r, n)
                     built.clear()
                     assert _backtrack(c, r, n) == want, (c, r, n)
+                    # up to n = 6 the cache has room for every set a degree builds
                     assert len(set(built)) == len(built), (c, r, n)
-                    kept_builds += len(built)
+                    cached_builds += len(built)
                     with monkeypatch.context() as m:
-                        # every set built afresh, as before the sets were kept
-                        m.setattr(profile, "_bitset_pool", lambda *args: bitset_pool(*args[:5]))
+                        # room for the n * n masks and one set of n!/8 bytes
+                        # (for n >= 3; below that a byte holds more)
+                        m.setattr(profile, "_MASK_TABLE_BYTES",
+                                  -(-(n * n + 1) * factorial(n) // 8))
                         built.clear()
                         assert _backtrack(c, r, n) == want, (c, r, n)
-                        fresh_builds += len(built)
+                        # a set is built again only once another replaced it
+                        assert n < 3 or all(map(ne, built, built[1:])), (c, r, n)
+                        one_set_builds += len(built)
                     if c in chunks[:3]:
                         assert _search_degree(c, r, n, 2) == want, (c, r, n)
-        assert 0 < kept_builds < fresh_builds, (kept_builds, fresh_builds)
+        assert 0 < cached_builds < one_set_builds, (cached_builds, one_set_builds)
 
 
 # Rows of the ROADMAP baseline table at r = 3, whose ball depths draw decided
@@ -1035,6 +1052,31 @@ def test_baseline_rows_keep_witness_and_records(name, m, elems, least, ranks, no
     assert cert.n == least
     assert [_lex_rank(cert.assignment[str(x)].images) for x in elems] == list(ranks)
     assert cert.infeasible == tuple(DegreeRecord(d, k) for d, k in enumerate(nodes, start=1))
+
+
+def test_z10_row_whose_sets_overflow_the_cache(monkeypatch):
+    # Full Z10 at r = 3: degree 9 asks for more agreement sets than its cache
+    # holds, so it drops and rebuilds some.  Pinned: the least degree, the
+    # lex ranks of the witness images in element order and the nodes of
+    # every degree below it, none of which a dropped set may change.
+    built = []
+    agreement_set = profile._agreement_set
+
+    def spy(p, k, square):
+        built.append((p, k, square))
+        return agreement_set(p, k, square)
+
+    monkeypatch.setattr(profile, "_agreement_set", spy)
+    cert = sofic_profile(cyclic_chunk(10), 3, 9)
+    at_9 = [key for key in built if len(key[0]) == 9]
+    # more distinct sets than the cache's room beside the masks, some built twice
+    assert len(set(at_9)) > 8 * profile._MASK_TABLE_BYTES // factorial(9) - 9 * 9
+    assert len(at_9) > len(set(at_9))
+    assert cert.n == 9
+    assert [_lex_rank(cert.assignment[str(x)].images) for x in range(10)] == \
+        [0, 46209, 90976, 128564, 104220, 231072, 277065, 320505, 342827, 161397]
+    assert cert.infeasible == tuple(DegreeRecord(d, k) for d, k in enumerate(
+        (1, 4, 21, 149, 1087, 336971, 4415055, 60883222), start=1))
 
 
 # Full Z10 at r = 4 and r = 5, whose ball depths at degrees 9 and 10 have
