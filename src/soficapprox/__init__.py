@@ -10,6 +10,6 @@ from .chunk import Chunk, ChunkMap, ValidationReport, format_chunk, induced_chun
 from .growth import Affine, BlockStep, Compose, GrowthFn, Infinity, Linear, Power, Tabulated, growth_profile, is_slow, ll, lt_eventually, parse_growth, sim
 from .lazyperm import BoundWitness, GChunk, LazyPerm, Realization, audit, build_gchunk, property_profile, realize, supp_morphism, supp_quality
 from .permcore import CycleType, Perm, block_sum, compose, cycle_type, cycle_type_representative, fixed_point_count, hamming_distance, identity, inverse
-from .profile import MorphismQuality, ProfileCertificate, decide_product, measure, profile_table, sofic_profile
+from .profile import MorphismQuality, ProfileCertificate, measure, profile_table, sofic_profile
 
 __version__ = "0.1.0"

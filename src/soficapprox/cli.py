@@ -20,7 +20,7 @@ from . import gadgets, profile
 from .chunk import (Chunk, ChunkParseError, format_chunk, parse_chunk, parse_chunk_file, validate,
                     validated)
 from .growth import GrowthFn, growth_profile, is_slow, ll, lt_eventually, parse_growth, sim
-from .lazyperm import (GChunk, LazyPerm, Realization, build_gchunk, finitary,
+from .lazyperm import (MAX_HORIZON, GChunk, LazyPerm, Realization, build_gchunk, finitary,
                        identity_lazy, realize, supp_quality)
 from .permcore import Perm, format_perm, parse_perm
 from .profile import (Exhausted, ProfileCertificate, measure, profile_table,
@@ -32,7 +32,8 @@ EXIT_EXHAUSTED = 2
 
 
 DEFAULT_N_MAX = 8
-# `sofic supp` audits to max(SUPP_MIN_HORIZON, 2n) unless --horizon is given.
+# `sofic supp` audits to max(SUPP_MIN_HORIZON, 2n), capped at MAX_HORIZON,
+# unless --horizon is given.
 SUPP_MIN_HORIZON = 1000
 
 
@@ -369,7 +370,7 @@ def build_parser() -> _Parser:
     p_supp.add_argument("--r", type=parse_rational, required=True)
     p_supp.add_argument("--horizon", type=int, default=None,
                         help="audit the carriers on [0, H]; --n must be at most H "
-                             "(default: max(1000, 2n))")
+                             "(default: max(1000, 2n), capped at 10^6)")
     p_supp.set_defaults(handler=_cmd_supp)
 
     p_realize = sub.add_parser("realize", help="block-direct-sum realization")
@@ -495,9 +496,19 @@ def _cmd_growth_cmp(args) -> int:
     return EXIT_OK
 
 
+def supp_horizon(n: int, horizon: int | None) -> int:
+    """The audited prefix of ``sofic supp --n n``: ``--horizon`` when given,
+    else max(SUPP_MIN_HORIZON, 2n) capped at ``MAX_HORIZON``.  A degree past
+    the cap is refused here, naming ``--n``, before any carrier is read."""
+    if horizon is not None:
+        return horizon
+    if n > MAX_HORIZON:
+        raise ValueError(f"--n {n} exceeds the largest audited prefix, {MAX_HORIZON}")
+    return min(max(SUPP_MIN_HORIZON, 2 * n), MAX_HORIZON)
+
+
 def _cmd_supp(args) -> int:
-    horizon = args.horizon if args.horizon is not None else max(SUPP_MIN_HORIZON, 2 * args.n)
-    gc = parse_gchunk_file(args.gchunk, horizon)
+    gc = parse_gchunk_file(args.gchunk, supp_horizon(args.n, args.horizon))
     report = supp_quality(gc, args.n, args.r)
     print(f"n = {report.n}")
     print(f"m_star = {report.m_star if report.m_star is not None else 'none'}")

@@ -24,7 +24,10 @@ by iterating every power, without the closed form.  ``reference_power_orders``
 keeps the k loops that decided ``ll`` and ``sim`` power by power, as the
 reference for the closed forms.  ``reference_growth_profile`` keeps the growth
 profile's scan over every n with a bisection for the largest m at each, as
-the reference for the least g(m) whose gap is below 1/r.
+the reference for the least g(m) whose gap is below 1/r.  ``compose_lazy``
+and ``decide_product`` are helpers that only the tests use: the composite of
+two carriers, audited by evaluation, and the r = 3 decision of one product
+from a certificate.
 """
 
 import itertools
@@ -38,7 +41,7 @@ from soficapprox.lazyperm import AuditViolation, BoundWitness, LazyPerm, StageRe
 from soficapprox.permcore import (Perm, all_cycle_types, block_sum, compose,
                                   cycle_type_representative, disagreements, hamming_distance,
                                   identity, inverse)
-from soficapprox.profile import MorphismQuality
+from soficapprox.profile import MorphismQuality, ProfileCertificate
 
 
 @lru_cache(maxsize=8)
@@ -407,3 +410,36 @@ def reference_blocksum_carrier(real, e):
 
     return (walk([s[e].images for s in real.sigma]),
             walk([inverse(s[e]).images for s in real.sigma]))
+
+
+def compose_lazy(p: LazyPerm, q: LazyPerm) -> LazyPerm:
+    """p after q.  The composite keeps no table, so it is audited by
+    evaluation."""
+    return LazyPerm(
+        lambda m: p.forward(q.forward(m)),
+        lambda m: q.backward(p.backward(m)),
+        f"({p.descriptor})o({q.descriptor})",
+    )
+
+
+def decide_product(c, i: str, j: str, k: str, cert: ProfileCertificate) -> str:
+    """Decide whether i*j = k from an r = 3 certificate covering {unit, i, j, k}.
+
+    Measures d(f(i)f(j), f(k)) and answers "equal" below 1/3 and "distinct"
+    from 2/3 up.  The middle band cannot occur for a genuine certificate of a
+    group trace, so hitting it means the certificate is unfit for the chunk.
+    """
+    if cert.r != 3:
+        raise ValueError(f"certificate must be at r = 3, got r = {cert.r}")
+    for e in (i, j, k):
+        if e not in c.elements:
+            raise ValueError(f"element {e!r} not in chunk")
+        if e not in cert.assignment:
+            raise ValueError(f"certificate does not cover element {e!r}")
+    f = cert.assignment
+    d = hamming_distance(compose(f[i], f[j]), f[k])
+    if d < Fraction(1, 3):
+        return "equal"
+    if d >= Fraction(2, 3):
+        return "distinct"
+    raise ValueError(f"certificate too weak: d(f({i})f({j}), f({k})) = {d} lies in [1/3, 2/3)")

@@ -21,9 +21,10 @@ from soficapprox.cli import (
     main,
     parse_gchunk_file,
     parse_rational,
+    supp_horizon,
 )
 from soficapprox.growth import Affine, BlockStep, Compose
-from soficapprox.lazyperm import realize, supp_morphism
+from soficapprox.lazyperm import MAX_HORIZON, realize, supp_morphism
 from soficapprox.profile import sofic_profile
 
 from conftest import data_path
@@ -315,6 +316,24 @@ class TestSuppCommand:
             assert err == f"error: degree {n} lies past the audited horizon {horizon}\n"
         else:
             assert out.startswith(f"n = {n}\n") and err == ""
+
+    @pytest.mark.parametrize("n, horizon, want", [
+        (5, None, 1000), (500, None, 1000), (501, None, 1002), (600_000, None, MAX_HORIZON),
+        (MAX_HORIZON, None, MAX_HORIZON), (5, 99, 99), (99, 98, 98),
+        (MAX_HORIZON + 1, MAX_HORIZON + 1, MAX_HORIZON + 1)])
+    def test_default_horizon_is_capped(self, n, horizon, want):
+        # a given --horizon is passed on as it is, for build_gchunk to check
+        assert supp_horizon(n, horizon) == want
+
+    def test_degree_past_the_cap_rejected_before_evaluation(self, capsys, monkeypatch):
+        def unread(path, horizon):
+            raise AssertionError(f"{path} read at horizon {horizon}")
+
+        monkeypatch.setattr(cli, "parse_gchunk_file", unread)
+        code, out, err = run(capsys, "supp", "--gchunk", data_path("three.gchunk"),
+                             "--n", "1000001", "--r", "2/1")
+        assert (code, out) == (1, "")
+        assert err == "error: --n 1000001 exceeds the largest audited prefix, 1000000\n"
 
     @pytest.mark.parametrize("r", ["0", "-1", "1/2"])
     def test_r_below_one_rejected(self, capsys, r):

@@ -19,10 +19,10 @@ from soficapprox.gadgets import (
     three_cycle_squared,
 )
 from soficapprox.growth import Affine
-from soficapprox.lazyperm import BoundWitness, audit, compose_lazy, finitary
+from soficapprox.lazyperm import BoundWitness, audit, finitary
 from soficapprox.permcore import compose, identity, transposition
 
-from oracles import all_perms, reference_example_check
+from oracles import all_perms, compose_lazy, reference_example_check
 
 
 class TestThreeCycle:

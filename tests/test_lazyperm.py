@@ -24,7 +24,6 @@ from soficapprox.lazyperm import (
     SuppReport,
     audit,
     build_gchunk,
-    compose_lazy,
     finitary,
     identity_lazy,
     inverse_lazy,
@@ -38,9 +37,9 @@ from soficapprox.permcore import Perm, block_sum_images, hamming_distance, ident
 from soficapprox.profile import ProfileCertificate, disagreement_counts, measure, sofic_profile
 
 from conftest import DATA, data_path
-from oracles import (max_m_with_value_at_most, reference_audit, reference_blocksum_carrier,
-                     reference_gchunk_error, reference_measure, reference_realize,
-                     reference_supp_morphism, reference_supp_quality)
+from oracles import (compose_lazy, max_m_with_value_at_most, reference_audit,
+                     reference_blocksum_carrier, reference_gchunk_error, reference_measure,
+                     reference_realize, reference_supp_morphism, reference_supp_quality)
 
 
 def pair_swap() -> LazyPerm:
@@ -572,15 +571,42 @@ class TestSuppQuality:
             for n in range(1, 100):
                 for r in (1, Fraction(3, 2), 2, Fraction(7, 3), 5):
                     got, want = supp_quality(gc, n, r), reference_supp_quality(ref, n, r)
-                    for field in fields(SuppReport):
-                        value = getattr(got, field.name)
-                        assert value == getattr(want, field.name), (seed, n, r, field.name)
-                        assert type(value) is type(getattr(want, field.name)), field.name
-                        seen.setdefault(field.name, set()).add(value)
+                    for name in SuppReport._fields:
+                        value = getattr(got, name)
+                        assert value == getattr(want, name), (seed, n, r, name)
+                        assert type(value) is type(getattr(want, name)), name
+                        seen.setdefault(name, set()).add(value)
         for name in ("separation_hypothesis", "conclusion_expected", "expansiveness_ok"):
             assert {True, False} <= seen[name], name
         # the paper's bound 2(n - m*)/n, which no built g-chunk breaks
         assert seen["defect_bound_holds"] == {True, None}
+
+    def test_three_cycle_matches_reference_field_by_field(self):
+        gc = three_cycle_chunk(horizon=200)
+        for n in range(1, 201):
+            for r in (1, Fraction(3, 2), 2, 5):
+                got, want = supp_quality(gc, n, r), reference_supp_quality(gc, n, r)
+                for name in SuppReport._fields:
+                    value = getattr(got, name)
+                    assert value == getattr(want, name), (n, r, name)
+                    assert type(value) is type(getattr(want, name)), (n, r, name)
+
+    def test_reports_reject_attribute_assignment(self):
+        report = supp_quality(three_cycle_chunk(horizon=100), 40, 2)
+        for record, name in ((report, "m_star"), (report, "extra"),
+                             (report.quality, "defect"), (report.quality, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert report.m_star == 9 and report.quality.defect == 0
+
+    def test_equal_reports_hash_equal(self):
+        # two g-chunks built apart give equal reports, which are equal keys
+        first, second = three_cycle_chunk(horizon=100), three_cycle_chunk(horizon=100)
+        for n in (5, 40, 99):
+            a, b = supp_quality(first, n, Fraction(3, 2)), supp_quality(second, n, Fraction(3, 2))
+            assert a == b and a is not b and hash(a) == hash(b)
+            assert a.quality == b.quality and hash(a.quality) == hash(b.quality)
+            assert len({a, b}) == 1
 
 
 @pytest.mark.parametrize("r", [0, -1, Fraction(1, 2)])

@@ -29,7 +29,6 @@ from soficapprox.profile import (
     _rank_masks,
     _search_degree,
     _search_plan,
-    decide_product,
     disagreement_counts,
     measure,
     profile_table,
@@ -40,8 +39,8 @@ from soficapprox.profile import (
 
 
 from conftest import data_path
-from oracles import (all_perms, brute_force_feasible, brute_force_least_n, reference_backtrack,
-                     reference_measure)
+from oracles import (all_perms, brute_force_feasible, brute_force_least_n, decide_product,
+                     reference_backtrack, reference_measure)
 
 
 class TestMeasure:
