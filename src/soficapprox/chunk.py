@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .permcore import Perm, identity
-
 _RESERVED = {"unit", "elem", "undef", "*", "=", "#"}
 
 
@@ -164,52 +162,6 @@ def induced_chunk(elems: Sequence[str], unit: str,
             if v in members:
                 table[(a, b)] = v
     return Chunk(tuple(elems), unit, table)
-
-
-@dataclass(frozen=True)
-class ChunkMap:
-    """Total assignment from a source chunk's elements into some target."""
-
-    source: Chunk
-    images: dict[str, object]
-
-    def __post_init__(self) -> None:
-        missing = [e for e in self.source.elements if e not in self.images]
-        if missing:
-            raise ValueError(f"map not total, missing {missing}")
-
-
-def is_homomorphism(m: ChunkMap, target_mult: Callable[[object, object], object],
-                    target_unit: object | None = None) -> bool:
-    """True iff m preserves the unit and every defined product of the source.
-
-    ``target_unit`` may be omitted when the images are ``Perm`` values, in
-    which case the identity permutation of the right degree is assumed.
-    """
-    c = m.source
-    fu = m.images[c.unit]
-    if target_unit is None:
-        if isinstance(fu, Perm):
-            target_unit = identity(fu.degree)
-        else:
-            raise ValueError("target_unit required for non-permutation targets")
-    if fu != target_unit:
-        return False
-    for (a, b), ab in c.table.items():
-        if target_mult(m.images[a], m.images[b]) != m.images[ab]:
-            return False
-    return True
-
-
-def compose_maps(outer: ChunkMap, inner: ChunkMap) -> ChunkMap:
-    """(outer o inner), defined when inner's images are elements of outer's source."""
-    images = {e: outer.images[inner.images[e]] for e in inner.source.elements}
-    return ChunkMap(inner.source, images)
-
-
-def chunk_mult(c: Chunk) -> Callable[[str, str], str | None]:
-    """The chunk's own partial multiplication, None where undefined."""
-    return lambda a, b: c.product(a, b)
 
 
 # -- text format ------------------------------------------------------------

@@ -175,22 +175,6 @@ def _gamma_points(j: int) -> tuple[int, int, int, int]:
     return common, first, second, third
 
 
-def gamma_pair(j: int) -> tuple[LazyPerm, LazyPerm]:
-    """Two transpositions whose supports share exactly the point j."""
-    common, first, second, _ = _gamma_points(j)
-    return _transposition_lazy(common, first), _transposition_lazy(common, second)
-
-
-def _transposition_lazy(a: int, b: int) -> LazyPerm:
-    def swap(m: int) -> int:
-        if m == a:
-            return b
-        if m == b:
-            return a
-        return m
-    return LazyPerm(swap, swap, f"transposition:({a} {b})")
-
-
 def _swap_apply(t: tuple[int, int], x: int) -> int:
     a, b = t
     if x == a:

@@ -604,12 +604,17 @@ def growth_profile(g: GrowthFn, r, n_max: int) -> int | Exhausted:
     For fixed m those n run from g(m) up to, not including, r*m/(r - 1) (with
     no upper end when r = 1), which is non-empty exactly when the gap
     1 - m/g(m) is below 1/r.  g is monotone, so the profile is the least g(m)
-    with 1 - m/g(m) < 1/r: g(m0) for the least such m0.  The scan over m stops
-    once g(m) exceeds n_max, which g(m) > m makes happen by m = n_max.
+    with 1 - m/g(m) < 1/r: g(m0) for the least such m0, or Exhausted when
+    g(m0) exceeds n_max.
 
     An eventual slope a with 1 - 1/a >= 1/r decides the empty set up front:
     g(m) >= a*m at every m, since Linear(a) is at least a*m, every other leaf
-    is at least m, and composition multiplies slopes.
+    is at least m, and composition multiplies slopes.  Otherwise
+    d = a - r(a - 1) is positive.  The m below the form's ``n_from`` are
+    tried one by one; from ``n_from`` on, g(m) = a*m + c with c >= 0, and the
+    gap is below 1/r iff d*m > c(r - 1), so m0 is the larger of ``n_from``
+    and the least such m.  Without a form, m is tried one by one until g(m)
+    exceeds n_max, which g(m) > m makes happen by m = n_max.
     """
     r = quality_parameter(r)
     if n_max < 1:
@@ -622,11 +627,14 @@ def growth_profile(g: GrowthFn, r, n_max: int) -> int | Exhausted:
             f"impossible for every n: g(m) <= n forces m <= n/{form.a}, "
             f"so (n - m)/n >= {Fraction(form.a - 1, form.a)} >= 1/r"))
     m = 0
-    while (gm := g(m)) <= n_max:
+    while form is None or m < form.n_from:
+        if (gm := g(m)) > n_max:
+            return Exhausted(n_max)
         if r * (gm - m) < gm:  # 1 - m/g(m) < 1/r, cleared of fractions
             return gm
         m += 1
-    return Exhausted(n_max)
+    gm = g(max(m, form.c * (r - 1) // (form.a - r * (form.a - 1)) + 1))
+    return gm if gm <= n_max else Exhausted(n_max)
 
 
 def compare_pf(u: Mapping, v: Mapping, C, Cp, Cpp, sample_rs: Sequence) -> bool:

@@ -77,7 +77,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validated
 from .growth import BlockStep, Exhausted, GrowthFn, growth_profile, quality_parameter
-from .permcore import Perm, block_sum, block_sum_images, disagreements
+from .permcore import Perm, block_sum, block_sum_images
 from .profile import MorphismQuality, ProfileCertificate, disagreement_counts, threshold_radius
 
 
@@ -667,8 +667,8 @@ def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:
 
     Cross-checked against growth_profile(bound, 2r): whenever that bound is
     finite and within n_max, the returned degree may not exceed it.  The
-    defect need not be monotone in n; use ``property_holds_mask`` to inspect
-    the full scan.
+    defect need not be monotone in n, so degrees past the returned one may
+    fail again; ``supp_defect_holds`` tests any one degree.
     """
     r = quality_parameter(r)
     found = None
@@ -685,11 +685,6 @@ def property_profile(gc: GChunk, r, n_max: int) -> int | Exhausted:
     if found is None:
         return Exhausted(n_max)
     return found
-
-
-def property_holds_mask(gc: GChunk, r, n_range: Sequence[int]) -> list[bool]:
-    r = quality_parameter(r)
-    return [supp_defect_holds(gc, n, r) for n in n_range]
 
 
 # -- block-direct-sum realization ----------------------------------------------
@@ -786,37 +781,12 @@ class Realization:
         """
         return Chunk(self.chunk.elements, self.chunk.unit, self.exact_products())
 
-    def chunk_compatibility(self) -> tuple[tuple[tuple[str, str], ...],
-                                           tuple[tuple[str, str], ...]]:
-        """(dropped, extra): abstract products the carriers miss, and
-        carrier-exact products the abstract chunk does not define the same way.
-
-        The name-preserving map from the realized chunk onto the abstract one
-        is a homomorphism exactly when ``extra`` is empty.
-        """
-        induced = self.exact_products()
-        dropped = tuple(sorted(
-            key for key, val in self.chunk.table.items()
-            if induced.get(key) != val))
-        extra = tuple(sorted(
-            key for key, val in induced.items()
-            if self.chunk.table.get(key) != val))
-        return dropped, extra
-
     def gchunk(self, horizon: int | None = None) -> GChunk:
         """The realized g-chunk: carriers over the induced (exact) table."""
         if horizon is None:
             horizon = self.layout[-1] + self.m[-1]
         carriers = {e: self.carrier(e) for e in self.chunk.elements}
         return build_gchunk(self.realized_chunk(), carriers, self.g, horizon)
-
-    def displacement(self, n: int, e1: str, e2: str) -> Fraction:
-        """Block-sum distance predicted from per-stage disagreement counts."""
-        if not 2 <= n <= self.depth:
-            raise ValueError(f"stage {n} outside 2..{self.depth}")
-        num = sum(f_i * disagreements(s[e1], s[e2])
-                  for f_i, s in zip(self.f[:n - 1], self.sigma))
-        return Fraction(num, self.layout[n - 2])
 
 
 def realize(c: Chunk, certs: Sequence[ProfileCertificate]) -> Realization:

@@ -20,45 +20,47 @@ The search works on raw image tuples with one integer threshold per
 degree, ``threshold_radius``: with k the number of points where two images
 differ, a product passes the defect test when k is at most the radius and a
 pair passes the separation test when the images agree in at most the radius.
-Each depth draws its candidates, in lex order, from one of three pools:
+Each depth draws its candidates, in lex order, from a pool of one of five
+kinds, which ``_pool_kinds`` names once per degree by this rule:
 
-- the first element takes the cycle-type representatives, each checked;
-- an element that occurs once in a product whose other two members are
+- ``first``: the first element takes the cycle-type representatives.
+- An element that occurs once in a product whose other two members are
   assigned (a ball triple) lies in a Hamming ball: bi-invariance of the
   metric turns that product's defect test into "within the radius of one
-  centre permutation", so no member needs that test again.  A ball of
-  radius 0 or 1 is its centre alone, since no two permutations differ in
-  exactly one point: the depth is forced, and its one candidate is the
-  centre, checked against the other tests.  The members of a ball that is
-  small beside S_n (fewer than n!/2048 members: radius 2 at n = 9) and of
-  every ball from n = 10 on are listed support by support and checked one
-  at a time; any other ball is cut out of an S_n bitset as below;
-- every other depth takes an S_n bitset: per point x and value v, one
-  integer has bit i set iff the lex rank-i permutation maps x to v.
-  Counting set bits across such integers, a whole word of candidates at a
-  time, gives exactly the candidates that pass the separation test against
-  every earlier image and the defect test of every product the depth makes
-  checkable, so they are taken unchecked.  A product in which the new
-  element occurs once is a ball, counted as agreements with its centre; the
-  only other shape a validated chunk has is a square a * a = c.  Every such
-  set is an agreement set, the ranks that agree with one permutation in at
-  least k points (or whose square does), so it depends on (permutation, k,
-  square) alone: the separation set of an image g is the complement of g's
-  set at k = radius + 1, a ball's set is its centre's at k = n - radius,
-  and a square's is f(ab)'s as a square.  Each degree builds them through
-  one least-recently-used cache, held to what ``_MASK_TABLE_BYTES`` leaves
-  beside the masks (1,398 sets of 45 KB at n = 9), so a set is built again
-  only after the cache dropped it; the separation sets against each prefix
-  of placed images are and-ed once into a chain that every deeper pool
-  shares until one of those images moves.  ``_at_least`` counts with k
-  counters, where counter j marks the bits set in more than j of the sets
-  so far, and updates counter j at the i-th of m sets only while j + 1
-  plus the m - 1 - i sets still to come can reach k; that schedule is
-  cached per (m, k), and at n = 9, r = 3 it does 44 instead of 69
-  big-integer operations per product test.
-  Above the degree where these integers outgrow ``_MASK_TABLE_BYTES``
-  (n >= 11), a depth without a ball steps through all of S_n, one checked
-  candidate at a time.
+  centre permutation", so no member needs that test again.  At radius 0
+  or 1 the depth is ``forced``: the ball is its centre alone, since no two
+  permutations differ in exactly one point.  A larger ball is ``decided``
+  at n <= 9 unless it is small beside S_n (fewer than n!/2048 members:
+  radius 2 at n = 9); otherwise it is a ``ball``, listed support by support.
+- A depth without a ball triple is ``decided`` up to n = 10.
+- ``all`` is S_n, for a depth without a ball triple from n = 11 on, where
+  the bitsets below outgrow ``_MASK_TABLE_BYTES``, and for a ball of
+  radius n (r = 1) from n = 10 on.
+
+Every pool but a decided one is checked one candidate at a time.  A decided
+pool is read off S_n bitsets: per point x and value v, one integer has bit
+i set iff the lex rank-i permutation maps x to v.  Counting set bits across
+such integers, a whole word of candidates at a time, gives exactly the
+candidates that pass the separation test against every earlier image and
+the defect test of every product the depth makes checkable, so they are
+taken unchecked.  A product in which the new
+element occurs once is a ball, counted as agreements with its centre; the
+only other shape a validated chunk has is a square a * a = c.  Every such
+set is an agreement set, the ranks that agree with one permutation in at
+least k points (or whose square does), so it depends on (permutation, k,
+square) alone: the separation set of an image g is the complement of g's
+set at k = radius + 1, a ball's set is its centre's at k = n - radius,
+and a square's is f(ab)'s as a square.  Each degree builds them through
+one least-recently-used cache, held to what ``_MASK_TABLE_BYTES`` leaves
+beside the masks (1,398 sets of 45 KB at n = 9), so a set is built again
+only after the cache dropped it; the separation sets against each prefix
+of placed images are and-ed once into a chain that every deeper pool
+shares until one of those images moves.  ``_at_least`` counts with k
+counters, where counter j marks the bits set in more than j of the sets
+so far, and updates counter j at the i-th of m sets only while j + 1
+plus the m - 1 - i sets still to come can reach k; that schedule is
+cached per (m, k), and at n = 9, r = 3 it does 44 instead of 69
+big-integer operations per product test.
 
 ``Perm`` values are built only for the witness.
 
@@ -83,8 +85,8 @@ candidate's subtree fails, each orbit-mate is therefore entered in a memo
 with that count, and on reaching it the search adds the count instead of
 placing it.  The lex-first witness lies below the lex-first member of the
 first orbit that does not fail, which is searched as before, so witnesses
-and node counts are unchanged.  This applies at the second depth when it
-draws a pool (a forced ball centre has no mates) and is not the last; the
+and node counts are unchanged.  This applies at the second depth unless it
+is forced (a ball centre has no mates) or the last; the
 deeper depths would need the generators of C(f1) ∩ C(f2) and beyond.
 C(f1) is the product over cycle lengths k of C_k wreath S_{m_k}, with m_k
 cycles of length k, and ``_centralizer_gens`` lists generators for it.  The
@@ -409,6 +411,21 @@ def _ball_size(n: int, radius: int) -> int:
     return sum(comb(n, k) * deranged[k] for k in range(min(radius, n) + 1))
 
 
+def _pool_kinds(balls_at: Sequence[tuple[int, int, int, int] | None], n: int,
+                radius: int) -> list[str]:
+    """Per depth of one degree, the kind of pool it draws, by the rule of
+    the module docstring.  ``balls_at`` is ``_search_plan``'s."""
+    full = factorial(n)
+    bitsets = n * n * full <= 8 * _MASK_TABLE_BYTES
+    # a small ball in a large S_n is cheaper to check than to cut out of a bitset
+    ball_bitsets = (bitsets and n * n * full <= 8 * _BALL_MASK_TABLE_BYTES
+                    and full <= _RANKS_PER_BALL_MEMBER * _ball_size(n, radius))
+    ball = ("forced" if radius <= 1 else "decided" if ball_bitsets
+            else "ball" if radius < n else "all")
+    free = "decided" if bitsets else "all"
+    return ["first"] + [free if b is None else ball for b in balls_at[1:]]
+
+
 @lru_cache(maxsize=2)
 def _all_ranks(n: int) -> int:
     return (1 << factorial(n)) - 1
@@ -540,13 +557,11 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     Each call adds to the node count the length of its full pool when it
     fails, and the witness image's place in that pool when it succeeds.
     Past depth 0 the full pool is S_n in lex order, so that is ``n!`` or the
-    lex rank plus one, whatever part of the pool the call actually tries.  A
-    depth whose ball has radius 0 or 1 is forced: its one candidate is the
-    ball centre from ``_ball_centre``, checked against the separation tests
-    and the depth's other products, and the call adds ``n!`` unless that
-    centre completes a witness.  The second depth skips the conjugates of
-    each candidate whose subtree failed, adding that subtree's count for
-    each, as the module docstring explains.  ``plan`` is
+    lex rank plus one, whatever part of the pool the call actually tries:
+    a forced call, whose one candidate is the ball centre, adds ``n!``
+    unless that centre completes a witness.  The second depth skips the
+    conjugates of each candidate whose subtree failed, adding that subtree's
+    count for each, as the module docstring explains.  ``plan`` is
     ``_search_plan(c)``, built here when not given.
     """
     order, triples_at, balls_at, checks_at = _search_plan(c) if plan is None else plan
@@ -557,11 +572,7 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
 
     radius = threshold_radius(n, r)
     full = factorial(n)
-    bitsets = n * n * full <= 8 * _MASK_TABLE_BYTES
-    # a small ball in a large S_n is cheaper to check than to cut out of a
-    # bitset (a ball of radius 0 or 1 is forced and draws no pool)
-    ball_bitsets = (n * n * full <= 8 * _BALL_MASK_TABLE_BYTES
-                    and full <= _RANKS_PER_BALL_MEMBER * _ball_size(n, radius))
+    kinds = _pool_kinds(balls_at, n, radius)
     first = _first_candidates(n) if first_candidates is None else first_candidates
     f: list[tuple[int, ...]] = [ident] * (len(order) + 1)
     # allowed[k]: the ranks that pass the separation tests against f[:k], or
@@ -587,34 +598,23 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
                 allowed[i + 1] &= ~agreements(f[i], radius + 1, False)
         return allowed[new]
 
-    def pool(new: int) -> tuple[Iterable[tuple[int, ...]], bool]:
-        """The candidates of depth ``new`` in lex order, and whether they
-        still need the checks: a bitset pool holds exactly those that pass."""
-        ball = balls_at[new - 1]
-        if new == 1:
-            return first, True
-        if bitsets and (ball is None or ball_bitsets):
-            return _bitset_pool(f, new, triples_at[new - 1], radius, separated(new),
-                                agreements), False
-        if ball is not None and radius < n:
-            role, a, b, ab = ball
-            return _hamming_ball(_ball_centre(role, f[a], f[b], f[ab]), radius), True
-        return permutations(ident), True
-
     def extend(new: int) -> bool:
         nonlocal nodes
-        ball = balls_at[new - 1]
-        forced = ball is not None and radius <= 1
-        if forced:
-            # forced: the ball is its centre alone
-            role, a, b, ab = ball
-            drawn, checked = (_ball_centre(role, f[a], f[b], f[ab]),), True
+        kind = kinds[new - 1]
+        # checked: whether the candidates still need the checks
+        if kind == "forced" or kind == "ball":
+            role, a, b, ab = balls_at[new - 1]
+            centre = _ball_centre(role, f[a], f[b], f[ab])
+            drawn, checked = ((centre,) if kind == "forced" else _hamming_ball(centre, radius)), True
+        elif kind == "decided":
+            drawn, checked = _bitset_pool(f, new, triples_at[new - 1], radius, separated(new),
+                                          agreements), False
         else:
-            drawn, checked = pool(new)
+            drawn, checked = (first if kind == "first" else permutations(ident)), True
         # skipped[g]: the count of a failed subtree whose root is conjugate
         # to g under C(f[1]), for each g still ahead in the pool
         skipped: dict[tuple[int, ...], int] | None = \
-            {} if new == 2 and not forced and new < len(order) else None
+            {} if new == 2 and kind != "forced" and new < len(order) else None
         checks = checks_at[new - 1]
         earlier = f[:new]
         for cand in drawn:

@@ -24,20 +24,28 @@ by iterating every power, without the closed form.  ``reference_power_orders``
 keeps the k loops that decided ``ll`` and ``sim`` power by power, as the
 reference for the closed forms.  ``reference_growth_profile`` keeps the growth
 profile's scan over every n with a bisection for the largest m at each, as
-the reference for the least g(m) whose gap is below 1/r.  ``compose_lazy``
+the reference for the least g(m) whose gap is below 1/r, and
+``reference_growth_walk`` keeps the walk over every m that the closed form
+for the least such m replaced.  ``compose_lazy``
 and ``decide_product`` are helpers that only the tests use: the composite of
 two carriers, audited by evaluation, and the r = 3 decision of one product
-from a certificate.
+from a certificate.  So are the chunk maps (``ChunkMap``, ``is_homomorphism``,
+``compose_maps``, ``chunk_mult``), ``gamma_pair``, the realization checks
+``chunk_compatibility`` and ``displacement``, and ``property_holds_mask``.
 """
 
 import itertools
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from soficapprox.chunk import Chunk
+from soficapprox.gadgets import _gamma_points
 from soficapprox.growth import (INF, Compose, Exhausted, GrowthFn, Power, is_infinite, linearize,
                                 lt_eventually, quality_parameter)
-from soficapprox.lazyperm import AuditViolation, BoundWitness, LazyPerm, StageReport, SuppReport
+from soficapprox.lazyperm import (AuditViolation, BoundWitness, GChunk, LazyPerm, Realization,
+                                  StageReport, SuppReport, supp_defect_holds)
 from soficapprox.permcore import (Perm, all_cycle_types, block_sum, compose,
                                   cycle_type_representative, disagreements, hamming_distance,
                                   identity, inverse)
@@ -324,6 +332,27 @@ def reference_growth_profile(g: GrowthFn, r, n_max: int):
     return Exhausted(n_max, note=note)
 
 
+def reference_growth_walk(g: GrowthFn, r, n_max: int):
+    """``growth_profile`` before its closed form: every m in turn from 0,
+    until g(m) exceeds n_max or the gap 1 - m/g(m) falls below 1/r."""
+    r = quality_parameter(r)
+    if n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
+    if is_infinite(g):
+        return Exhausted(n_max, note="g(m) <= n holds for no m: the defining set is empty")
+    form = linearize(g)
+    if form is not None and (form.a - 1) * r >= form.a:
+        return Exhausted(n_max, note=(
+            f"impossible for every n: g(m) <= n forces m <= n/{form.a}, "
+            f"so (n - m)/n >= {Fraction(form.a - 1, form.a)} >= 1/r"))
+    m = 0
+    while (gm := g(m)) <= n_max:
+        if r * (gm - m) < gm:  # 1 - m/g(m) < 1/r, cleared of fractions
+            return gm
+        m += 1
+    return Exhausted(n_max)
+
+
 def reference_audit(p, g, horizon):
     """``audit`` as first written: every check point by point, the backward
     round trip at every point of [0, horizon], and the bound read in order
@@ -443,3 +472,96 @@ def decide_product(c, i: str, j: str, k: str, cert: ProfileCertificate) -> str:
     if d >= Fraction(2, 3):
         return "distinct"
     raise ValueError(f"certificate too weak: d(f({i})f({j}), f({k})) = {d} lies in [1/3, 2/3)")
+
+
+@dataclass(frozen=True)
+class ChunkMap:
+    """Total assignment from a source chunk's elements into some target."""
+
+    source: Chunk
+    images: dict
+
+    def __post_init__(self) -> None:
+        missing = [e for e in self.source.elements if e not in self.images]
+        if missing:
+            raise ValueError(f"map not total, missing {missing}")
+
+
+def is_homomorphism(m: ChunkMap, target_mult, target_unit=None) -> bool:
+    """True iff m preserves the unit and every defined product of the source.
+
+    ``target_unit`` may be omitted when the images are ``Perm`` values, in
+    which case the identity permutation of the right degree is assumed.
+    """
+    c = m.source
+    fu = m.images[c.unit]
+    if target_unit is None:
+        if isinstance(fu, Perm):
+            target_unit = identity(fu.degree)
+        else:
+            raise ValueError("target_unit required for non-permutation targets")
+    if fu != target_unit:
+        return False
+    for (a, b), ab in c.table.items():
+        if target_mult(m.images[a], m.images[b]) != m.images[ab]:
+            return False
+    return True
+
+
+def compose_maps(outer: ChunkMap, inner: ChunkMap) -> ChunkMap:
+    """(outer o inner), defined when inner's images are elements of outer's source."""
+    images = {e: outer.images[inner.images[e]] for e in inner.source.elements}
+    return ChunkMap(inner.source, images)
+
+
+def chunk_mult(c: Chunk):
+    """The chunk's own partial multiplication, None where undefined."""
+    return lambda a, b: c.product(a, b)
+
+
+def gamma_pair(j: int) -> tuple[LazyPerm, LazyPerm]:
+    """Two transpositions whose supports share exactly the point j."""
+    common, first, second, _ = _gamma_points(j)
+    return _transposition_lazy(common, first), _transposition_lazy(common, second)
+
+
+def _transposition_lazy(a: int, b: int) -> LazyPerm:
+    def swap(m: int) -> int:
+        if m == a:
+            return b
+        if m == b:
+            return a
+        return m
+    return LazyPerm(swap, swap, f"transposition:({a} {b})")
+
+
+def chunk_compatibility(real: Realization):
+    """(dropped, extra): abstract products the carriers miss, and
+    carrier-exact products the abstract chunk does not define the same way.
+
+    The name-preserving map from the realized chunk onto the abstract one
+    is a homomorphism exactly when ``extra`` is empty.
+    """
+    induced = real.exact_products()
+    dropped = tuple(sorted(
+        key for key, val in real.chunk.table.items()
+        if induced.get(key) != val))
+    extra = tuple(sorted(
+        key for key, val in induced.items()
+        if real.chunk.table.get(key) != val))
+    return dropped, extra
+
+
+def displacement(real: Realization, n: int, e1: str, e2: str) -> Fraction:
+    """Block-sum distance predicted from per-stage disagreement counts."""
+    if not 2 <= n <= real.depth:
+        raise ValueError(f"stage {n} outside 2..{real.depth}")
+    num = sum(f_i * disagreements(s[e1], s[e2])
+              for f_i, s in zip(real.f[:n - 1], real.sigma))
+    return Fraction(num, real.layout[n - 2])
+
+
+def property_holds_mask(gc: GChunk, r, n_range) -> list[bool]:
+    """Per degree of ``n_range``, whether its supp morphism has defect at most 1/r."""
+    r = quality_parameter(r)
+    return [supp_defect_holds(gc, n, r) for n in n_range]

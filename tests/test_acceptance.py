@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import brute_force_feasible, brute_force_least_n
+from oracles import brute_force_feasible, brute_force_least_n, displacement
 
 from soficapprox.chunk import Chunk, parse_chunk_file
 from soficapprox.gadgets import (
@@ -227,7 +227,7 @@ def test_criterion_07_realization_round_trip():
                 for i, e1 in enumerate(chunk.elements):
                     for e2 in chunk.elements[i + 1:]:
                         assert hamming_distance(assignment[e1], assignment[e2]) \
-                            == real.displacement(stage_n, e1, e2)
+                            == displacement(real, stage_n, e1, e2)
 
 
 def test_criterion_08_example_inequality_full_range():

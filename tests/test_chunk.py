@@ -6,19 +6,15 @@ from hypothesis import strategies as st
 
 from soficapprox.chunk import (
     Chunk,
-    ChunkMap,
     ChunkParseError,
-    chunk_mult,
-    compose_maps,
     format_chunk,
     induced_chunk,
-    is_homomorphism,
     parse_chunk,
     validate,
 )
 from soficapprox.permcore import compose, identity, transposition
 
-from oracles import all_perms
+from oracles import ChunkMap, all_perms, chunk_mult, compose_maps, is_homomorphism
 
 
 class TestValidate:

@@ -709,6 +709,12 @@ class TestCertificateReplay:
         replays_and_reemits(capsys, tmp_path, "z16trace.cert", "3")
         assert max(orbit_sizes) > 1
 
+    def test_z12_trace_certificate_replays_through_forced_depths(self, capsys, tmp_path):
+        # {0,1,6,8,9} in Z12 at r = 4, least degree 8: the last depth is
+        # forced at degree 7, which exhausts in 5,875,168,335 nodes.  Emitted
+        # by the search that drew forced centres apart from its other pools.
+        replays_and_reemits(capsys, tmp_path, "z12r4trace.cert", "4")
+
     def test_plain_verify_does_not_check_node_counts(self, capsys, cert_path):
         cert_path.write_text(cert_path.read_text().replace("infeasible 1 nodes 1",
                                                            "infeasible 1 nodes 999"))

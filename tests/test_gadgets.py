@@ -12,7 +12,6 @@ from soficapprox.gadgets import (
     delta,
     encode_check,
     example_check,
-    gamma_pair,
     stage_construction,
     three_cycle,
     three_cycle_chunk,
@@ -22,7 +21,7 @@ from soficapprox.growth import Affine
 from soficapprox.lazyperm import BoundWitness, audit, finitary
 from soficapprox.permcore import compose, identity, transposition
 
-from oracles import all_perms, compose_lazy, reference_example_check
+from oracles import all_perms, compose_lazy, gamma_pair, reference_example_check
 
 
 class TestThreeCycle:

@@ -33,7 +33,8 @@ from soficapprox.growth import (
     sim,
 )
 
-from oracles import reference_growth_eval, reference_growth_profile, reference_power_orders
+from oracles import (reference_growth_eval, reference_growth_profile, reference_growth_walk,
+                     reference_power_orders)
 
 simple_growths = st.one_of(
     st.integers(1, 40).map(Affine),
@@ -366,6 +367,19 @@ class TestSlowness:
         assert "\n" not in str(exc.value)
 
 
+@st.composite
+def growths_with_r(draw):
+    """A growth function or Infinity, and an r that is at times just below
+    a/(a - 1) for the function's eventual slope a >= 2, where the least m
+    whose gap is below 1/r runs far out."""
+    g = draw(st.one_of(growths, st.just(Infinity())))
+    form = linearize(g)
+    if form is not None and form.a > 1 and draw(st.booleans()):
+        return g, Fraction(form.a, form.a - 1) - Fraction(1, draw(st.integers(form.a, 10**6)))
+    return g, draw(st.one_of(st.integers(1, 10**6),
+                             st.fractions(min_value=1, max_value=60, max_denominator=20)))
+
+
 class TestGrowthProfile:
     def test_successor_at_two(self):
         assert growth_profile(Affine(1), 2, 100) == 3
@@ -420,6 +434,18 @@ class TestGrowthProfile:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_per_n_bisection(self, g, r, n_max):
         assert growth_profile(g, r, n_max) == reference_growth_profile(g, r, n_max)
+
+    @given(growths_with_r(), st.integers(1, 5000))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_matches_the_walk_over_m(self, g_r, n_max):
+        g, r = g_r
+        assert growth_profile(g, r, n_max) == reference_growth_walk(g, r, n_max)
+
+    def test_closed_form_answers_far_out(self):
+        # the least m is 5 * (10^7 - 1) + 1, which a walk over m takes minutes to reach
+        start = time.perf_counter()
+        assert growth_profile(Affine(5), 10**7, 10**12) == 50000001
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("f,g", [
         (Affine(1), Affine(2)),

@@ -27,7 +27,6 @@ from soficapprox.lazyperm import (
     finitary,
     identity_lazy,
     inverse_lazy,
-    property_holds_mask,
     property_profile,
     realize,
     supp_morphism,
@@ -37,9 +36,11 @@ from soficapprox.permcore import Perm, block_sum_images, hamming_distance, ident
 from soficapprox.profile import ProfileCertificate, disagreement_counts, measure, sofic_profile
 
 from conftest import DATA, data_path
-from oracles import (compose_lazy, max_m_with_value_at_most, reference_audit,
-                     reference_blocksum_carrier, reference_gchunk_error, reference_measure,
-                     reference_realize, reference_supp_morphism, reference_supp_quality)
+from oracles import (ChunkMap, chunk_compatibility, chunk_mult, compose_lazy, displacement,
+                     is_homomorphism, max_m_with_value_at_most, property_holds_mask,
+                     reference_audit, reference_blocksum_carrier, reference_gchunk_error,
+                     reference_measure, reference_realize, reference_supp_morphism,
+                     reference_supp_quality)
 
 
 def pair_swap() -> LazyPerm:
@@ -1180,7 +1181,7 @@ class TestRealize:
                 for i, e1 in enumerate(chunk.elements):
                     for e2 in chunk.elements[i + 1:]:
                         assert hamming_distance(assignment[e1], assignment[e2]) \
-                            == real.displacement(stage_n, e1, e2)
+                            == displacement(real, stage_n, e1, e2)
 
     def test_quality_thresholds_at_every_stage(self, z3):
         real = realize(z3, self.certs(z3, 6))
@@ -1228,7 +1229,7 @@ class TestRealizedChunk:
     def test_exact_certificates_keep_the_whole_table(self, z2, z3, klein):
         for chunk in (z2, z3, klein):
             real = realize(chunk, self.certs(chunk, 5))
-            dropped, extra = real.chunk_compatibility()
+            dropped, extra = chunk_compatibility(real)
             assert dropped == () and extra == ()
             assert real.realized_chunk() == chunk
 
@@ -1238,12 +1239,12 @@ class TestRealizedChunk:
         # the name map onto the abstract chunk stays a homomorphism
         real = realize(z4trace, self.certs(z4trace, 5))
         assert any(st.defect > 0 for st in real.stages)
-        dropped, extra = real.chunk_compatibility()
+        dropped, extra = chunk_compatibility(real)
         assert ("h", "h") in dropped
         assert extra == ()
         reduced = real.realized_chunk()
         assert reduced.product("h", "h") is None
-        from soficapprox.chunk import ChunkMap, chunk_mult, is_homomorphism, validate
+        from soficapprox.chunk import validate
         assert validate(reduced).ok
         name_map = ChunkMap(reduced, {e: e for e in reduced.elements})
         assert is_homomorphism(name_map, chunk_mult(z4trace), target_unit="1")

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from operator import ne
@@ -25,6 +26,7 @@ from soficapprox.profile import (
     _decode,
     _hamming_ball,
     _lex_rank,
+    _pool_kinds,
     _product_key,
     _rank_masks,
     _search_degree,
@@ -661,6 +663,31 @@ class TestForcedDepths:
             (1, 4, 9, 1493, 262207, 10540091), start=1))
 
 
+# Pool kinds by depth at one degree: a chunk, r, the degree and each depth's
+# kind.  {0,1,6,8,9} in Z12 at r = 4 is tests/data/z12r4trace.cert, whose
+# forced last depth at degree 7 draws 1.2 M ball centres.
+POOL_KIND_ROWS = [
+    ("Z7@7 n=7", cyclic_chunk(7), 7, 7, ["first"] + ["forced"] * 5),
+    ("Z12{0,1,6,8,9}@4 n=7", cyclic_chunk(12, [0, 1, 6, 8, 9]), 4, 7,
+     ["first", "decided", "decided", "forced"]),
+    ("Z12{0,1,6,8,9}@4 n=8", cyclic_chunk(12, [0, 1, 6, 8, 9]), 4, 8, ["first"] + ["decided"] * 3),
+    ("Z12@3 n=9", cyclic_chunk(12), 3, 9, ["first"] + ["decided"] * 10),
+    ("Z12@3 n=10", cyclic_chunk(12), 3, 10, ["first"] + ["ball"] * 10),
+    ("Z12@3 n=11", cyclic_chunk(12), 3, 11, ["first"] + ["ball"] * 10),
+    ("Z19{0,2,3,6,11,12,15}@4 n=9", cyclic_chunk(19, [0, 2, 3, 6, 11, 12, 15]), 4, 9,
+     ["first", "decided", "ball", "decided", "ball", "ball"]),
+    ("Z19{0,2,3,6,11,12,15}@4 n=10", cyclic_chunk(19, [0, 2, 3, 6, 11, 12, 15]), 4, 10,
+     ["first", "decided", "ball", "decided", "ball", "ball"]),
+    ("Z19{0,2,3,6,11,12,15}@4 n=11", cyclic_chunk(19, [0, 2, 3, 6, 11, 12, 15]), 4, 11,
+     ["first", "all", "ball", "all", "ball", "ball"]),
+]
+
+
+@pytest.mark.parametrize("name,c,r,n,kinds", POOL_KIND_ROWS, ids=[row[0] for row in POOL_KIND_ROWS])
+def test_pool_kinds_by_depth(name, c, r, n, kinds):
+    assert _pool_kinds(_search_plan(c)[2], n, threshold_radius(n, Fraction(r))) == kinds
+
+
 def closure(gens, n):
     """The group that ``gens`` generate in S_n, as image tuples."""
     group = {tuple(range(n))}
@@ -739,33 +766,38 @@ class TestOrbitCounts:
     def test_random_partial_traces_match_reference(self, monkeypatch, orbit_sizes):
         # 30 traces, at r = 3 and 4 and every degree up to 6: about 650,000
         # reference nodes; the first two also on two workers at r = 3
-        kinds = dict.fromkeys(["forced", "free", "ball", "checked ball"], 0)
-        orbits = dict.fromkeys(kinds, 0)
+        searched, orbits = Counter(), Counter()
+
+        def search(c, r, n, want):
+            """One degree, counted under its second depth's pool kind and
+            whether that depth has a ball triple: a depth without one and a
+            ball cut out of a bitset are both decided."""
+            balls_at = _search_plan(c)[2]
+            key = (_pool_kinds(balls_at, n, threshold_radius(n, r))[1], balls_at[1] is not None)
+            orbit_sizes.clear()
+            assert _backtrack(c, r, n) == want, (c, r, n)
+            searched[key] += 1
+            orbits[key] += any(size > 1 for size in orbit_sizes)
+            return key
+
         chunks = partial_traces(random.Random(24), 30)
         for c in chunks:
-            ball = _search_plan(c)[2][1]
             for r in map(Fraction, (3, 4)):
                 for n in range(1, 7):
                     want = reference_backtrack(c, r, n)
-                    radius = threshold_radius(n, r)
-                    kind = "free" if ball is None else "forced" if radius <= 1 else "ball"
-                    orbit_sizes.clear()
-                    assert _backtrack(c, r, n) == want, (c, r, n)
-                    if c in chunks[:2] and r == 3:
-                        assert _search_degree(c, r, n, 2) == want, (c, n)
-                    kinds[kind] += 1
-                    orbits[kind] += any(size > 1 for size in orbit_sizes)
-                    if kind == "ball":
+                    if search(c, r, n, want) == ("decided", True):
                         # with no ranks allowed per ball member, the ball
                         # is listed and checked instead of cut out of a bitset
                         with monkeypatch.context() as m:
                             m.setattr(profile, "_RANKS_PER_BALL_MEMBER", 0)
-                            orbit_sizes.clear()
-                            assert _backtrack(c, r, n) == want, (c, r, n)
-                        kinds["checked ball"] += 1
-                        orbits["checked ball"] += any(size > 1 for size in orbit_sizes)
-        assert all(kinds.values()) and orbits["forced"] == 0
-        assert orbits["free"] and orbits["ball"] and orbits["checked ball"], orbits
+                            assert search(c, r, n, want) == ("ball", True)
+                    if c in chunks[:2] and r == 3:
+                        assert _search_degree(c, r, n, 2) == want, (c, n)
+        assert set(searched) == {("forced", True), ("decided", False), ("decided", True),
+                                 ("ball", True)}
+        assert orbits[("forced", True)] == 0
+        assert orbits[("decided", False)] and orbits[("decided", True)] \
+            and orbits[("ball", True)], orbits
 
 
 def passes_checks(f, new, triples, radius, min_sep, cand):
@@ -854,6 +886,9 @@ class TestBitsetPool:
 
         monkeypatch.setattr(profile, "_rank_masks", spy)
         monkeypatch.setattr(profile, "_MASK_TABLE_BYTES", 5 * 5 * factorial(5) // 8)
+        balls_at = _search_plan(c)[2]
+        assert _pool_kinds(balls_at, 5, 1) == ["first", "decided", "decided", "forced"]
+        assert _pool_kinds(balls_at, 6, 2) == ["first", "all", "all", "ball"]
         assert _backtrack(c, Fraction(3), 5) == want[5]
         assert built and max(built) == 5  # degree 5 sits exactly at the limit
         built.clear()
@@ -918,6 +953,8 @@ class TestBitsetPool:
         monkeypatch.setattr(profile, "_rank_masks", lambda n: built.append(n) or rank_masks(n))
         monkeypatch.setattr(profile, "_RANKS_PER_BALL_MEMBER", ranks_per_member)
         monkeypatch.setattr(profile, "_BALL_MASK_TABLE_BYTES", table_bytes)
+        assert _pool_kinds(_search_plan(c)[2], 6, 2) == \
+            ["first"] + ["decided" if drawn else "ball"] * 3
         assert _backtrack(c, Fraction(3), 6) == reference_backtrack(c, 3, 6)
         # without bitset pools each ball is stepped through and checked
         assert max(built, default=0) == (6 if drawn else 0)
@@ -1008,9 +1045,11 @@ class TestAgreementCache:
         chunks = lifetime_traces(random.Random(25), 8)
         cached_builds = one_set_builds = 0
         for c in chunks:
+            balls_at = _search_plan(c)[2]
             for r in map(Fraction, (3, 4)):
                 for n in range(1, 7):
                     want = reference_backtrack(c, r, n)
+                    kinds = _pool_kinds(balls_at, n, threshold_radius(n, r))
                     built.clear()
                     assert _backtrack(c, r, n) == want, (c, r, n)
                     # up to n = 6 the cache has room for every set a degree builds
@@ -1021,6 +1060,8 @@ class TestAgreementCache:
                         # (for n >= 3; below that a byte holds more)
                         m.setattr(profile, "_MASK_TABLE_BYTES",
                                   -(-(n * n + 1) * factorial(n) // 8))
+                        # which narrows the cache alone, not the pools
+                        assert _pool_kinds(balls_at, n, threshold_radius(n, r)) == kinds
                         built.clear()
                         assert _backtrack(c, r, n) == want, (c, r, n)
                         # a set is built again only once another replaced it
