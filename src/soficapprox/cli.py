@@ -8,13 +8,14 @@ produce byte-identical output regardless of the worker count.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable
 
 from . import gadgets, profile
 from .chunk import (Chunk, ChunkParseError, format_chunk, parse_chunk, parse_chunk_file, validate,
@@ -320,94 +321,6 @@ def _parse_carrier(spec: str, base: str, element: str, lineno: int,
 
 # -- subcommands -------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors are exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_DATA)
-
-
-@functools.cache
-def build_parser() -> _Parser:
-    """The ``sofic`` parser tree, built on the first call and shared by every
-    later one; each leaf subcommand carries its handler as ``args.handler``."""
-    parser = _Parser(prog="sofic", description=__doc__)
-    parser.add_argument("--workers", type=int, default=1, help="parallel search workers")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_chunk = sub.add_parser("chunk", help="chunk file operations")
-    chunk_sub = p_chunk.add_subparsers(dest="chunk_command", required=True)
-    p_validate = chunk_sub.add_parser("validate", help="validate a chunk file")
-    p_validate.add_argument("file")
-    p_validate.set_defaults(handler=_cmd_chunk_validate)
-
-    p_profile = sub.add_parser("profile", help="certified sofic profile search")
-    p_profile.add_argument("--chunk", required=True)
-    p_profile.add_argument("--r", type=parse_rational, help="quality parameter P/Q")
-    p_profile.add_argument("--all-r", type=str, default=None,
-                           help="comma-separated list P1/Q1,P2/Q2,...")
-    p_profile.add_argument("--n-max", type=int, default=None)
-    p_profile.add_argument("--emit-witness", type=str, default=None)
-    p_profile.add_argument("--emit-cert", type=str, default=None)
-    p_profile.set_defaults(handler=_cmd_profile)
-
-    p_growth = sub.add_parser("growth", help="growth-function calculus")
-    growth_sub = p_growth.add_subparsers(dest="growth_command", required=True)
-    p_gprof = growth_sub.add_parser("prof", help="profile of a growth function")
-    p_gprof.add_argument("--g", required=True)
-    p_gprof.add_argument("--r", type=parse_rational, required=True)
-    p_gprof.add_argument("--n-max", type=int, default=10_000)
-    p_gprof.set_defaults(handler=_cmd_growth_prof)
-    p_gcmp = growth_sub.add_parser("cmp", help="order comparisons")
-    p_gcmp.add_argument("--f", required=True)
-    p_gcmp.add_argument("--g", required=True)
-    p_gcmp.add_argument("--rel", choices=["prec", "ll", "sim"], required=True)
-    p_gcmp.set_defaults(handler=_cmd_growth_cmp)
-
-    p_supp = sub.add_parser("supp", help="supp-morphism quality report")
-    p_supp.add_argument("--gchunk", required=True)
-    p_supp.add_argument("--n", type=int, required=True)
-    p_supp.add_argument("--r", type=parse_rational, required=True)
-    p_supp.add_argument("--horizon", type=int, default=None,
-                        help="audit the carriers on [0, H]; --n must be at most H "
-                             "(default: max(1000, 2n), capped at 10^6)")
-    p_supp.set_defaults(handler=_cmd_supp)
-
-    p_realize = sub.add_parser("realize", help="block-direct-sum realization")
-    p_realize.add_argument("--chunk", required=True)
-    p_realize.add_argument("--depth", type=int, required=True)
-    p_realize.add_argument("--n-max", type=int, default=None)
-    p_realize.add_argument("--emit", type=str, default=None)
-    p_realize.set_defaults(handler=_cmd_realize)
-
-    p_gadget = sub.add_parser("gadget", help="worked constructions")
-    gadget_sub = p_gadget.add_subparsers(dest="gadget_command", required=True)
-    p_example = gadget_sub.add_parser("example", help="three-cycle fixed-point deviation")
-    p_example.add_argument("--n", type=int, required=True)
-    p_example.set_defaults(handler=_cmd_gadget_example)
-    p_encode = gadget_sub.add_parser("encode", help="point-evaluation encoding")
-    p_encode.add_argument("--rho", required=True, help="finitary permutation, cycle form")
-    p_encode.add_argument("--k", type=int, required=True)
-    p_encode.add_argument("--n", type=int, required=True)
-    p_encode.add_argument("--horizon", type=int, default=1000)
-    p_encode.set_defaults(handler=_cmd_gadget_encode)
-    p_stages = gadget_sub.add_parser("stages", help="stagewise limit map")
-    p_stages.add_argument("--trace", required=True, help="comma-separated 0/1 flags")
-    p_stages.add_argument("--horizon", type=int, required=True)
-    p_stages.set_defaults(handler=_cmd_gadget_stages)
-
-    p_cert = sub.add_parser("cert", help="certificate persistence")
-    cert_sub = p_cert.add_subparsers(dest="cert_command", required=True)
-    p_cverify = cert_sub.add_parser("verify", help="re-measure a stored certificate")
-    p_cverify.add_argument("file")
-    p_cverify.add_argument("--replay", action="store_true",
-                           help="re-run the search at every recorded degree and "
-                                "compare its node count")
-    p_cverify.set_defaults(handler=_cmd_cert_verify)
-
-    return parser
-
-
 def _cmd_chunk_validate(args) -> int:
     c = parse_chunk_file(args.file)
     report = validate(c)
@@ -599,11 +512,198 @@ def _cmd_cert_verify(args) -> int:
     return EXIT_OK
 
 
+# -- the command line ----------------------------------------------------------------
+
+# Flag and Command are slotted classes: as NamedTuples the two would add about
+# 0.5 ms to every import of this module.
+class Flag:
+    """One argument of a command: ``--name VALUE``, or a positional when the
+    name has no leading dashes.  ``type`` converts the text; ``bool`` makes
+    a ``--name`` switch, which takes no value.  ``dest`` is the name that
+    argparse gives its value."""
+
+    __slots__ = ("name", "dest", "type", "default", "required", "choices", "help")
+
+    def __init__(self, name: str, type: Callable = str, default=None, required: bool = False,
+                 choices: tuple[str, ...] | None = None, help: str | None = None):
+        self.name, self.dest = name, name.lstrip("-").replace("-", "_")
+        self.type, self.default, self.required = type, default, required
+        self.choices, self.help = choices, help
+
+
+class Command:
+    """A leaf subcommand: its words after ``sofic``, help, handler and flags."""
+
+    __slots__ = ("words", "help", "handler", "flags")
+
+    def __init__(self, words: tuple[str, ...], help: str, handler: Callable,
+                 flags: tuple[Flag, ...]):
+        self.words, self.help, self.handler, self.flags = words, help, handler, flags
+
+
+GLOBAL_FLAGS = (Flag("--workers", int, 1, help="parallel search workers"),)
+# The first word of each two-word command, with its help.
+GROUPS = {"chunk": "chunk file operations", "growth": "growth-function calculus",
+          "gadget": "worked constructions", "cert": "certificate persistence"}
+_FILE = Flag("file")
+_CHUNK = Flag("--chunk", required=True)
+_N_MAX = Flag("--n-max", int)
+_G = Flag("--g", required=True)
+_R = Flag("--r", parse_rational, required=True)
+_N = Flag("--n", int, required=True)
+COMMANDS = (
+    Command(("chunk", "validate"), "validate a chunk file", _cmd_chunk_validate, (_FILE,)),
+    Command(("profile",), "certified sofic profile search", _cmd_profile, (
+        _CHUNK,
+        Flag("--r", parse_rational, help="quality parameter P/Q"),
+        Flag("--all-r", help="comma-separated list P1/Q1,P2/Q2,..."),
+        _N_MAX, Flag("--emit-witness"), Flag("--emit-cert"))),
+    Command(("growth", "prof"), "profile of a growth function", _cmd_growth_prof,
+            (_G, _R, Flag("--n-max", int, 10_000))),
+    Command(("growth", "cmp"), "order comparisons", _cmd_growth_cmp,
+            (Flag("--f", required=True), _G,
+             Flag("--rel", choices=("prec", "ll", "sim"), required=True))),
+    Command(("supp",), "supp-morphism quality report", _cmd_supp, (
+        Flag("--gchunk", required=True), _N, _R,
+        Flag("--horizon", int, help="audit the carriers on [0, H]; --n must be at most H "
+                                    "(default: max(1000, 2n), capped at 10^6)"))),
+    Command(("realize",), "block-direct-sum realization", _cmd_realize,
+            (_CHUNK, Flag("--depth", int, required=True), _N_MAX, Flag("--emit"))),
+    Command(("gadget", "example"), "three-cycle fixed-point deviation", _cmd_gadget_example,
+            (_N,)),
+    Command(("gadget", "encode"), "point-evaluation encoding", _cmd_gadget_encode, (
+        Flag("--rho", required=True, help="finitary permutation, cycle form"),
+        Flag("--k", int, required=True), _N, Flag("--horizon", int, 1000))),
+    Command(("gadget", "stages"), "stagewise limit map", _cmd_gadget_stages, (
+        Flag("--trace", required=True, help="comma-separated 0/1 flags"),
+        Flag("--horizon", int, required=True))),
+    Command(("cert", "verify"), "re-measure a stored certificate", _cmd_cert_verify, (
+        _FILE, Flag("--replay", bool, False, help="re-run the search at every recorded "
+                                                  "degree and compare its node count"))),
+)
+
+
+def _read_flags(tokens: list[str], flags: tuple[Flag, ...]) -> tuple[dict, int] | None:
+    """Read ``tokens`` as ``flags`` up to the first positional left over.
+
+    Returns every flag's value by dest, its default when not given, and the
+    index of that positional (``len(tokens)`` when there is none).  Returns
+    None unless each token read is an exact flag, given once as ``--flag
+    value`` or ``--flag=value`` with a value that does not start with ``-``
+    and that its converter and choices accept, and every required flag and
+    positional is given.
+    """
+    named = {flag.name: flag for flag in flags}
+    positionals = [flag for flag in flags if not flag.name.startswith("-")]
+    values: dict = {}
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        if not token.startswith("-"):
+            if not positionals:
+                break
+            flag, text = positionals.pop(0), token
+        else:
+            name, eq, text = token.partition("=")
+            flag = named.get(name)
+            if flag is None or flag.dest in values or (flag.type is bool and eq):
+                return None
+            if flag.type is bool:
+                values[flag.dest] = True
+                i += 1
+                continue
+            if not eq:
+                i += 1
+                if i == len(tokens):
+                    return None
+                text = tokens[i]
+            if text.startswith("-"):
+                return None
+        i += 1
+        try:
+            value = flag.type(text)
+        except (TypeError, ValueError):  # argparse's usage error names the flag
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    if positionals or any(flag.required and flag.dest not in values for flag in flags):
+        return None
+    return {flag.dest: values.get(flag.dest, flag.default) for flag in flags}, i
+
+
+def read_command_line(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read from
+    the command table without argparse, or None for an argv that needs it:
+    help, a usage error, or a flag that is abbreviated, repeated, or whose
+    value starts with ``-``."""
+    read = _read_flags(argv, GLOBAL_FLAGS)
+    if read is None:
+        return None
+    top, start = read
+    command = next((cmd for cmd in COMMANDS
+                    if tuple(argv[start:start + len(cmd.words)]) == cmd.words), None)
+    if command is None:
+        return None
+    rest = argv[start + len(command.words):]
+    read = _read_flags(rest, command.flags)
+    if read is None or read[1] < len(rest):
+        return None
+    args = SimpleNamespace(**top, command=command.words[0])
+    if len(command.words) == 2:
+        setattr(args, f"{command.words[0]}_command", command.words[1])
+    args.__dict__.update(read[0], handler=command.handler)
+    return args
+
+
+@functools.cache
+def build_parser():
+    """The ``sofic`` argparse parser, generated from the command table on the
+    first call and shared by every later one; ``main`` needs it only for
+    help and usage errors.  Each leaf carries its handler as
+    ``args.handler``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # usage errors are exit 1, not argparse's 2
+            self.print_usage(sys.stderr)
+            sys.stderr.write(f"error: {message}\n")
+            raise SystemExit(EXIT_DATA)
+
+    def add_flags(parser, flags):
+        for flag in flags:
+            kwargs = {"default": flag.default}
+            if flag.type is bool:
+                kwargs["action"] = "store_true"
+            else:
+                kwargs.update(type=flag.type, choices=flag.choices)
+            if flag.name.startswith("-"):
+                kwargs["required"] = flag.required
+            parser.add_argument(flag.name, help=flag.help, **kwargs)
+
+    parser = Parser(prog="sofic", description=__doc__)
+    add_flags(parser, GLOBAL_FLAGS)
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for command in COMMANDS:
+        group = command.words[:-1]
+        if group not in subparsers:
+            p_group = subparsers[()].add_parser(group[0], help=GROUPS[group[0]])
+            subparsers[group] = p_group.add_subparsers(dest=f"{group[0]}_command",
+                                                       required=True)
+        leaf = subparsers[group].add_parser(command.words[-1], help=command.help)
+        add_flags(leaf, command.flags)
+        leaf.set_defaults(handler=command.handler)
+    return parser
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse handles -h (0) and usage errors (1)
-        return exc.code if isinstance(exc.code, int) else EXIT_DATA
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = read_command_line(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse handles -h (0) and usage errors (1)
+            return exc.code if isinstance(exc.code, int) else EXIT_DATA
     try:
         if args.workers < 1:
             raise ValueError("--workers must be positive")

@@ -425,12 +425,40 @@ def _order_form(g: GrowthFn) -> EventualAffine | None:
     return form
 
 
+def _piece(g: GrowthFn, form: EventualAffine | None,
+           n: int) -> tuple[int, int | None, int, int]:
+    """(start, end, a, c) with g(m) = a*m + c for start <= m < end, or for
+    every m >= start when end is None: the piece of g that holds n.
+
+    ``form`` is ``linearize(g)``.  A block-step has a piece per block, the
+    last continuing past its break; every other kind has a piece per point
+    below the form's ``n_from`` (a = 0, c = g(n)) and the form from there on.
+    """
+    if isinstance(g, BlockStep):
+        k = min(bisect_right(g.breaks, n), len(g.breaks) - 1)
+        end = g.breaks[k] if k < len(g.breaks) - 1 else None
+        return (g.breaks[k - 1] if k else 0), end, 1, g.offsets[k]
+    if form is not None and n >= form.n_from:
+        return form.n_from, None, form.a, form.c
+    return n, n + 1, 0, g(n)
+
+
 def _minimal_onset(f: GrowthFn, g: GrowthFn, start: int) -> int:
-    """Given that f < g pointwise from ``start`` on, find the minimal onset."""
+    """Given that f < g pointwise from ``start`` on, find the minimal onset,
+    one piece of f and g at a time down from ``start``."""
+    lf, lg = linearize(f), linearize(g)
     n = start
-    while n > 0 and f(n - 1) < g(n - 1):
-        n -= 1
-    return n
+    while n > 0:
+        low_f, _, a_f, c_f = _piece(f, lf, n - 1)
+        low_g, _, a_g, c_g = _piece(g, lg, n - 1)
+        # f - g = slope*m + gap on [low, n), and f < g on [n, start)
+        low, slope, gap = max(low_f, low_g), a_f - a_g, c_f - c_g
+        if slope * (n - 1) + gap >= 0:
+            return n
+        if slope < 0 and gap // -slope >= low:  # f - g >= 0 from gap/-slope down
+            return gap // -slope + 1
+        n = low
+    return 0
 
 
 def lt_eventually(f: GrowthFn, g: GrowthFn) -> PrecVerdict:
@@ -609,12 +637,13 @@ def growth_profile(g: GrowthFn, r, n_max: int) -> int | Exhausted:
 
     An eventual slope a with 1 - 1/a >= 1/r decides the empty set up front:
     g(m) >= a*m at every m, since Linear(a) is at least a*m, every other leaf
-    is at least m, and composition multiplies slopes.  Otherwise
-    d = a - r(a - 1) is positive.  The m below the form's ``n_from`` are
-    tried one by one; from ``n_from`` on, g(m) = a*m + c with c >= 0, and the
-    gap is below 1/r iff d*m > c(r - 1), so m0 is the larger of ``n_from``
-    and the least such m.  Without a form, m is tried one by one until g(m)
-    exceeds n_max, which g(m) > m makes happen by m = n_max.
+    is at least m, and composition multiplies slopes.  Otherwise the m are
+    tried one ``_piece`` at a time from 0: where g(m) = a*m + c, the gap is
+    below 1/r iff m(a - r(a - 1)) > c(r - 1), and a - r(a - 1) is positive
+    (r at a = 0, 1 at a = 1, and at a larger eventual slope by the test
+    above), so a piece gives its least such m in closed form.  g is
+    monotone, so its values stay above n_max once one exceeds it, which
+    g(m) > m makes happen by m = n_max.
     """
     r = quality_parameter(r)
     if n_max < 1:
@@ -626,15 +655,15 @@ def growth_profile(g: GrowthFn, r, n_max: int) -> int | Exhausted:
         return Exhausted(n_max, note=(
             f"impossible for every n: g(m) <= n forces m <= n/{form.a}, "
             f"so (n - m)/n >= {Fraction(form.a - 1, form.a)} >= 1/r"))
-    m = 0
-    while form is None or m < form.n_from:
-        if (gm := g(m)) > n_max:
+    start = 0
+    while True:
+        start, end, a, c = _piece(g, form, start)
+        m = max(start, c * (r - 1) // (a - r * (a - 1)) + 1)
+        if end is None or m < end:
+            return a * m + c if a * m + c <= n_max else Exhausted(n_max)
+        if a * (end - 1) + c > n_max:
             return Exhausted(n_max)
-        if r * (gm - m) < gm:  # 1 - m/g(m) < 1/r, cleared of fractions
-            return gm
-        m += 1
-    gm = g(max(m, form.c * (r - 1) // (form.a - r * (form.a - 1)) + 1))
-    return gm if gm <= n_max else Exhausted(n_max)
+        start = end
 
 
 def compare_pf(u: Mapping, v: Mapping, C, Cp, Cpp, sample_rs: Sequence) -> bool:

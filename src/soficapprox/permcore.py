@@ -162,13 +162,18 @@ def cycle_type_representative(t: CycleType, n: int) -> Perm:
     """
     if t.degree != n:
         raise ValueError(f"parts {t.parts} sum to {t.degree}, not {n}")
-    images = list(range(n))
-    start = 0
-    for part in t.parts:
-        for i in range(part):
-            images[start + i] = start + (i + 1) % part
-        start += part
-    return Perm(tuple(images))
+    return Perm(_representative_images(t.parts))
+
+
+def _representative_images(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of the representative of the cycle type with ``parts``,
+    longest first: a permutation, so they need no check."""
+    images: list[int] = []
+    for part in parts:
+        start = len(images)
+        images.extend(range(start + 1, start + part))
+        images.append(start)
+    return tuple(images)
 
 
 def _partitions(n: int, cap: int) -> Iterable[tuple[int, ...]]:
@@ -181,11 +186,17 @@ def _partitions(n: int, cap: int) -> Iterable[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def representatives(n: int) -> tuple[tuple[int, ...], ...]:
+    """The images of every cycle type's representative in degree n, in
+    ascending order: the order of ``all_cycle_types``."""
+    return tuple(sorted(map(_representative_images, _partitions(n, n))))
+
+
+@lru_cache(maxsize=None)
 def all_cycle_types(n: int) -> tuple[CycleType, ...]:
     """All cycle types of degree n, ordered by their representative's image tuple."""
-    types = [CycleType(parts) for parts in _partitions(n, n)]
-    types.sort(key=lambda t: cycle_type_representative(t, n).images)
-    return tuple(types)
+    return tuple(CycleType(parts)
+                 for parts in sorted(_partitions(n, n), key=_representative_images))
 
 
 def format_perm(p: Perm) -> str:

@@ -116,7 +116,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validated
 from .growth import Exhausted, quality_parameter
-from .permcore import Perm, all_cycle_types, cycle_type_representative
+from .permcore import Perm, representatives
 
 
 class MorphismQuality(NamedTuple):
@@ -553,7 +553,7 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     ``c`` must pass ``chunk.validate``, as every public entry checks, since
     the bitset pools rely on it (see ``_product_key``).
     ``first_candidates`` are image tuples for the first non-unit element; the
-    default, ``_first_candidates(n)``, is the cycle-type representatives.
+    default, ``representatives(n)``, is the cycle-type representatives.
     Each call adds to the node count the length of its full pool when it
     fails, and the witness image's place in that pool when it succeeds.
     Past depth 0 the full pool is S_n in lex order, so that is ``n!`` or the
@@ -573,7 +573,7 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     radius = threshold_radius(n, r)
     full = factorial(n)
     kinds = _pool_kinds(balls_at, n, radius)
-    first = _first_candidates(n) if first_candidates is None else first_candidates
+    first = representatives(n) if first_candidates is None else first_candidates
     f: list[tuple[int, ...]] = [ident] * (len(order) + 1)
     # allowed[k]: the ranks that pass the separation tests against f[:k], or
     # None until a bitset pool needs it after f[k - 1] is placed.  Placing
@@ -651,17 +651,10 @@ def _backtrack(c: Chunk, r: Fraction, n: int,
     return witness, nodes
 
 
-@lru_cache(maxsize=None)
-def _first_candidates(n: int) -> tuple[tuple[int, ...], ...]:
-    """The first non-unit element's candidates at degree n: the images of
-    the cycle-type representatives, in the order of ``all_cycle_types``."""
-    return tuple(cycle_type_representative(t, n).images for t in all_cycle_types(n))
-
-
 def _search_degree(c: Chunk, r: Fraction, n: int, workers: int,
                    plan: tuple | None = None) -> tuple[dict[str, Perm] | None, int]:
     plan = _search_plan(c) if plan is None else plan
-    cands = _first_candidates(n)
+    cands = representatives(n)
     if workers <= 1 or not plan[0] or len(cands) <= 1:
         return _backtrack(c, r, n, cands, plan)
     # Imported here: with the logging module it pulls in, it would add about

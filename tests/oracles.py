@@ -26,7 +26,8 @@ reference for the closed forms.  ``reference_growth_profile`` keeps the growth
 profile's scan over every n with a bisection for the largest m at each, as
 the reference for the least g(m) whose gap is below 1/r, and
 ``reference_growth_walk`` keeps the walk over every m that the closed form
-for the least such m replaced.  ``compose_lazy``
+for the least such m replaced, and ``reference_minimal_onset`` the walk down
+over every n that finds where f < g begins.  ``compose_lazy``
 and ``decide_product`` are helpers that only the tests use: the composite of
 two carriers, audited by evaluation, and the r = 3 decision of one product
 from a certificate.  So are the chunk maps (``ChunkMap``, ``is_homomorphism``,
@@ -351,6 +352,16 @@ def reference_growth_walk(g: GrowthFn, r, n_max: int):
             return gm
         m += 1
     return Exhausted(n_max)
+
+
+def reference_minimal_onset(f: GrowthFn, g: GrowthFn, start: int) -> int:
+    """``growth._minimal_onset`` before it stepped a piece at a time: given
+    that f < g from ``start`` on, walk n down one point at a time while
+    f(n - 1) < g(n - 1)."""
+    n = start
+    while n > 0 and f(n - 1) < g(n - 1):
+        n -= 1
+    return n
 
 
 def reference_audit(p, g, horizon):

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -783,6 +784,123 @@ class TestGChunkSpecFormat:
                         "carrier a = table:[1 0]\n")
         with pytest.raises(ValueError):
             parse_gchunk_file(str(spec), horizon=50)
+
+
+def argparse_namespace(argv):
+    """``vars`` of what the argparse tree makes of argv, or None when it
+    prints help or a usage error."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+# True one time in ten, drawn as hypothesis prefers small integers
+rarely = st.integers(0, 9).map(lambda k: k == 9)
+
+
+def flag_texts(flag):
+    """Values for a flag, one in ten of them one that it rejects or that
+    starts with '-'."""
+    if flag.choices is not None:
+        good, bad = st.sampled_from(flag.choices), st.just("bad")
+    elif flag.type is int:
+        good, bad = st.integers(0, 40).map(str), st.sampled_from(("-3", "x"))
+    elif flag.type is cli.parse_rational:
+        good = st.one_of(st.integers(1, 9).map(str),
+                         st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 5)))
+        bad = st.sampled_from(("-2", "1/0", "1/x"))
+    else:
+        good = st.sampled_from(("tests/data/z2.chunk", "affine:1", "1,0,1", "(0 1)", "a=b", ""))
+        bad = st.just("-x")
+    return rarely.flatmap(lambda odd: bad if odd else good)
+
+
+@st.composite
+def spelled(draw, flag):
+    """The tokens that give ``flag``: ``--flag value`` or ``--flag=value``,
+    now and then with the name abbreviated."""
+    text = draw(flag_texts(flag))
+    if not flag.name.startswith("-"):
+        return [text]
+    name = flag.name
+    if len(name) > 3 and draw(rarely):
+        name = name[:draw(st.integers(3, len(name) - 1))]
+    if flag.type is bool:
+        return [f"{name}={text}"] if draw(rarely) else [name]
+    return [f"{name}={text}"] if draw(st.booleans()) else [name, text]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv for one leaf of the command table: its flags in random order,
+    now and then one repeated, a required one left out, or -h, an unknown
+    flag or a stray positional added."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+    argv = draw(spelled(cli.GLOBAL_FLAGS[0])) if draw(st.booleans()) else []
+    argv += command.words
+    given_flags = [flag for flag in command.flags
+                   if (not draw(rarely) if flag.required or not flag.name.startswith("-")
+                       else draw(st.booleans()))]
+    groups = []
+    for flag in draw(st.permutations(given_flags)):
+        groups.append(draw(spelled(flag)))
+        if draw(rarely):
+            groups.append(draw(spelled(flag)))
+    if draw(rarely):
+        extra = draw(st.sampled_from((["-h"], ["--bogus"], ["--bogus", "1"], ["stray"])))
+        groups.insert(draw(st.integers(0, len(groups))), extra)
+    return argv + [token for group in groups for token in group]
+
+
+class TestCommandTable:
+    """``main`` reads a well-formed command line from the command table and
+    builds argparse only for the rest, with the same result."""
+
+    @given(command_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_table_read_agrees_with_argparse(self, argv):
+        args = cli.read_command_line(argv)
+        if args is not None:
+            assert vars(args) == argparse_namespace(argv)
+
+    def test_table_reads_every_documented_command_line(self):
+        with open(data_path("cli_corpus.txt"), encoding="utf-8") as fh:
+            corpus = [shlex.split(line) for line in fh if line.strip() and line[0] != "#"]
+        for argv in corpus:
+            args = cli.read_command_line(argv)
+            assert args is not None, argv
+            assert vars(args) == argparse_namespace(argv), argv
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            documented = [shlex.split(line, comments=True)[1:] for line in fh
+                          if line.startswith("sofic ")]
+        assert documented and all(argv in corpus for argv in documented)
+
+    def test_help_abbreviations_and_usage_errors_go_to_argparse(self):
+        z2 = data_path("z2.chunk")
+        for argv in (["-h"], ["profile", "--r", "2"], ["profile", "--chunk", z2, "--r", "-2"],
+                     ["profile", "--ch", z2, "--r", "2"], ["profile", "--chunk", z2, "--bogus"],
+                     ["profile", "--chunk", z2, "--chunk", z2, "--r", "2"],
+                     ["growth", "cmp", "--f", "affine:1", "--g", "affine:2", "--rel", "bad"],
+                     ["profile", "--chunk", z2, "--workers", "2"], ["chunk", "validate", z2, z2],
+                     ["nosuch"], ["cert"], []):
+            assert cli.read_command_line(argv) is None, argv
+
+    def test_a_well_formed_command_imports_no_argparse(self, tmp_path):
+        script = ("import sys\n"
+                  "from soficapprox import cli\n"
+                  "chunk, cert = sys.argv[1:]\n"
+                  "codes = [cli.main(['profile', '--chunk', chunk, '--r', '2/1',\n"
+                  "                   '--emit-cert', cert]),\n"
+                  "         cli.main(['cert', 'verify', cert])]\n"
+                  "print(codes, 'argparse' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run([sys.executable, "-c", script, data_path("z2.chunk"),
+                               str(tmp_path / "z2.cert")],
+                              capture_output=True, text=True, env=env, check=False)
+        assert done.stdout.splitlines()[-1] == "[0, 0] False", done.stderr
 
 
 class TestRepeatedMain:

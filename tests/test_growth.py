@@ -3,10 +3,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from soficapprox import profile
+from soficapprox import growth, profile
 from soficapprox.growth import (
     INF,
     MAX_SLOPE_BITS,
@@ -34,7 +34,7 @@ from soficapprox.growth import (
 )
 
 from oracles import (reference_growth_eval, reference_growth_profile, reference_growth_walk,
-                     reference_power_orders)
+                     reference_minimal_onset, reference_power_orders)
 
 simple_growths = st.one_of(
     st.integers(1, 40).map(Affine),
@@ -221,6 +221,31 @@ class TestPrec:
         elif v.outcome == "false":
             assert f(v.witness) >= g(v.witness)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_piece_steps_match_the_walk_down(self, data):
+        near = data.draw(st.integers(0, 300))
+        f, g = data.draw(leaf_growths(near)), data.draw(leaf_growths(near))
+        lf, lg = linearize(f), linearize(g)
+        if (lf.a, lf.c) > (lg.a, lg.c):
+            f, g, lf, lg = g, f, lg, lf
+        assume((lf.a, lf.c) != (lg.a, lg.c))
+        # a point from which the eventual forms keep f below g
+        start = max(lf.n_from, lg.n_from, 1)
+        if lf.a < lg.a:
+            start = max(start, (lf.c - lg.c) // (lg.a - lf.a) + 1)
+        start += data.draw(st.integers(0, 20))
+        onset = reference_minimal_onset(f, g, start)
+        assert growth._minimal_onset(f, g, start) == onset
+        assert lt_eventually(f, g).n0 == onset
+
+    def test_block_step_onset_far_out(self):
+        # f < g everywhere; a walk down from the break takes 7 s
+        start = time.perf_counter()
+        assert lt_eventually(BlockStep((10**7,), (5,)), Affine(10)).n0 == 0
+        assert lt_eventually(Affine(10), BlockStep((10**7, 10**7 + 1), (5, 11))).n0 == 10**7
+        assert time.perf_counter() - start < 1
+
 
 class TestPowerDomination:
     def test_affine_below_linear_all_powers(self):
@@ -380,6 +405,28 @@ def growths_with_r(draw):
                              st.fractions(min_value=1, max_value=60, max_denominator=20)))
 
 
+@st.composite
+def leaf_growths(draw, near: int, offset: int = 1):
+    """A block-step, table, affine or linear function; a block-step's breaks
+    lie near ``near`` and one of its blocks has ``offset``, and a table ends
+    near ``near`` (up to 60 entries)."""
+    kind = draw(st.sampled_from(("blockstep", "table", "affine", "linear")))
+    if kind == "affine":
+        return Affine(draw(st.integers(1, 60)))
+    if kind == "linear":
+        return Linear(draw(st.integers(2, 4)))
+    if kind == "blockstep":
+        deltas = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+        breaks = sorted({max(1, near + d) for d in deltas})
+        offsets = draw(st.lists(st.integers(1, 60), min_size=len(breaks) - 1,
+                                max_size=len(breaks) - 1))
+        return BlockStep(tuple(breaks), tuple(sorted(offsets + [offset])))
+    length = draw(st.integers(max(0, min(near, 60) - 3), min(near, 60) + 3))
+    rises = sorted(draw(st.lists(st.integers(1, 40), min_size=length, max_size=length)))
+    tail = max(1, rises[-1] - 1 if rises else 1) + draw(st.integers(0, 5))
+    return Tabulated(tuple(i + rise for i, rise in enumerate(rises)), tail)
+
+
 class TestGrowthProfile:
     def test_successor_at_two(self):
         assert growth_profile(Affine(1), 2, 100) == 3
@@ -440,6 +487,22 @@ class TestGrowthProfile:
     def test_closed_form_matches_the_walk_over_m(self, g_r, n_max):
         g, r = g_r
         assert growth_profile(g, r, n_max) == reference_growth_walk(g, r, n_max)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_piece_steps_match_the_walk_over_m(self, data):
+        # on a block of offset o the least m is (r - 1)o + 1, near a break
+        r = data.draw(st.fractions(min_value=1, max_value=40, max_denominator=12))
+        offset = data.draw(st.integers(1, 60))
+        g = data.draw(leaf_growths(int((r - 1) * offset), offset))
+        n_max = data.draw(st.integers(1, 5000))
+        assert growth_profile(g, r, n_max) == reference_growth_walk(g, r, n_max)
+
+    def test_block_steps_answer_far_out(self):
+        # the least m is (10^8 - 1) * 5 + 1, which a walk over m takes 20 s to reach
+        start = time.perf_counter()
+        assert growth_profile(BlockStep((10**7,), (5,)), 10**8, 10**12) == 500000001
+        assert time.perf_counter() - start < 1
 
     def test_closed_form_answers_far_out(self):
         # the least m is 5 * (10^7 - 1) + 1, which a walk over m takes minutes to reach

@@ -20,6 +20,7 @@ from soficapprox.permcore import (
     identity,
     inverse,
     parse_perm,
+    representatives,
     transposition,
 )
 
@@ -151,8 +152,15 @@ class TestCycleTypeRepresentative:
             cycle_type_representative(CycleType((2,)), 3)
 
     def test_representative_has_its_type(self):
-        for n in range(1, 7):
-            for t in all_cycle_types(n):
+        # every partition of n once, in ascending order of the representatives'
+        # images, which the search's first candidates keep
+        partition_counts = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
+        for n in range(1, 13):
+            types = all_cycle_types(n)
+            images = [cycle_type_representative(t, n).images for t in types]
+            assert len(set(types)) == partition_counts[n - 1]
+            assert images == sorted(images) == list(representatives(n))
+            for t in types:
                 assert cycle_type(cycle_type_representative(t, n)) == t
 
 
