@@ -85,57 +85,46 @@ class ValidationReport:
         return self.unit_violations + self.cancellation_violations + self.associativity_violations
 
 
+def _repeats(line: dict[str, str]) -> list[tuple[str, str, str]]:
+    """(first, later, v) for each key of a row or column whose value v an
+    earlier key already took; empty at once when the values are distinct."""
+    if len(set(line.values())) == len(line):
+        return []
+    first: dict[str, str] = {}
+    return [(first[v], k, v) for k, v in line.items() if first.setdefault(v, k) != k]
+
+
 def validate(c: Chunk) -> ValidationReport:
     """Check unit laws, two-sided cancellation, and partial associativity.
 
-    Violations are data, not errors; an empty report means all three families
-    of conditions hold.
+    Every law is read off two views of the table, built once in element
+    order: the rows a -> {b: a*b} and the columns b -> {a: a*b}.  Violations
+    are data, not errors, and keep their order: the unit laws element by
+    element, left cancellation row by row, right cancellation column by
+    column, then associativity by (a, b, d), each in element order.  An
+    empty report means all three families of conditions hold.
     """
-    unit_bad = []
-    u = c.unit
-    for x in c.elements:
-        if c.product(u, x) != x:
-            got = c.product(u, x)
-            unit_bad.append(f"{u} * {x} = {got if got is not None else 'undef'} (expected {x})")
-        if c.product(x, u) != x:
-            got = c.product(x, u)
-            unit_bad.append(f"{x} * {u} = {got if got is not None else 'undef'} (expected {x})")
+    elems, u, get = c.elements, c.unit, c.table.get
+    rows = {a: {b: v for b in elems if (v := get((a, b))) is not None} for a in elems}
+    cols = {b: {a: row[b] for a, row in rows.items() if b in row} for b in elems}
 
-    cancel_bad = []
-    for a in c.elements:
-        seen: dict[str, str] = {}
-        for b in c.elements:
-            v = c.product(a, b)
-            if v is None:
-                continue
-            if v in seen and seen[v] != b:
-                cancel_bad.append(f"left cancellation: {a} * {seen[v]} = {a} * {b} = {v}")
-            seen.setdefault(v, b)
-    for b in c.elements:
-        seen = {}
-        for a in c.elements:
-            v = c.product(a, b)
-            if v is None:
-                continue
-            if v in seen and seen[v] != a:
-                cancel_bad.append(f"right cancellation: {seen[v]} * {b} = {a} * {b} = {v}")
-            seen.setdefault(v, a)
+    unit_bad = [f"{a} * {b} = {got or 'undef'} (expected {x})"
+                for x in elems
+                for a, b, got in ((u, x, rows[u].get(x)), (x, u, rows[x].get(u)))
+                if got != x]
+    cancel_bad = [f"left cancellation: {a} * {first} = {a} * {b} = {v}"
+                  for a, row in rows.items() for first, b, v in _repeats(row)]
+    cancel_bad += [f"right cancellation: {first} * {b} = {a} * {b} = {v}"
+                   for b, col in cols.items() for first, a, v in _repeats(col)]
 
     assoc_bad = []
-    for a in c.elements:
-        for b in c.elements:
-            ab = c.product(a, b)
-            if ab is None:
-                continue
-            for d in c.elements:
-                bd = c.product(b, d)
-                if bd is None:
-                    continue
-                left = c.product(ab, d)
-                right = c.product(a, bd)
-                if left is not None and right is not None and left != right:
-                    assoc_bad.append(
-                        f"({a} * {b}) * {d} = {left} but {a} * ({b} * {d}) = {right}")
+    for a, ra in rows.items():
+        for b, ab in ra.items():
+            rab = rows[ab]
+            for d, bd in rows[b].items():
+                left, right = rab.get(d), ra.get(bd)
+                if left != right and left is not None and right is not None:
+                    assoc_bad.append(f"({a} * {b}) * {d} = {left} but {a} * ({b} * {d}) = {right}")
 
     return ValidationReport(tuple(unit_bad), tuple(cancel_bad), tuple(assoc_bad))
 

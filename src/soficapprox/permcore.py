@@ -25,7 +25,7 @@ class Perm:
         n = len(self.images)
         seen = [False] * n
         for v in self.images:
-            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
+            if type(v) is not int or not 0 <= v < n or seen[v]:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {self.images!r}")
             seen[v] = True
 

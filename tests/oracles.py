@@ -27,12 +27,15 @@ profile's scan over every n with a bisection for the largest m at each, as
 the reference for the least g(m) whose gap is below 1/r, and
 ``reference_growth_walk`` keeps the walk over every m that the closed form
 for the least such m replaced, and ``reference_minimal_onset`` the walk down
-over every n that finds where f < g begins.  ``compose_lazy``
+over every n that finds where f < g begins.  ``reference_validate`` keeps
+the chunk check's triple loop of ``Chunk.product`` calls, as the reference
+for the reads off the row and column views.  ``compose_lazy``
 and ``decide_product`` are helpers that only the tests use: the composite of
 two carriers, audited by evaluation, and the r = 3 decision of one product
 from a certificate.  So are the chunk maps (``ChunkMap``, ``is_homomorphism``,
-``compose_maps``, ``chunk_mult``), ``gamma_pair``, the realization checks
-``chunk_compatibility`` and ``displacement``, and ``property_holds_mask``.
+``compose_maps``, ``chunk_mult``, ``rename_chunk``), ``gamma_pair``, the
+realization checks ``chunk_compatibility`` and ``displacement``, and
+``property_holds_mask``.
 """
 
 import itertools
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from soficapprox.chunk import Chunk
+from soficapprox.chunk import Chunk, ValidationReport
 from soficapprox.gadgets import _gamma_points
 from soficapprox.growth import (INF, Compose, Exhausted, GrowthFn, Power, is_infinite, linearize,
                                 lt_eventually, quality_parameter)
@@ -57,6 +60,62 @@ from soficapprox.profile import MorphismQuality, ProfileCertificate
 def all_perms(n):
     """Every element of S_n in lexicographic image-tuple order."""
     return tuple(Perm(images) for images in itertools.permutations(range(n)))
+
+
+def reference_validate(c: Chunk) -> ValidationReport:
+    """``chunk.validate`` as first written, a triple loop of ``Chunk.product``
+    calls: check unit laws, two-sided cancellation, and partial associativity.
+
+    Violations are data, not errors; an empty report means all three families
+    of conditions hold.
+    """
+    unit_bad = []
+    u = c.unit
+    for x in c.elements:
+        if c.product(u, x) != x:
+            got = c.product(u, x)
+            unit_bad.append(f"{u} * {x} = {got if got is not None else 'undef'} (expected {x})")
+        if c.product(x, u) != x:
+            got = c.product(x, u)
+            unit_bad.append(f"{x} * {u} = {got if got is not None else 'undef'} (expected {x})")
+
+    cancel_bad = []
+    for a in c.elements:
+        seen: dict[str, str] = {}
+        for b in c.elements:
+            v = c.product(a, b)
+            if v is None:
+                continue
+            if v in seen and seen[v] != b:
+                cancel_bad.append(f"left cancellation: {a} * {seen[v]} = {a} * {b} = {v}")
+            seen.setdefault(v, b)
+    for b in c.elements:
+        seen = {}
+        for a in c.elements:
+            v = c.product(a, b)
+            if v is None:
+                continue
+            if v in seen and seen[v] != a:
+                cancel_bad.append(f"right cancellation: {seen[v]} * {b} = {a} * {b} = {v}")
+            seen.setdefault(v, a)
+
+    assoc_bad = []
+    for a in c.elements:
+        for b in c.elements:
+            ab = c.product(a, b)
+            if ab is None:
+                continue
+            for d in c.elements:
+                bd = c.product(b, d)
+                if bd is None:
+                    continue
+                left = c.product(ab, d)
+                right = c.product(a, bd)
+                if left is not None and right is not None and left != right:
+                    assoc_bad.append(
+                        f"({a} * {b}) * {d} = {left} but {a} * ({b} * {d}) = {right}")
+
+    return ValidationReport(tuple(unit_bad), tuple(cancel_bad), tuple(assoc_bad))
 
 
 def brute_force_feasible(c, r, n):
@@ -523,6 +582,12 @@ def compose_maps(outer: ChunkMap, inner: ChunkMap) -> ChunkMap:
     """(outer o inner), defined when inner's images are elements of outer's source."""
     images = {e: outer.images[inner.images[e]] for e in inner.source.elements}
     return ChunkMap(inner.source, images)
+
+
+def rename_chunk(c: Chunk, names: dict[str, str]) -> Chunk:
+    """``c`` with each element x called ``names[x]``, kept in its position."""
+    return Chunk(tuple(names[e] for e in c.elements), names[c.unit],
+                 {(names[a], names[b]): names[v] for (a, b), v in c.table.items()})
 
 
 def chunk_mult(c: Chunk):

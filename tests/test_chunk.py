@@ -1,7 +1,11 @@
+import glob
 import itertools
+import os
+import re
+import string
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficapprox.chunk import (
@@ -10,11 +14,14 @@ from soficapprox.chunk import (
     format_chunk,
     induced_chunk,
     parse_chunk,
+    parse_chunk_file,
     validate,
 )
 from soficapprox.permcore import compose, identity, transposition
 
-from oracles import ChunkMap, all_perms, chunk_mult, compose_maps, is_homomorphism
+from conftest import DATA
+from oracles import (ChunkMap, all_perms, chunk_mult, compose_maps, is_homomorphism,
+                     reference_validate, rename_chunk)
 
 
 class TestValidate:
@@ -49,6 +56,81 @@ class TestValidate:
         report = validate(Chunk(elems, "1", table))
         assert not report.cancellation_violations
         assert report.associativity_violations
+
+
+@st.composite
+def partial_tables(draw):
+    """A chunk of 1 to 7 elements parsed from text that lists its products
+    in a drawn order.  Each entry is the cyclic product with the drawn unit,
+    left out, an explicit ``undef``, or any element, at a drawn rate of
+    noise, and the unit's products may be kept exact, so that the tables
+    break unit laws, cancellation and associativity in every mix."""
+    n = draw(st.integers(1, 7))
+    elems = [f"e{i}" for i in range(n)]
+    u = draw(st.integers(0, n - 1))
+    exact_unit = draw(st.booleans())
+    kinds = ["absent", "undef", "any"] + ["cyclic"] * draw(st.sampled_from([1, 3, 12]))
+    lines = [f"unit {e}" if i == u else f"elem {e}" for i, e in enumerate(elems)]
+    for i, j in draw(st.permutations([(i, j) for i in range(n) for j in range(n)])):
+        kind = "cyclic" if exact_unit and u in (i, j) else draw(st.sampled_from(kinds))
+        if kind == "cyclic":
+            lines.append(f"e{i} * e{j} = e{(i + j - u) % n}")
+        elif kind == "undef":
+            lines.append(f"e{i} * e{j} = undef")
+        elif kind == "any":
+            lines.append(f"e{i} * e{j} = {draw(st.sampled_from(elems))}")
+    return parse_chunk("\n".join(lines) + "\n")
+
+
+def same_report(c):
+    got, want = validate(c), reference_validate(c)
+    assert got.unit_violations == want.unit_violations
+    assert got.cancellation_violations == want.cancellation_violations
+    assert got.associativity_violations == want.associativity_violations
+
+
+def embedded_chunk(cert_path):
+    with open(cert_path, encoding="utf-8") as fh:
+        return parse_chunk(fh.read().split("chunk-begin\n", 1)[1].split("chunk-end", 1)[0])
+
+
+class TestValidateAgainstReference:
+    """The reads off the row and column views give the triple loop's report,
+    violation for violation and in its order."""
+
+    @given(partial_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_random_partial_tables(self, c):
+        same_report(c)
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(f"{DATA}/*.chunk")),
+                             ids=os.path.basename)
+    def test_fixture_chunks(self, path):
+        same_report(parse_chunk_file(path))
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(f"{DATA}/*.cert")),
+                             ids=os.path.basename)
+    def test_certificate_chunks(self, path):
+        same_report(embedded_chunk(path))
+
+    @given(partial_tables(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_renaming_maps_every_message(self, c, data):
+        # names of at most three characters, none of them reserved or spaced
+        new = data.draw(st.lists(st.text(string.ascii_letters + string.digits + "_",
+                                         min_size=1, max_size=3),
+                                 min_size=len(c.elements), max_size=len(c.elements),
+                                 unique=True))
+        names = dict(zip(c.elements, new))
+
+        def renamed(messages):
+            return tuple(re.sub(r"[^\s()]+", lambda m: names.get(m[0], m[0]), msg)
+                         for msg in messages)
+
+        want, got = validate(c), validate(rename_chunk(c, names))
+        assert got.unit_violations == renamed(want.unit_violations)
+        assert got.cancellation_violations == renamed(want.cancellation_violations)
+        assert got.associativity_violations == renamed(want.associativity_violations)
 
 
 class TestInducedChunk:

@@ -459,8 +459,12 @@ class TestRealizeCommand:
          "has degree 0, below 1"),
         (lambda payload: "[" * 200_000, "nests too deeply to parse"),
         (lambda payload: "not json", "real.json' is not JSON: Expecting value"),
+        (lambda payload: {**payload, "sigma": [{e: [v if v > 1 else bool(v) for v in images]
+                                                for e, images in stage.items()}
+                                               for stage in payload["sigma"]]},
+         "not a permutation of 0..2"),
     ], ids=["m-text", "sigma-number", "top-level-list", "degree-zero", "deep-nesting",
-            "not-json"])
+            "not-json", "sigma-booleans"])
     def test_hostile_realization_file_one_line(self, capsys, tmp_path, edit, message):
         emitted = tmp_path / "real.json"
         run(capsys, "realize", "--chunk", data_path("z3.chunk"),

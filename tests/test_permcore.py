@@ -186,3 +186,8 @@ class TestSerialization:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Perm((0, 0, 1))
+
+    def test_rejects_booleans(self):
+        # bool is an int subclass, so True and False would pass as 1 and 0
+        with pytest.raises(ValueError, match="not a permutation"):
+            Perm((True, False))

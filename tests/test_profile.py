@@ -10,6 +10,8 @@ from math import factorial
 from operator import ne
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficapprox import profile
 from soficapprox.chunk import Chunk, induced_chunk, validate
@@ -42,7 +44,7 @@ from soficapprox.profile import (
 
 from conftest import data_path
 from oracles import (all_perms, brute_force_feasible, brute_force_least_n, decide_product,
-                     reference_backtrack, reference_measure)
+                     reference_backtrack, reference_measure, rename_chunk)
 
 
 class TestMeasure:
@@ -729,6 +731,38 @@ def partial_traces(rng, count):
         if validate(c).ok:
             chunks.append(c)
     return chunks
+
+
+@st.composite
+def renamed_cyclic_traces(draw):
+    """A partial trace of Z_m (m <= 10) with up to five elements, each non-unit
+    product kept or dropped, and an injective renaming of its elements."""
+    m = draw(st.integers(2, 10))
+    others = draw(st.lists(st.integers(1, m - 1), unique=True, min_size=1,
+                           max_size=min(4, m - 1)))
+    c = cyclic_chunk(m, [0] + others)
+    c = Chunk(c.elements, c.unit, {k: v for k, v in c.table.items()
+                                   if c.is_unit_product(*k, v) or draw(st.booleans())})
+    new = draw(st.lists(st.text("abcxyz019_", min_size=1, max_size=3),
+                        min_size=len(c.elements), max_size=len(c.elements), unique=True))
+    return c, dict(zip(c.elements, new))
+
+
+class TestRenaming:
+    """Renaming the elements, each kept in its position, renames the profile:
+    the search reads positions, never names."""
+
+    @given(renamed_cyclic_traces(), st.sampled_from([2, 3]), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_profile_keeps_degree_records_and_witness(self, traced, r, n_max):
+        c, names = traced
+        want = sofic_profile(c, r, n_max)
+        got = sofic_profile(rename_chunk(c, names), r, n_max)
+        if isinstance(want, Exhausted):
+            assert got == want
+        else:
+            assert (got.n, got.infeasible, got.quality) == (want.n, want.infeasible, want.quality)
+            assert got.assignment == {names[x]: p for x, p in want.assignment.items()}
 
 
 class TestOrbitCounts:
