@@ -57,7 +57,7 @@ def report(args):
               f"defect {format_rational(cert.quality.defect)}, "
               f"expansiveness {format_rational(cert.quality.expansiveness)}")
 
-    real = realize(c, certs)
+    real = realize(c, [cert.assignment for cert in certs])
     print()
     print("stage   m   f  degree     defect  expansiveness   slow_lhs      g_gap  threshold")
     for st in real.stages:

@@ -213,19 +213,15 @@ def load_realization(path: str) -> Realization:
             raise ValueError(f"realization file {path!r} is not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != "realization-v1":
         raise ValueError(f"unrecognized realization file {path!r}")
-    chunk_text, m, sigma = payload.get("chunk"), payload.get("m"), payload.get("sigma")
-    if not (isinstance(chunk_text, str) and isinstance(m, list) and isinstance(sigma, list)
-            and len(m) == len(sigma) and all(type(m_i) is int for m_i in m)
+    chunk_text, sigma = payload.get("chunk"), payload.get("sigma")
+    if not (isinstance(chunk_text, str) and isinstance(sigma, list)
             and all(isinstance(s, dict) and all(isinstance(images, list) for images in s.values())
                     for s in sigma)):
-        raise ValueError(f"realization file {path!r} needs a chunk text, and integer degrees "
-                         "'m' and image lists 'sigma' for the same stages")
+        raise ValueError(f"realization file {path!r} needs a chunk text and image lists "
+                         "'sigma', one per stage")
     c = parse_chunk(chunk_text)
-    certs = []
-    for idx, (m_i, stage_sigma) in enumerate(zip(m, sigma)):
-        assignment = {e: Perm(tuple(images)) for e, images in stage_sigma.items()}
-        certs.append(ProfileCertificate(Fraction(idx + 2), m_i, assignment, None, ()))
-    real = realize(c, certs)  # checks every stage against its thresholds
+    real = realize(c, [{e: Perm(tuple(images)) for e, images in s.items()}
+                       for s in sigma])  # checks every stage against its thresholds
     recomputed = _realization_payload(real)
     differ = sorted(key for key in recomputed.keys() | payload.keys()
                     if recomputed.get(key) != payload.get(key))
@@ -453,7 +449,7 @@ def _cmd_realize(args) -> int:
         if isinstance(cert, Exhausted):
             print(f"profile search exhausted at r = {r}, n_max = {cert.n_max}")
             return EXIT_EXHAUSTED
-    real = realize(c, certs)
+    real = realize(c, [cert.assignment for cert in certs])
     for st in real.stages:
         print(f"n = {st.n} m = {st.m_n} f = {st.f_n} degree = {st.degree} "
               f"defect = {format_rational(st.defect)} "

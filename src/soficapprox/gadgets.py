@@ -43,6 +43,10 @@ def _greedy_completion(rule: Callable[[int], int | None], n: int, what: str) -> 
 
 # -- the three-cycle chunk ------------------------------------------------------
 
+# The three-cycle chunk's bound is g(n) = n + THREE_CYCLE_OFFSET.
+THREE_CYCLE_OFFSET = 31
+
+
 def _h_forward(m: int) -> int:
     q, rem = divmod(m, 3)
     return 3 * q + (rem + 1) % 3
@@ -73,7 +77,7 @@ def three_cycle_chunk(horizon: int = 1500) -> GChunk:
     table.update(cyclic)
     chunk = Chunk(names, "1", table)
     carriers = {"1": identity_lazy(), "h": three_cycle(), "h2": three_cycle_squared()}
-    return build_gchunk(chunk, carriers, Affine(31), horizon)
+    return build_gchunk(chunk, carriers, Affine(THREE_CYCLE_OFFSET), horizon)
 
 
 @dataclass(frozen=True)
@@ -92,13 +96,15 @@ def _example_sigma_h(n: int) -> tuple[int, ...]:
     return _greedy_completion(_h_forward, n, "h")
 
 
-def _example_sigma_h2(n: int, c: int = 31) -> tuple[int, ...]:
+def _example_sigma_h2(n: int) -> tuple[int, ...]:
     """The modified square: h^2 where g(l) <= n, identity where g(l-2) > n.
 
-    With g(l) = l + c the two zones are l <= n - c and l >= n - c + 3; the two
-    transition points in between are filled by the greedy completion rule.
+    With g(l) = l + c, c = ``THREE_CYCLE_OFFSET``, the two zones are
+    l <= n - c and l >= n - c + 3; the two transition points in between are
+    filled by the greedy completion rule.
     h^2 agrees with the inverse of h.
     """
+    c = THREE_CYCLE_OFFSET
     return _greedy_completion(
         lambda m: _h_backward(m) if m <= n - c else m if m - 2 > n - c else None,
         n, "the modified square of h")
@@ -110,10 +116,9 @@ def example_check(n: int) -> ExampleReport:
         raise ValueError(f"degree {n} too small, need n >= 33")
     if n > MAX_SIZE:
         raise ValueError(f"degree {n} exceeds the largest gadget size, {MAX_SIZE}")
-    c = 31
-    m_star = n - c  # largest m with m + c <= n
+    m_star = n - THREE_CYCLE_OFFSET  # largest m with g(m) <= n
     sh = _example_sigma_h(n)
-    sh2 = _example_sigma_h2(n, c)
+    sh2 = _example_sigma_h2(n)
     # Fix(p^-2 q) counts the points where p(p(x)) and q(x) agree.
     fix = sum(1 for x in range(n) if sh[sh[x]] == sh2[x])
     deviation = abs(m_star - fix)

@@ -55,10 +55,10 @@ distance does not change when both arguments are inverted, so
 product and one pair per inverse orbit.  A single table entry proves
 nothing, and nothing is derived from it.
 
-``realize`` assembles the block-direct-sum family out of profile
-certificates, choosing each multiplicity minimally so that every stage meets
-its quality thresholds and both block-end slowness inequalities.  A block
-sum's disagreement counts are the multiplicity-weighted sums of the
+``realize`` assembles the block-direct-sum family out of one stage
+assignment per r, choosing each multiplicity minimally so that every stage
+meets its quality thresholds and both block-end slowness inequalities.  A
+block sum's disagreement counts are the multiplicity-weighted sums of the
 per-stage counts, so each least multiplicity is a maximum of integer
 ceilings (stated on ``realize``), and no block sum is built or measured.
 A realization's carriers tabulate the block sum in both directions once,
@@ -78,7 +78,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .chunk import Chunk, validated
 from .growth import BlockStep, Exhausted, GrowthFn, growth_profile, quality_parameter
 from .permcore import Perm, block_sum, block_sum_images
-from .profile import MorphismQuality, ProfileCertificate, disagreement_counts, threshold_radius
+from .profile import MorphismQuality, disagreement_counts, threshold_radius
 
 
 # The longest audited prefix build_gchunk accepts.  A g-chunk keeps about 200
@@ -715,7 +715,7 @@ class Realization:
     """Block-direct-sum family realizing a chunk inside permutations of N.
 
     Stage i (i = 2..depth) contributes f_i consecutive copies of the degree
-    m_i certificate assignment; beyond the constructed blocks every carrier is
+    m_i stage assignment; beyond the constructed blocks every carrier is
     the identity.  ``g`` is the block-step growth function of the layout and
     bounds every carrier exactly, blockwise.
     """
@@ -733,7 +733,7 @@ class Realization:
         return len(self.m) + 1
 
     def block_sum_assignment(self, n: int) -> dict[str, Perm]:
-        """The stage-n assignment: f(i) copies of each certificate, i = 2..n."""
+        """The stage-n block sum: f(i) copies of each stage assignment, i = 2..n."""
         if not 2 <= n <= self.depth:
             raise ValueError(f"stage {n} outside 2..{self.depth}")
         return {
@@ -775,7 +775,7 @@ class Realization:
     def realized_chunk(self) -> Chunk:
         """The carriers' own chunk: the induced table of exact compositions.
 
-        When some certificate has positive defect, products of the abstract
+        When some stage assignment has positive defect, products of the abstract
         table drop out here; the name-preserving bijection onto the abstract
         chunk is then a homomorphism that is not an isomorphism.
         """
@@ -789,8 +789,11 @@ class Realization:
         return build_gchunk(self.realized_chunk(), carriers, self.g, horizon)
 
 
-def realize(c: Chunk, certs: Sequence[ProfileCertificate]) -> Realization:
-    """Assemble the realization from certificates at r = 2, 3, ..., depth.
+def realize(c: Chunk, sigma: Sequence[Mapping[str, Perm]]) -> Realization:
+    """Assemble the realization from stage assignments at r = 2, 3, ..., depth.
+
+    ``sigma[i]`` maps each element to its permutation at r = i + 2; the
+    stage's degree m is read off its images.
 
     Each multiplicity f(n) is the least positive integer making the stage-n
     block sum a (1 - 1/(n-1))-expansive 1/(n-1)-morphism while keeping both
@@ -798,7 +801,7 @@ def realize(c: Chunk, certs: Sequence[ProfileCertificate]) -> Realization:
     counts are the f-weighted sums of the per-stage ``disagreement_counts``,
     so with D the degree and K_p, A_q the weighted counts of product p and
     pair q through stage n-1, and m = m_n, k_p, a_q the stage-n
-    certificate's counts, every constraint is linear in f and f(n) is the
+    assignment's counts, every constraint is linear in f and f(n) is the
     largest of 1 and
 
     - ceil(((n-1)K_p - D) / (m - (n-1)k_p)) over products (defect),
@@ -806,43 +809,37 @@ def realize(c: Chunk, certs: Sequence[ProfileCertificate]) -> Realization:
       (expansiveness),
     - floor(((n-1)S + 1 - D) / m) + 1 with S = m_2 + ... + m_n (g_gap).
 
-    Both denominators are positive because the stage-n certificate meets
+    Both denominators are positive because the stage-n assignment meets
     r = n, which is checked on its counts: n k_p <= m gives
     (n-1)k_p < m, and n a_q >= (n-1)m gives (n-1)a_q > (n-2)m.  The
     stage-sum ratio slow_lhs never exceeds g_gap, since x/(degree-1+x) does
     not decrease in x, so its inequality follows.
     """
     validated(c)
-    if not certs:
-        raise ValueError("need at least the r = 2 certificate")
+    if not sigma:
+        raise ValueError("need at least the r = 2 stage assignment")
     counts = []
-    for idx, cert in enumerate(certs):
-        want = idx + 2
-        if cert.r != want:
-            raise ValueError(f"certificate {idx} has r = {cert.r}, expected {want}")
-        if cert.n < 1:
-            raise ValueError(f"certificate at r = {want} has degree {cert.n}, below 1")
-        if set(cert.assignment) != set(c.elements):
-            raise ValueError(f"certificate at r = {want} covers different elements")
+    for r, stage in enumerate(sigma, start=2):
+        if set(stage) != set(c.elements):
+            raise ValueError(f"stage at r = {r} covers different elements")
         try:
-            degree, k, a = disagreement_counts(c, cert.assignment)
+            m, k, a = disagreement_counts(c, stage)
         except ValueError as exc:
-            raise ValueError(f"certificate at r = {want} is not a map into S_{cert.n} "
+            raise ValueError(f"stage at r = {r} is not a map into one S_m "
                              f"sending the unit to the identity: {exc}") from None
-        if degree != cert.n:
-            raise ValueError(f"certificate at r = {want} is not a map into S_{cert.n}: "
-                             f"its images have degree {degree}")
-        radius = threshold_radius(cert.n, cert.r)
-        if any(k_p > radius for k_p in k) or any(a_q < cert.n - radius for a_q in a):
-            raise ValueError(f"certificate at r = {want} does not meet its thresholds")
-        counts.append((k, a))
+        if m < 1:
+            raise ValueError(f"stage at r = {r} has degree {m}, below 1")
+        radius = threshold_radius(m, Fraction(r))
+        if any(k_p > radius for k_p in k) or any(a_q < m - radius for a_q in a):
+            raise ValueError(f"stage at r = {r} does not meet its thresholds")
+        counts.append((m, k, a))
 
-    m_list = [cert.n for cert in certs]
+    m_list = [m for m, _, _ in counts]
     stages: list[StageReport] = []
     k_run = [0] * len(c.table)
-    a_run = [0] * len(counts[0][1])
+    a_run = [0] * len(counts[0][2])
     degree = sum_m = 0
-    for n, m, (k, a) in zip(range(2, len(certs) + 2), m_list, counts):
+    for n, (m, k, a) in enumerate(counts, start=2):
         sum_m_prev, sum_m = sum_m, sum_m + m
         # ceil(x / y) is -((-x) // y) for y > 0
         f_n = max([1, ((n - 1) * sum_m + 1 - degree) // m + 1]
@@ -865,5 +862,5 @@ def realize(c: Chunk, certs: Sequence[ProfileCertificate]) -> Realization:
     layout = tuple(st.degree for st in stages)
     return Realization(
         chunk=c, m=tuple(m_list), f=tuple(st.f_n for st in stages), layout=layout,
-        sigma=tuple(dict(cert.assignment) for cert in certs),
+        sigma=tuple(map(dict, sigma)),
         g=BlockStep(layout, tuple(accumulate(m_list))), stages=tuple(stages))

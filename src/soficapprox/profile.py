@@ -116,7 +116,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .chunk import Chunk, validated
 from .growth import Exhausted, quality_parameter
-from .permcore import Perm, representatives
+from .permcore import Perm, cycles_of, representatives
 
 
 class MorphismQuality(NamedTuple):
@@ -162,16 +162,14 @@ class ProfileCertificate:
     the degrees below it proven infeasible.
 
     Only ``sofic_profile`` makes that minimality claim, so only its results
-    are emitted as certificates.  The results of ``profile_table`` and the
-    stages rebuilt from a realization file carry ``infeasible=()``.
-    ``quality`` is None on the rebuilt stages, because ``realize`` counts
-    each stage itself.
+    are emitted as certificates; the results of ``profile_table`` carry
+    ``infeasible=()``.
     """
 
     r: Fraction
     n: int
     assignment: dict[str, Perm]
-    quality: MorphismQuality | None
+    quality: MorphismQuality
     infeasible: tuple[DegreeRecord, ...]
 
     @property
@@ -272,17 +270,7 @@ def _centralizer_gens(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     at least 2 as a permutation, and for each two consecutive cycles of one
     length, the involution swapping them point for point in cycle order."""
     n = len(p)
-    seen = [False] * n
-    cycles = []
-    for x in range(n):
-        cycle = []
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = p[x]
-        if cycle:
-            cycles.append(cycle)
-    cycles.sort(key=len)
+    cycles = sorted(cycles_of(Perm(p)), key=len)
     gens = []
     for cycle in cycles:
         if len(cycle) > 1:

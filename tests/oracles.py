@@ -188,25 +188,26 @@ def reference_backtrack(c, r, n):
     return extend(0), nodes
 
 
-def reference_realize(c, certs):
-    """The realization multiplicities as first computed: for each stage, try
-    f = 1, 2, ... and build and measure the full block sum until the quality
-    thresholds and both block-end slowness inequalities hold.  Returns
-    (f list, stage reports)."""
+def reference_realize(c, sigma):
+    """The realization multiplicities as first computed: for each stage
+    assignment ``sigma[i]`` (r = i + 2), try f = 1, 2, ... and build and
+    measure the full block sum until the quality thresholds and both
+    block-end slowness inequalities hold.  Returns (f list, stage reports)."""
     f_list, stages = [], []
     degree = sum_m = 0
-    for idx, cert in enumerate(certs):
+    for idx, stage in enumerate(sigma):
         n = idx + 2
-        sum_m_prev, sum_m = sum_m, sum_m + cert.n
+        m = stage[c.unit].degree
+        sum_m_prev, sum_m = sum_m, sum_m + m
         eps = Fraction(1, n - 1)
         for f_n in itertools.count(1):
             assignment = {
-                e: block_sum([(certs[i].assignment[e], f_list[i]) for i in range(idx)]
-                             + [(cert.assignment[e], f_n)])
+                e: block_sum([(sigma[i][e], f_list[i]) for i in range(idx)]
+                             + [(stage[e], f_n)])
                 for e in c.elements
             }
             quality = reference_measure(c, assignment)
-            total = degree + f_n * cert.n
+            total = degree + f_n * m
             slow_den = total - 1 + sum_m_prev
             slow_lhs = Fraction(sum_m_prev, slow_den) if slow_den else Fraction(0)
             g_gap = Fraction(sum_m, total - 1 + sum_m)
@@ -217,7 +218,7 @@ def reference_realize(c, certs):
         f_list.append(f_n)
         degree = total
         stages.append(StageReport(
-            n=n, m_n=cert.n, f_n=f_n, degree=degree,
+            n=n, m_n=m, f_n=f_n, degree=degree,
             defect=quality.defect, expansiveness=quality.expansiveness,
             slow_lhs=slow_lhs, g_gap=g_gap, slow_threshold=Fraction(1, n)))
     return f_list, stages

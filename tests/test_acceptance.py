@@ -197,8 +197,7 @@ def test_criterion_07_realization_round_trip():
                       "supp round trip, displacement formula", 120.0):
         for name in ("z2.chunk", "z3.chunk"):
             chunk = load(name)
-            certs = [sofic_profile(chunk, r, 6) for r in range(2, 7)]
-            real = realize(chunk, certs)
+            real = realize(chunk, [sofic_profile(chunk, r, 6).assignment for r in range(2, 7)])
             # (a) every stage meets the (1 - 1/(n-1))-expansive 1/(n-1) thresholds
             for stage_n in range(2, real.depth + 1):
                 assignment = real.block_sum_assignment(stage_n)

@@ -432,7 +432,8 @@ class TestRealizeCommand:
     @pytest.mark.parametrize("key, edit", [
         ("stages", lambda payload: payload["stages"][0].update(defect="9/1")),
         ("depth", lambda payload: payload.update(depth=payload["depth"] + 1)),
-    ], ids=["stage-defect", "depth"])
+        ("m", lambda payload: payload["m"].__setitem__(0, payload["m"][0] + 1)),
+    ], ids=["stage-defect", "depth", "m"])
     def test_every_stored_field_checked(self, capsys, tmp_path, key, edit):
         emitted = tmp_path / "real.json"
         run(capsys, "realize", "--chunk", data_path("z3.chunk"),
@@ -452,7 +453,7 @@ class TestRealizeCommand:
 
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda payload: {**payload, "m": "xx"}, "needs a chunk text"),
+        (lambda payload: {**payload, "m": "xx"}, "differ from the recomputed ones: m"),
         (lambda payload: {**payload, "sigma": 5}, "needs a chunk text"),
         (lambda payload: [payload], "unrecognized realization file"),
         (lambda payload: {**payload, "m": [0], "sigma": [{"1": [], "h": [], "h2": []}]},

@@ -3,7 +3,7 @@ import itertools
 import os
 import random
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 from itertools import accumulate
 
@@ -33,7 +33,7 @@ from soficapprox.lazyperm import (
     supp_quality,
 )
 from soficapprox.permcore import Perm, block_sum_images, hamming_distance, identity
-from soficapprox.profile import ProfileCertificate, disagreement_counts, measure, sofic_profile
+from soficapprox.profile import disagreement_counts, measure, sofic_profile
 
 from conftest import DATA, data_path
 from oracles import (ChunkMap, chunk_compatibility, chunk_mult, compose_lazy, displacement,
@@ -434,7 +434,8 @@ class TestTablePath:
     @pytest.mark.parametrize("name, depth", [("z3", 24), ("klein", 16)])
     def test_blocksum_gchunk_matches_the_block_walk(self, name, depth, request):
         chunk = request.getfixturevalue(name)
-        real = realize(chunk, [sofic_profile(chunk, r, 6) for r in range(2, depth + 1)])
+        real = realize(chunk, [sofic_profile(chunk, r, 6).assignment
+                               for r in range(2, depth + 1)])
         horizon = max(1000, 2 * real.layout[-1])  # as ``sofic supp`` at the last degree
         others = [e for e in chunk.elements if e != chunk.unit]
         tabled_gc = build_gchunk(chunk, {e: real.carrier(e) for e in others}, real.g, horizon)
@@ -1113,15 +1114,11 @@ class TestInverseRestrictions:
 
 
 class TestRealize:
-    def certs(self, chunk, depth, n_max=6):
-        out = []
-        for r in range(2, depth + 1):
-            cert = sofic_profile(chunk, r, n_max)
-            out.append(cert)
-        return out
+    def sigma(self, chunk, depth, n_max=6):
+        return [sofic_profile(chunk, r, n_max).assignment for r in range(2, depth + 1)]
 
     def test_z2_realization(self, z2):
-        real = realize(z2, self.certs(z2, 6))
+        real = realize(z2, self.sigma(z2, 6))
         assert real.m == (2, 2, 2, 2, 2)
         for st in real.stages:
             assert st.defect == 0
@@ -1130,7 +1127,7 @@ class TestRealize:
         assert is_slow(real.g).verdict == "slow"
 
     def test_multiplicities_are_minimal(self, z2):
-        real = realize(z2, self.certs(z2, 6))
+        real = realize(z2, self.sigma(z2, 6))
         # defect is identically zero for copies of an exact embedding, so only
         # the block-end inequalities constrain each multiplicity: recompute the
         # least f by direct evaluation and compare
@@ -1149,7 +1146,7 @@ class TestRealize:
             cum += f * st.m_n
 
     def test_single_stage_degenerate(self, z2):
-        real = realize(z2, self.certs(z2, 2))
+        real = realize(z2, self.sigma(z2, 2))
         assert real.depth == 2
         # one block: the stage assignment is f(2) consecutive certificate copies
         from soficapprox.permcore import block_sum
@@ -1157,7 +1154,7 @@ class TestRealize:
         assert real.block_sum_assignment(2) == expected
 
     def test_z3_realization(self, z3):
-        real = realize(z3, self.certs(z3, 6))
+        real = realize(z3, self.sigma(z3, 6))
         assert real.m == (3, 3, 3, 3, 3)
         carrier = real.carrier("h")
         top = real.layout[-1]
@@ -1168,14 +1165,14 @@ class TestRealize:
         assert is_slow(real.g).verdict == "slow"
 
     def test_round_trip_through_supp(self, z3):
-        real = realize(z3, self.certs(z3, 5))
+        real = realize(z3, self.sigma(z3, 5))
         gc = real.gchunk()
         for stage_n, degree in zip(range(2, real.depth + 1), real.layout):
             assert supp_morphism(gc, degree) == real.block_sum_assignment(stage_n)
 
     def test_displacement_formula(self, z2, z3):
         for chunk in (z2, z3):
-            real = realize(chunk, self.certs(chunk, 5))
+            real = realize(chunk, self.sigma(chunk, 5))
             for stage_n in range(2, real.depth + 1):
                 assignment = real.block_sum_assignment(stage_n)
                 for i, e1 in enumerate(chunk.elements):
@@ -1184,7 +1181,7 @@ class TestRealize:
                             == displacement(real, stage_n, e1, e2)
 
     def test_quality_thresholds_at_every_stage(self, z3):
-        real = realize(z3, self.certs(z3, 6))
+        real = realize(z3, self.sigma(z3, 6))
         for stage_n in range(2, real.depth + 1):
             assignment = real.block_sum_assignment(stage_n)
             quality = measure(z3, assignment)
@@ -1193,7 +1190,7 @@ class TestRealize:
             assert quality.expansiveness >= 1 - eps
 
     def test_carrier_bounded_by_g(self, z3):
-        real = realize(z3, self.certs(z3, 5))
+        real = realize(z3, self.sigma(z3, 5))
         horizon = real.layout[-1] + 30
         for e in z3.elements:
             out = audit(real.carrier(e), real.g, horizon)
@@ -1203,7 +1200,7 @@ class TestRealize:
     @pytest.mark.parametrize("depth", [8, 16])
     def test_carrier_tables_match_the_block_walk(self, name, depth, request):
         chunk = request.getfixturevalue(name)
-        real = realize(chunk, self.certs(chunk, depth))
+        real = realize(chunk, self.sigma(chunk, depth))
         points = range(real.layout[-1] + 11)
         for e in chunk.elements:
             carrier, (forward, backward) = real.carrier(e), reference_blocksum_carrier(real, e)
@@ -1211,24 +1208,19 @@ class TestRealize:
             assert list(map(carrier.forward, points)) == list(map(forward, points))
             assert list(map(carrier.backward, points)) == list(map(backward, points))
 
-    def test_wrong_r_sequence_rejected(self, z2):
-        certs = self.certs(z2, 3)
-        with pytest.raises(ValueError):
-            realize(z2, certs[::-1])
-
     def test_trivial_chunk_realization(self, trivial):
-        real = realize(trivial, self.certs(trivial, 4))
+        real = realize(trivial, self.sigma(trivial, 4))
         assert real.m == (1, 1, 1)
         assert all(st.defect == 0 for st in real.stages)
 
 
 class TestRealizedChunk:
-    def certs(self, chunk, depth, n_max=6):
-        return [sofic_profile(chunk, r, n_max) for r in range(2, depth + 1)]
+    def sigma(self, chunk, depth, n_max=6):
+        return [sofic_profile(chunk, r, n_max).assignment for r in range(2, depth + 1)]
 
     def test_exact_certificates_keep_the_whole_table(self, z2, z3, klein):
         for chunk in (z2, z3, klein):
-            real = realize(chunk, self.certs(chunk, 5))
+            real = realize(chunk, self.sigma(chunk, 5))
             dropped, extra = chunk_compatibility(real)
             assert dropped == () and extra == ()
             assert real.realized_chunk() == chunk
@@ -1237,7 +1229,7 @@ class TestRealizedChunk:
         # the r = 2 certificate has defect 1/2, so the carriers compose only
         # approximately on h * h; the realized chunk loses that product while
         # the name map onto the abstract chunk stays a homomorphism
-        real = realize(z4trace, self.certs(z4trace, 5))
+        real = realize(z4trace, self.sigma(z4trace, 5))
         assert any(st.defect > 0 for st in real.stages)
         dropped, extra = chunk_compatibility(real)
         assert ("h", "h") in dropped
@@ -1252,7 +1244,7 @@ class TestRealizedChunk:
         assert set(z4trace.table) > set(reduced.table)
 
     def test_gchunk_round_trip_with_inexact_stages(self, z4trace):
-        real = realize(z4trace, self.certs(z4trace, 5))
+        real = realize(z4trace, self.sigma(z4trace, 5))
         gc = real.gchunk()
         for stage_n, degree in zip(range(2, real.depth + 1), real.layout):
             assert supp_morphism(gc, degree) == real.block_sum_assignment(stage_n)
@@ -1262,12 +1254,12 @@ class TestClosedFormMultiplicities:
     """``realize`` against the trial-and-measure loop of ``reference_realize``,
     which builds every trial block sum and measures it."""
 
-    def check(self, chunk, certs):
-        real = realize(chunk, certs)
-        f, stages = reference_realize(chunk, certs)
+    def check(self, chunk, sigma):
+        real = realize(chunk, sigma)
+        f, stages = reference_realize(chunk, sigma)
         assert list(real.f) == f
         assert list(real.layout) == [st.degree for st in stages]
-        offsets = tuple(accumulate(cert.n for cert in certs))
+        offsets = tuple(accumulate(stage[chunk.unit].degree for stage in sigma))
         assert real.g.spec() == BlockStep(real.layout, offsets).spec()
         for got, want in zip(real.stages, stages, strict=True):
             for field in fields(StageReport):
@@ -1276,7 +1268,7 @@ class TestClosedFormMultiplicities:
         return real
 
     def searched(self, chunk, depth):
-        return [sofic_profile(chunk, r, 8) for r in range(2, depth + 1)]
+        return [sofic_profile(chunk, r, 8).assignment for r in range(2, depth + 1)]
 
     @pytest.mark.parametrize("name", sorted(
         name for name in os.listdir(DATA) if name.endswith(".chunk")))
@@ -1306,39 +1298,43 @@ class TestClosedFormMultiplicities:
         # a -> one 3-cycle plus transpositions (and a fixed point when 3r is
         # even) at degree 3r: a*a misses the unit on 3 points, defect exactly
         # 1/r at every stage, and from stage 5 on the defect ceiling binds
-        def cert(r):
+        def assignment(r):
             n = 3 * r
             images = [1, 2, 0] + ([3] if n % 2 == 0 else [])
             for x in range(len(images), n, 2):
                 images += [x + 1, x]
-            assignment = {"1": identity(n), "a": Perm(tuple(images))}
-            quality = measure(z2, assignment)
-            assert quality.defect == Fraction(1, r)
-            return ProfileCertificate(Fraction(r), n, assignment, quality, ())
+            out = {"1": identity(n), "a": Perm(tuple(images))}
+            assert measure(z2, out).defect == Fraction(1, r)
+            return out
 
-        real = self.check(z2, [cert(r) for r in range(2, 8)])
+        real = self.check(z2, [assignment(r) for r in range(2, 8)])
         assert (self.g_gap_only(real, 6), real.f[4]) == (7, 16)
 
     def test_thresholds_checked_on_the_assignment(self, z4trace):
-        cert2, cert3 = (sofic_profile(z4trace, r, 8) for r in (2, 3))
-        # the r = 2 witness has defect 1/2, above 1/3; the claimed quality
-        # still says r = 3 is met, so only the assignment's counts reject it
-        forged = replace(cert3, n=cert2.n, assignment=cert2.assignment)
-        assert forged.quality.meets(Fraction(3))
+        # the r = 2 witness has defect 1/2, above 1/3, so given again as the
+        # r = 3 stage it fails that stage's thresholds
+        witness = sofic_profile(z4trace, 2, 8).assignment
+        assert not measure(z4trace, witness).meets(Fraction(3))
         with pytest.raises(ValueError, match="r = 3 does not meet its thresholds"):
-            realize(z4trace, [cert2, forged])
+            realize(z4trace, [witness, witness])
 
     def test_separation_checked_at_its_boundary(self, z2):
         # a -> identity at degree 2: no defect, but the pair differs at no
         # point, one short of n - radius = 1; passed on, it would make the
         # expansiveness denominator (n-1)a_q - (n-2)m zero
-        assignment = {"1": identity(2), "a": identity(2)}
-        forged = ProfileCertificate(Fraction(2), 2, assignment, measure(z2, assignment), ())
-        assert forged.quality.defect == 0
+        forged = {"1": identity(2), "a": identity(2)}
+        assert measure(z2, forged).defect == 0
         with pytest.raises(ValueError, match="r = 2 does not meet its thresholds"):
             realize(z2, [forged])
 
-    def test_certificate_degree_must_match_its_images(self, z3):
-        cert2, cert3 = (sofic_profile(z3, r, 8) for r in (2, 3))
-        with pytest.raises(ValueError, match="r = 3 is not a map into S_4"):
-            realize(z3, [cert2, replace(cert3, n=cert3.n + 1)])
+    @pytest.mark.parametrize("sigma, message", [
+        ([], "need at least the r = 2 stage assignment"),
+        ([{"1": identity(2)}], "r = 2 covers different elements"),
+        ([{"1": identity(2), "a": Perm((1, 0))}, {"1": identity(2), "a": identity(3)}],
+         r"r = 3 is not a map into one S_m .*mixed degrees \[2, 3\]"),
+        ([{"1": Perm((1, 0)), "a": Perm((1, 0))}],
+         "r = 2 is not a map into one S_m .*unit must map to the identity"),
+    ], ids=["empty", "missing-element", "mixed-degrees", "unit-moved"])
+    def test_stage_shape_checked(self, z2, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            realize(z2, sigma)
